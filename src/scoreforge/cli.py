@@ -12,6 +12,14 @@ Subcommands map one-to-one onto the library stages:
     eval        frame SDR / piece median / corpus median report
     pipeline    fix -> normalize -> annotate -> stats -> split -> manifest
 
+The MIDI subcommands from fix to manifest are ranges of one per-piece chain,
+
+    parse -> fix -> normalize -> annotate -> stats | split | manifest
+
+run in the workers on each file, parsed once and kept in memory between
+steps; the parent reduces over the corpus (dedupe after fix, stats totals,
+the split) and writes each step's directory. `pipeline` is the whole range.
+
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
 enumeration order or the number of workers. Every output directory gets a
@@ -26,9 +34,9 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .datasetkit import (
 from .evalkit import FRAME_SECONDS, SILENCE_DBFS, SdrReport, evaluate_piece
 from .expressive import (
     AnnotationParams,
+    AnnotationPlan,
     annotate,
     load_articulation_tables,
     params_from_dict,
@@ -55,9 +64,9 @@ from .expressive import (
 )
 from .gmfix import (
     InstrumentDictionary,
-    UnknownInstrument,
+    PieceRejected,
+    admit_piece,
     dedupe,
-    fix_piece,
     normalize,
     note_fingerprint,
 )
@@ -68,7 +77,7 @@ from .renderkit import (
     mix_stems,
     test_synthesize,
 )
-from .smf import MidiPiece, SmfError, parse_smf, write_smf
+from .smf import SmfError, parse_smf, write_smf
 
 MIXTURE_STEM = "mixture"
 
@@ -167,10 +176,6 @@ def _midi_files(directory: Path) -> list[Path]:
     return files
 
 
-def _load_piece(path: Path) -> MidiPiece:
-    return parse_smf(path.read_bytes())
-
-
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     """Apply fn over items, preserving order; jobs > 1 uses processes."""
     if jobs <= 1 or len(items) <= 1:
@@ -192,126 +197,198 @@ class _Failures:
         return 1 if (self.strict and self.items) else 0
 
 
-_DICTIONARIES: dict[str | None, InstrumentDictionary] = {}
+def _collect(results: list[dict], step: str, failures: _Failures) -> list[dict]:
+    """Report the results that failed at ``step``; return the rest, in order."""
+    ok = []
+    for result in results:
+        if step in result["errors"]:
+            failures.add(result["id"], result["errors"][step])
+        else:
+            ok.append(result)
+    return ok
 
 
+@cache
 def _dictionary(path: str | None) -> InstrumentDictionary:
-    if path not in _DICTIONARIES:
-        _DICTIONARIES[path] = (InstrumentDictionary.default() if path is None
-                               else InstrumentDictionary.from_csv(path))
-    return _DICTIONARIES[path]
+    return (InstrumentDictionary.default() if path is None
+            else InstrumentDictionary.from_csv(path))
 
 
-_TABLE_CACHE: dict = {}
-
-
-def _tables(path: str | None):
-    if path not in _TABLE_CACHE:
-        _TABLE_CACHE[path] = load_articulation_tables(path)
-    return _TABLE_CACHE[path]
+_tables = cache(load_articulation_tables)
 
 
 # ---------------------------------------------------------------------------
-# Stage workers (top level so they pickle for process pools)
+# The per-piece chain (top level so it pickles for process pools)
 # ---------------------------------------------------------------------------
 
-def _fix_worker(path_str: str, dictionary_path: str | None) -> dict:
+STEPS = ("fix", "normalize", "annotate", "stats", "split", "manifest")
+# a failure in these ends the piece's chain; the later steps only read the
+# piece, so each of them fails on its own
+CHAIN_STEPS = STEPS[:3]
+STAGE_DIRS = dict(zip(STEPS, ("10_fixed", "20_normalized", "30_annotated",
+                              "40_stats", "50_split", "60_manifests")))
+# what each step reports as a per-piece failure (anything else aborts the
+# command), and whether the message names the exception type
+_STEP_ERRORS = {
+    "fix": ((SmfError, PieceRejected, OSError), False),
+    "normalize": ((SmfError, OSError), False),
+    "annotate": (Exception, True),
+    "stats": ((SmfError, OSError), False),
+    "split": (SmfError, False),
+    "manifest": (Exception, True),
+}
+
+
+def _message(step: str, exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}" if _STEP_ERRORS[step][1] else str(exc)
+
+
+def _read_plan(plans_dir: str, piece_id: str) -> AnnotationPlan | None:
+    plan_path = Path(plans_dir) / f"{piece_id}.plan.json"
+    if plan_path.exists():
+        data = json.loads(plan_path.read_text(encoding="utf-8"))
+        if data.get("mode") == "proposed":
+            return plan_from_dict(data["plan"])
+    return None
+
+
+def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
+                  plans_dir: str | None) -> dict:
+    """Parse one file and run ``steps`` (a range of STEPS) on it in memory.
+
+    Returns the piece id, each step's artefact under the step's name (SMF
+    bytes, the stats and label set, the manifest dict), the fixed piece's
+    note fingerprint, instruments and the annotation sidecar, and
+    ``errors``: step -> message for every step that failed.
+    """
     path = Path(path_str)
     piece_id = path.stem
-    try:
-        piece = _load_piece(path)
-        fixed, instruments = fix_piece(piece, _dictionary(dictionary_path))
-        if not instruments:
-            return {"id": piece_id, "error": "no note-bearing tracks"}
-        if len(set(instruments)) < 2:
-            return {"id": piece_id,
-                    "error": f"monotimbral: only {instruments[0].name}"}
-        return {
-            "id": piece_id,
-            "bytes": write_smf(fixed),
-            "fingerprint": note_fingerprint(fixed),
-            "instruments": sorted({iid.name for iid in instruments}),
-        }
-    except (SmfError, UnknownInstrument, OSError) as exc:
-        return {"id": piece_id, "error": str(exc)}
+    out: dict = {"id": piece_id, "errors": {}}
+    piece = plan = None
+    for step in steps:
+        try:
+            if piece is None:  # so a parse failure is the first step's
+                piece = parse_smf(path.read_bytes())
+            if step == "fix":
+                piece, instruments = admit_piece(piece, _dictionary(config.dictionary))
+                out["fix"] = write_smf(piece)
+                out["fingerprint"] = note_fingerprint(piece)
+                out["instruments"] = sorted({iid.name for iid in instruments})
+            elif step == "normalize":
+                piece = normalize(piece)
+                out["normalize"] = write_smf(piece)
+            elif step == "annotate":
+                seed = piece_seed(config.master_seed, piece_id)
+                out["plan"] = {"mode": config.annotate_mode, "seed": seed}
+                if config.annotate_mode == "proposed":
+                    piece, plan = annotate(
+                        piece, _tables(config.articulation_tables),
+                        dataclasses.replace(config.annotation, seed=seed))
+                    out["plan"]["plan"] = plan_to_dict(plan)
+                out["annotate"] = write_smf(piece)
+            elif step == "stats":
+                out["stats"] = {
+                    "activity_seconds": {iid.name: seconds for iid, seconds
+                                         in activity_time(piece).items()},
+                    "polyphony_seconds": {str(level): seconds for level, seconds
+                                          in polyphony_histogram(piece).items()},
+                }
+            elif step == "split":
+                labels = piece_labels(piece)
+                if labels:
+                    out["split"] = labels
+                else:
+                    out["errors"]["split"] = "no identifiable instruments"
+            else:
+                if "annotate" not in steps:
+                    plan = _read_plan(plans_dir, piece_id)
+                out["manifest"] = emit_manifest(
+                    piece, plan, StemGroupRules(), piece_id=piece_id,
+                    sample_rate=config.sample_rate).to_dict()
+        except _STEP_ERRORS[step][0] as exc:
+            out["errors"][step] = _message(step, exc)
+            if step in CHAIN_STEPS:
+                break
+    return out
 
 
-def _normalize_worker(path_str: str) -> dict:
-    path = Path(path_str)
-    piece_id = path.stem
-    try:
-        piece = _load_piece(path)
-        return {"id": piece_id, "bytes": write_smf(normalize(piece))}
-    except (SmfError, OSError) as exc:
-        return {"id": piece_id, "error": str(exc)}
+def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
+               jobs: int, failures: _Failures, plans_dir: Path | None = None,
+               ) -> int:
+    """Map the chain over the files of ``in_dir`` for the steps that key
+    ``out_dirs`` (a range of STEPS), then run the corpus reducers (dedupe,
+    stats totals, split) and write each step's directory. Stops with exit
+    code 1 when a chain step leaves no piece for the steps after it."""
+    steps = tuple(out_dirs)
+    worker = partial(_chain_worker, steps=steps, config=config,
+                     plans_dir=str(plans_dir) if plans_dir else None)
+    alive = _map_jobs(worker, [str(p) for p in _midi_files(in_dir)], jobs)
+    for step in steps:
+        out_dir = out_dirs[step]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ok = _collect(alive, step, failures)
+        if step == "fix":  # always the first step, so failures are its own
+            kept_ids, duplicates = dedupe({r["id"]: r["fingerprint"] for r in
+                                           sorted(ok, key=lambda r: r["id"])})
+            kept = set(kept_ids)
+            ok = [r for r in ok if r["id"] in kept]
+            _write_json(out_dir / "fix_report.json", {
+                "kept": {r["id"]: r["instruments"] for r in ok},
+                "rejected": dict(failures.items),
+                "duplicates": [{"kept": d.kept_id, "dropped": d.dropped_id,
+                                "fingerprint": d.fingerprint}
+                               for d in duplicates],
+            })
+        if step in CHAIN_STEPS:
+            for r in ok:
+                (out_dir / f"{r['id']}.mid").write_bytes(r[step])
+                if step == "annotate":
+                    _write_json(out_dir / f"{r['id']}.plan.json", r["plan"])
+            alive = ok
+        elif step == "stats":
+            totals: dict[str, dict] = {"activity_seconds": {},
+                                       "polyphony_seconds": {}}
+            for r in ok:
+                for kind, values in r["stats"].items():
+                    for key, seconds in values.items():
+                        totals[kind][key] = totals[kind].get(key, 0.0) + seconds
+            _write_json(out_dir / "stats.json", {
+                "pieces": {r["id"]: r["stats"] for r in ok}, "corpus": totals})
+        elif step == "split":
+            if not ok:
+                raise ConfigError(f"no usable pieces in {in_dir}")
+            try:
+                result = stratified_split({r["id"]: r["split"] for r in ok},
+                                          config.split_ratios,
+                                          np.random.default_rng(config.master_seed))
+            except InvalidRatios as exc:
+                raise ConfigError(str(exc)) from exc
+            _write_json(out_dir / "split.json", {
+                "ratios": list(result.ratios),
+                "assignment": dict(sorted(result.assignment.items())),
+                "splits": {name: result.split(name)
+                           for name in ("train", "eval", "test")},
+                "balance_report": result.balance_report,
+            })
+        else:
+            for r in ok:
+                _write_json(out_dir / f"{r['id']}.manifest.json", r["manifest"])
+        _write_provenance(out_dir, step, config)
+        if not alive and step != steps[-1]:
+            print(f"no pieces left after {step}", file=sys.stderr)
+            return 1
+    return failures.exit_code()
 
 
-def _annotate_worker(path_str: str, mode: str, master_seed: int,
-                     tables_path: str | None, params_data: dict) -> dict:
-    path = Path(path_str)
-    piece_id = path.stem
-    try:
-        piece = _load_piece(path)
-        seed = piece_seed(master_seed, piece_id)
-        if mode == "plain":
-            return {
-                "id": piece_id,
-                "bytes": write_smf(piece),
-                "plan": {"mode": "plain", "seed": seed},
-            }
-        params = params_from_dict({**params_data, "seed": seed})
-        annotated, plan = annotate(piece, _tables(tables_path), params)
-        return {
-            "id": piece_id,
-            "bytes": write_smf(annotated),
-            "plan": {"mode": "proposed", "seed": seed, "plan": plan_to_dict(plan)},
-        }
-    except Exception as exc:  # per-piece isolation, reported upstream
-        return {"id": piece_id, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _stats_worker(path_str: str) -> dict:
-    path = Path(path_str)
-    piece_id = path.stem
-    try:
-        piece = _load_piece(path)
-        activity = activity_time(piece)
-        polyphony = polyphony_histogram(piece)
-        return {
-            "id": piece_id,
-            "activity": {iid.name: seconds for iid, seconds in activity.items()},
-            "polyphony": {str(level): seconds
-                          for level, seconds in polyphony.items()},
-        }
-    except (SmfError, OSError) as exc:
-        return {"id": piece_id, "error": str(exc)}
-
-
-def _manifest_worker(path_str: str, plans_dir: str | None,
-                     sample_rate: int) -> dict:
-    path = Path(path_str)
-    piece_id = path.stem
-    try:
-        piece = _load_piece(path)
-        plan = None
-        if plans_dir is not None:
-            plan_path = Path(plans_dir) / f"{piece_id}.plan.json"
-            if plan_path.exists():
-                data = json.loads(plan_path.read_text(encoding="utf-8"))
-                if data.get("mode") == "proposed":
-                    plan = plan_from_dict(data["plan"])
-        manifest = emit_manifest(piece, plan, StemGroupRules(),
-                                 piece_id=piece_id, sample_rate=sample_rate)
-        return {"id": piece_id, "manifest": manifest.to_dict()}
-    except Exception as exc:
-        return {"id": piece_id, "error": f"{type(exc).__name__}: {exc}"}
-
+# ---------------------------------------------------------------------------
+# Audio commands
+# ---------------------------------------------------------------------------
 
 def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
     path = Path(path_str)
     piece_id = path.stem
     try:
-        piece = _load_piece(path)
+        piece = parse_smf(path.read_bytes())
         manifest = emit_manifest(piece, None, StemGroupRules(),
                                  piece_id=piece_id, sample_rate=sample_rate)
         piece_dir = Path(out_dir) / piece_id
@@ -332,9 +409,11 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
             mix.waveform.samples.astype(np.float32).astype(np.float64),
             sample_rate)
         write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mixture)
-        return {"id": piece_id, "stems": sorted(stems), "peak": mix.peak}
+        return {"id": piece_id, "errors": {}, "stems": sorted(stems),
+                "peak": mix.peak}
     except Exception as exc:
-        return {"id": piece_id, "error": f"{type(exc).__name__}: {exc}"}
+        return {"id": piece_id,
+                "errors": {"synth-test": f"{type(exc).__name__}: {exc}"}}
 
 
 def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
@@ -342,196 +421,50 @@ def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
                  projection: str) -> dict:
     piece_dir = Path(piece_dir_str)
     piece_id = piece_dir.name
+
+    def failed(message: str) -> dict:
+        return {"id": piece_id, "errors": {"eval": message}}
+
     try:
         references: dict[str, Waveform] = {}
         for wav in sorted(piece_dir.glob("*.wav")):
             if wav.stem != MIXTURE_STEM:
                 references[wav.stem] = read_wav(wav)
         if not references:
-            return {"id": piece_id, "error": "no stem files"}
+            return failed("no stem files")
         if estimates_dir is None:
             mixture = read_wav(piece_dir / f"{MIXTURE_STEM}.wav")
             estimates = {stem: mixture for stem in references}
         else:
-            estimates = {}
-            for stem in references:
-                est_path = Path(estimates_dir) / piece_id / f"{stem}.wav"
-                if est_path.exists():
-                    estimates[stem] = read_wav(est_path)
+            paths = {stem: Path(estimates_dir) / piece_id / f"{stem}.wav"
+                     for stem in references}
+            missing = [stem for stem, path in paths.items() if not path.exists()]
+            if missing:
+                return failed(f"no estimate for stems: {', '.join(missing)}")
+            estimates = {stem: read_wav(path) for stem, path in paths.items()}
         frames = evaluate_piece(references, estimates, frame_len_s,
                                 silence_threshold_dbfs, projection)
-        return {"id": piece_id, "frames": frames}
+        return {"id": piece_id, "errors": {}, "frames": frames}
     except Exception as exc:
-        return {"id": piece_id, "error": f"{type(exc).__name__}: {exc}"}
+        return failed(f"{type(exc).__name__}: {exc}")
 
 
-# ---------------------------------------------------------------------------
-# Stage drivers
-# ---------------------------------------------------------------------------
-
-def _stage_fix(in_dir: Path, out_dir: Path, config: PipelineConfig,
-               jobs: int, failures: _Failures) -> None:
+def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
+               jobs: int, failures: _Failures) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
-    worker = partial(_fix_worker, dictionary_path=config.dictionary)
-    results = _map_jobs(worker, [str(p) for p in files], jobs)
-    kept: list[dict] = []
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-        else:
-            kept.append(result)
-    seen: dict[str, str] = {}
-    duplicates: list[dict] = []
-    unique: list[dict] = []
-    for result in sorted(kept, key=lambda r: r["id"]):
-        fp = result["fingerprint"]
-        if fp in seen:
-            duplicates.append({"kept": seen[fp], "dropped": result["id"],
-                               "fingerprint": fp})
-            continue
-        seen[fp] = result["id"]
-        unique.append(result)
-    for result in unique:
-        (out_dir / f"{result['id']}.mid").write_bytes(result["bytes"])
-    _write_json(out_dir / "fix_report.json", {
-        "kept": {r["id"]: r["instruments"] for r in unique},
-        "rejected": {pid: msg for pid, msg in failures.items},
-        "duplicates": duplicates,
-    })
-    _write_provenance(out_dir, "fix", config)
-
-
-def _stage_copy_transform(in_dir: Path, out_dir: Path, worker: Callable,
-                          jobs: int, failures: _Failures) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
-    results = _map_jobs(worker, [str(p) for p in files], jobs)
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-            continue
-        (out_dir / f"{result['id']}.mid").write_bytes(result["bytes"])
-        if "plan" in result:
-            _write_json(out_dir / f"{result['id']}.plan.json", result["plan"])
-
-
-def _stage_normalize(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                     jobs: int, failures: _Failures) -> None:
-    _stage_copy_transform(in_dir, out_dir, _normalize_worker, jobs, failures)
-    _write_provenance(out_dir, "normalize", config)
-
-
-def _stage_annotate(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                    jobs: int, failures: _Failures) -> None:
-    params_data = params_to_dict(config.annotation)
-    worker = partial(_annotate_worker, mode=config.annotate_mode,
-                     master_seed=config.master_seed,
-                     tables_path=config.articulation_tables,
-                     params_data=params_data)
-    _stage_copy_transform(in_dir, out_dir, worker, jobs, failures)
-    _write_provenance(out_dir, "annotate", config)
-
-
-def _stage_stats(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                 jobs: int, failures: _Failures) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
-    results = _map_jobs(_stats_worker, [str(p) for p in files], jobs)
-    pieces: dict[str, dict] = {}
-    total_activity: dict[str, float] = {}
-    total_polyphony: dict[str, float] = {}
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-            continue
-        pieces[result["id"]] = {
-            "activity_seconds": result["activity"],
-            "polyphony_seconds": result["polyphony"],
-        }
-        for name, seconds in result["activity"].items():
-            total_activity[name] = total_activity.get(name, 0.0) + seconds
-        for level, seconds in result["polyphony"].items():
-            total_polyphony[level] = total_polyphony.get(level, 0.0) + seconds
-    _write_json(out_dir / "stats.json", {
-        "pieces": pieces,
-        "corpus": {
-            "activity_seconds": total_activity,
-            "polyphony_seconds": total_polyphony,
-        },
-    })
-    _write_provenance(out_dir, "stats", config)
-
-
-def _stage_split(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                 jobs: int, failures: _Failures) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
-    label_sets: dict[str, set] = {}
-    for path in files:
-        piece_id = path.stem
-        try:
-            labels = piece_labels(_load_piece(path))
-        except SmfError as exc:
-            failures.add(piece_id, str(exc))
-            continue
-        if not labels:
-            failures.add(piece_id, "no identifiable instruments")
-            continue
-        label_sets[piece_id] = labels
-    if not label_sets:
-        raise ConfigError(f"no usable pieces in {in_dir}")
-    rng = np.random.default_rng(config.master_seed)
-    try:
-        result = stratified_split(label_sets, config.split_ratios, rng)
-    except InvalidRatios as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_json(out_dir / "split.json", {
-        "ratios": list(result.ratios),
-        "assignment": dict(sorted(result.assignment.items())),
-        "splits": {name: result.split(name) for name in ("train", "eval", "test")},
-        "balance_report": result.balance_report,
-    })
-    _write_provenance(out_dir, "split", config)
-
-
-def _stage_manifest(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                    jobs: int, failures: _Failures,
-                    plans_dir: Path | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
-    worker = partial(_manifest_worker,
-                     plans_dir=str(plans_dir) if plans_dir else None,
-                     sample_rate=config.sample_rate)
-    results = _map_jobs(worker, [str(p) for p in files], jobs)
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-            continue
-        _write_json(out_dir / f"{result['id']}.manifest.json", result["manifest"])
-    _write_provenance(out_dir, "manifest", config)
-
-
-def _stage_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
-                 jobs: int, failures: _Failures) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = _midi_files(in_dir)
     worker = partial(_synth_worker, out_dir=str(out_dir),
                      sample_rate=config.sample_rate)
-    results = _map_jobs(worker, [str(p) for p in files], jobs)
-    report: dict[str, dict] = {}
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-            continue
-        report[result["id"]] = {"stems": result["stems"], "peak": result["peak"]}
+    results = _map_jobs(worker, [str(p) for p in _midi_files(in_dir)], jobs)
+    report = {r["id"]: {"stems": r["stems"], "peak": r["peak"]}
+              for r in _collect(results, "synth-test", failures)}
     _write_json(out_dir / "synth_report.json", {"pieces": report})
     _write_provenance(out_dir, "synth-test", config)
+    return failures.exit_code()
 
 
-def _stage_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
-                jobs: int, failures: _Failures,
-                estimates_dir: Path | None) -> None:
+def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
+              jobs: int, failures: _Failures,
+              estimates_dir: Path | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     piece_dirs = sorted(p for p in audio_dir.iterdir() if p.is_dir())
     if not piece_dirs:
@@ -545,14 +478,12 @@ def _stage_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
     report = SdrReport(frame_len_s=config.frame_len_s,
                        silence_threshold_dbfs=config.silence_threshold_dbfs,
                        projection=config.projection)
-    for result in results:
-        if "error" in result:
-            failures.add(result["id"], result["error"])
-            continue
+    for result in _collect(results, "eval", failures):
         report.add_piece(result["id"], result["frames"])
     report.finalize()
     _write_json(out_dir / "eval_report.json", report.to_dict())
     _write_provenance(out_dir, "eval", config)
+    return failures.exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -648,54 +579,30 @@ def run_command(argv: Sequence[str]) -> int:
         out_dir = Path(args.out)
         jobs = max(args.jobs, 1)
 
-        if args.command == "fix":
-            _stage_fix(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "normalize":
-            _stage_normalize(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "annotate":
-            _stage_annotate(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "stats":
-            _stage_stats(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "split":
-            _stage_split(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "manifest":
-            plans = Path(args.plans) if args.plans else Path(args.input)
-            _stage_manifest(Path(args.input), out_dir, config, jobs, failures,
-                            plans_dir=plans)
-        elif args.command == "synth-test":
-            _stage_synth(Path(args.input), out_dir, config, jobs, failures)
-        elif args.command == "eval":
+        if args.command in STEPS:
+            plans = (Path(args.plans or args.input)
+                     if args.command == "manifest" else None)
+            return _run_steps(Path(args.input), {args.command: out_dir}, config,
+                              jobs, failures, plans)
+        if args.command == "synth-test":
+            return _run_synth(Path(args.input), out_dir, config, jobs, failures)
+        if args.command == "eval":
             estimates = Path(args.estimates) if args.estimates else None
-            _stage_eval(Path(args.input), out_dir, config, jobs, failures,
-                        estimates_dir=estimates)
-        elif args.command == "pipeline":
-            if not args.input and not config.corpus_dir:
-                raise ConfigError("no corpus directory (positional argument "
-                                  "or corpus_dir in config)")
-            in_dir = Path(args.input) if args.input else Path(config.corpus_dir)
-            if not in_dir.is_dir():
-                raise ConfigError(f"corpus directory not found: {in_dir}")
-            if not args.out and not config.output_dir:
-                raise ConfigError("no output directory (--out or output_dir "
-                                  "in config)")
-            root = Path(args.out) if args.out else Path(config.output_dir)
-            stages = [
-                ("10_fixed", _stage_fix, None),
-                ("20_normalized", _stage_normalize, "10_fixed"),
-                ("30_annotated", _stage_annotate, "20_normalized"),
-                ("40_stats", _stage_stats, "30_annotated"),
-                ("50_split", _stage_split, "30_annotated"),
-                ("60_manifests", None, "30_annotated"),
-            ]
-            for name, stage_fn, source in stages:
-                stage_in = in_dir if source is None else root / source
-                stage_out = root / name
-                if name == "60_manifests":
-                    _stage_manifest(stage_in, stage_out, config, jobs, failures,
-                                    plans_dir=root / "30_annotated")
-                else:
-                    stage_fn(stage_in, stage_out, config, jobs, failures)
-        return failures.exit_code()
+            return _run_eval(Path(args.input), out_dir, config, jobs, failures,
+                             estimates)
+        # pipeline
+        if not args.input and not config.corpus_dir:
+            raise ConfigError("no corpus directory (positional argument "
+                              "or corpus_dir in config)")
+        in_dir = Path(args.input) if args.input else Path(config.corpus_dir)
+        if not in_dir.is_dir():
+            raise ConfigError(f"corpus directory not found: {in_dir}")
+        if not args.out and not config.output_dir:
+            raise ConfigError("no output directory (--out or output_dir "
+                              "in config)")
+        root = Path(args.out) if args.out else Path(config.output_dir)
+        return _run_steps(in_dir, {step: root / STAGE_DIRS[step] for step in STEPS},
+                          config, jobs, failures)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -145,8 +145,7 @@ class AnnotationPlan:
     tempo: tuple[TempoInterval, ...]
     dynamics: tuple[DynamicInterval, ...]
     articulations: tuple[ArticulationInterval, ...]
-    params: AnnotationParams
-    seed: int
+    params: AnnotationParams  # params.seed is the seed that drew the plan
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +241,6 @@ def piece_seed(master_seed: int, piece_id: str) -> int:
     """Stable 64-bit per-piece seed, independent of corpus iteration order."""
     digest = hashlib.sha256(f"{master_seed}:{piece_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +553,7 @@ def annotate(piece: MidiPiece,
     """Run the full chain (tempo, then dynamics, then articulations, then
     CC#1 mirroring) on a normalized piece, returning the annotated piece
     and the plan that produced it."""
-    rng = make_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     tempo = plan_tempo_intervals(piece, params, rng)
     with_tempo = apply_tempo(piece, tempo)
     dynamics = plan_dynamic_intervals(with_tempo, params, rng)
@@ -567,7 +562,7 @@ def annotate(piece: MidiPiece,
     with_articulations = apply_articulations(with_dynamics, articulations)
     final = mirror_velocity_to_cc1(with_articulations, tables)
     plan = AnnotationPlan(tuple(tempo), tuple(dynamics), tuple(articulations),
-                          params, params.seed)
+                          params)
     return final, plan
 
 
@@ -596,6 +591,8 @@ def params_from_dict(data: Mapping) -> AnnotationParams:
 
 
 def plan_from_dict(data: Mapping) -> AnnotationPlan:
+    """Inverse of plan_to_dict; the top-level ``seed`` repeats params.seed
+    and is not read."""
     return AnnotationPlan(
         tempo=tuple(TempoInterval(iv["start_tick"], iv["end_tick"], iv["bpm"])
                     for iv in data["tempo"]),
@@ -609,13 +606,12 @@ def plan_from_dict(data: Mapping) -> AnnotationPlan:
                                  iv["articulation"])
             for iv in data["articulations"]),
         params=params_from_dict(data["params"]),
-        seed=data["seed"],
     )
 
 
 def plan_to_dict(plan: AnnotationPlan) -> dict:
     return {
-        "seed": plan.seed,
+        "seed": plan.params.seed,
         "params": params_to_dict(plan.params),
         "tempo": [
             {"start_tick": iv.start_tick, "end_tick": iv.end_tick, "bpm": iv.bpm}

@@ -43,7 +43,11 @@ class GmFixError(Exception):
     pass
 
 
-class UnknownInstrument(GmFixError):
+class PieceRejected(GmFixError):
+    """A piece the corpus rules keep out; the message is the reason."""
+
+
+class UnknownInstrument(PieceRejected):
     pass
 
 
@@ -148,16 +152,6 @@ class InstrumentDictionary:
         return len(self._entries)
 
 
-def map_instrument(raw_name: str,
-                   dictionary: InstrumentDictionary) -> InstrumentId | _Excluded | None:
-    """Map a raw track name onto an instrument.
-
-    Returns the registry InstrumentId, EXCLUDED for names recognized as out
-    of scope, or None for names the dictionary does not know (including "").
-    """
-    return dictionary.lookup(raw_name)
-
-
 def identify_track(track: Track,
                    dictionary: InstrumentDictionary) -> InstrumentId | _Excluded | None:
     """Identify a track's instrument.
@@ -171,7 +165,7 @@ def identify_track(track: Track,
         return REGISTRY["untuned_percussion"]
     if track.program is not None and track.program in UNTUNED_PROGRAMS:
         return REGISTRY["untuned_percussion"]
-    return map_instrument(track.name, dictionary)
+    return dictionary.lookup(track.name)
 
 
 def _has_notes(track: Track) -> bool:
@@ -319,6 +313,26 @@ def note_fingerprint(piece: MidiPiece) -> str:
     return digest.hexdigest()
 
 
+def admit_piece(piece: MidiPiece,
+                dictionary: InstrumentDictionary,
+                targets: set[InstrumentId] | None = None,
+                ) -> tuple[MidiPiece, list[InstrumentId]]:
+    """fix_piece, then the corpus rules: the piece's instruments must form a
+    non-empty subset of ``targets`` (default: the whole registry) spanning
+    at least two distinct instruments.
+
+    Monotimbral pieces are useless for separation training, so they are
+    rejected alongside pieces with unmappable or out-of-scope tracks. Raises
+    PieceRejected (UnknownInstrument for track-level causes) with the reason.
+    """
+    fixed, instruments = fix_piece(piece, dictionary, targets)
+    if not instruments:
+        raise PieceRejected("no note-bearing tracks")
+    if len(set(instruments)) < 2:
+        raise PieceRejected(f"monotimbral: only {instruments[0].name}")
+    return fixed, instruments
+
+
 @dataclass(frozen=True, slots=True)
 class RejectedPiece:
     piece_id: str
@@ -329,29 +343,15 @@ def filter_corpus(pieces: dict[str, MidiPiece],
                   dictionary: InstrumentDictionary,
                   targets: set[InstrumentId] | None = None,
                   ) -> tuple[dict[str, MidiPiece], list[RejectedPiece]]:
-    """Keep pieces whose instruments form a non-empty subset of ``targets``
-    (default: the whole registry) spanning at least two distinct instruments.
-
-    Monotimbral pieces are useless for separation training, so they are
-    dropped alongside pieces with unmappable or out-of-scope tracks. Order is
-    preserved; returns (kept fixed pieces, rejections with reasons).
-    """
+    """admit_piece over a corpus. Order is preserved; returns (kept fixed
+    pieces, rejections with reasons)."""
     kept: dict[str, MidiPiece] = {}
     rejected: list[RejectedPiece] = []
     for piece_id, piece in pieces.items():
         try:
-            fixed, instruments = fix_piece(piece, dictionary, targets)
-        except UnknownInstrument as exc:
+            kept[piece_id], _ = admit_piece(piece, dictionary, targets)
+        except PieceRejected as exc:
             rejected.append(RejectedPiece(piece_id, str(exc)))
-            continue
-        if not instruments:
-            rejected.append(RejectedPiece(piece_id, "no note-bearing tracks"))
-            continue
-        if len(set(instruments)) < 2:
-            rejected.append(RejectedPiece(
-                piece_id, f"monotimbral: only {instruments[0].name}"))
-            continue
-        kept[piece_id] = fixed
     return kept, rejected
 
 
@@ -362,18 +362,17 @@ class DuplicatePair:
     fingerprint: str
 
 
-def dedupe(pieces: dict[str, MidiPiece],
-           ) -> tuple[dict[str, MidiPiece], list[DuplicatePair]]:
-    """Drop pieces whose note-content fingerprint was already seen. The first
-    piece in iteration order (insertion order of the dict) wins."""
-    kept: dict[str, MidiPiece] = {}
+def dedupe(fingerprints: dict[str, str]) -> tuple[list[str], list[DuplicatePair]]:
+    """Drop pieces whose note_fingerprint was already seen, given piece id ->
+    fingerprint. The first piece in iteration order (insertion order of the
+    dict) wins. Returns (kept ids, duplicate pairs)."""
+    kept: list[str] = []
     seen: dict[str, str] = {}
     duplicates: list[DuplicatePair] = []
-    for piece_id, piece in pieces.items():
-        fp = note_fingerprint(piece)
+    for piece_id, fp in fingerprints.items():
         if fp in seen:
             duplicates.append(DuplicatePair(seen[fp], piece_id, fp))
             continue
         seen[fp] = piece_id
-        kept[piece_id] = piece
+        kept.append(piece_id)
     return kept, duplicates

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -337,19 +337,13 @@ def _parse_track(chunk: bytes) -> Track:
 # Writing
 # ---------------------------------------------------------------------------
 
-def validate_piece(piece: MidiPiece) -> None:
-    """Raise InvariantViolation unless the piece is serializable: sorted
-    ticks, 7-bit data ranges, valid channels, end-of-track only last."""
-    _validate_piece(piece)
-
-
 def write_smf(piece: MidiPiece) -> bytes:
     """Serialize a MidiPiece to canonical SMF bytes.
 
     Canonical means: no running status, minimal VLQ delta times, an explicit
     end-of-track on every track (appended at the maximal tick if missing).
     """
-    _validate_piece(piece)
+    validate_piece(piece)
     out = bytearray()
     out += b"MThd" + struct.pack(
         ">IHHH", 6, piece.format, len(piece.tracks), piece.ticks_per_quarter)
@@ -359,7 +353,9 @@ def write_smf(piece: MidiPiece) -> bytes:
     return bytes(out)
 
 
-def _validate_piece(piece: MidiPiece) -> None:
+def validate_piece(piece: MidiPiece) -> None:
+    """Raise InvariantViolation unless the piece is serializable: sorted
+    ticks, 7-bit data ranges, valid channels, end-of-track only last."""
     if piece.ticks_per_quarter <= 0 or piece.ticks_per_quarter > 0x7FFF:
         raise InvariantViolation(
             f"ticks_per_quarter out of range: {piece.ticks_per_quarter}")
@@ -475,14 +471,12 @@ class TempoMap:
             points = {0: DEFAULT_TEMPO_US, **points}
         self._ticks = sorted(points)
         self._tempos = [points[t] for t in self._ticks]
-        # cumulative exact microseconds at each segment start
-        self._cum_us: list[Fraction] = [Fraction(0)]
+        # cumulative elapsed time at each segment start, as an integer count
+        # of microseconds x ticks_per_quarter (so n / tpq is microseconds)
+        self._cum: list[int] = [0]
         for i in range(1, len(self._ticks)):
             dt = self._ticks[i] - self._ticks[i - 1]
-            self._cum_us.append(
-                self._cum_us[-1]
-                + Fraction(dt * self._tempos[i - 1], ticks_per_quarter))
-        self._cum_us_float = [float(c) for c in self._cum_us]
+            self._cum.append(self._cum[-1] + dt * self._tempos[i - 1])
 
     @classmethod
     def from_piece(cls, piece: MidiPiece) -> "TempoMap":
@@ -508,26 +502,21 @@ class TempoMap:
         if tick <= 0:
             return 0.0
         i = self._segment(tick)
-        us = (self._cum_us_float[i]
-              + (tick - self._ticks[i]) * self._tempos[i]
-              / self.ticks_per_quarter)
+        tpq = self.ticks_per_quarter
+        # rendered audio depends on the rounding of this exact expression;
+        # int / int is correctly rounded, i.e. float(Fraction(n, tpq))
+        us = self._cum[i] / tpq + (tick - self._ticks[i]) * self._tempos[i] / tpq
         return us / 1e6
 
     def exact_seconds_at(self, tick: int) -> Fraction:
         if tick <= 0:
             return Fraction(0)
         i = self._segment(tick)
-        us = self._cum_us[i] + Fraction(
-            (tick - self._ticks[i]) * self._tempos[i], self.ticks_per_quarter)
-        return us / 1_000_000
+        return Fraction(self._cum[i] + (tick - self._ticks[i]) * self._tempos[i],
+                        self.ticks_per_quarter * 1_000_000)
 
     def changes(self) -> list[tuple[int, int]]:
         return list(zip(self._ticks, self._tempos))
-
-
-def tick_to_seconds(piece: MidiPiece, tick: int) -> float:
-    """Wall-clock seconds of an absolute tick under the piece's tempo map."""
-    return TempoMap.from_piece(piece).seconds_at(tick)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +547,3 @@ def track_notes(track: Track, end_tick: int | None = None) -> list[Note]:
                 notes.append(Note(on_tick, max(close, on_tick), channel, pitch, velocity))
     notes.sort(key=lambda n: (n.tick_on, n.pitch, n.tick_off))
     return notes
-
-
-def replace_event(ev: Event, **changes) -> Event:
-    """dataclasses.replace that keeps the Event union type for callers."""
-    return replace(ev, **changes)

@@ -1,16 +1,32 @@
 """Command-line stages: exit codes, reports, determinism, failure isolation."""
 
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scoreforge.smf
 from scoreforge.cli import ConfigError, PipelineConfig, run_command
-from scoreforge.gmfix import NORMALIZED_VELOCITY
-from scoreforge.smf import ControlChange, NoteOn, SetTempo, parse_smf
+from scoreforge.expressive import AnnotationParams, annotate, load_articulation_tables
+from scoreforge.gmfix import (
+    NORMALIZED_VELOCITY,
+    REGISTRY,
+    InstrumentDictionary,
+    UnknownInstrument,
+    fix_piece,
+    normalize,
+)
+from scoreforge.smf import NoteOn, SetTempo, parse_smf, write_smf
+
+
+STAGE_DIRS = {"fix": "10_fixed", "normalize": "20_normalized",
+              "annotate": "30_annotated", "stats": "40_stats",
+              "split": "50_split", "manifest": "60_manifests"}
 
 
 def tree_bytes(root: Path) -> dict:
@@ -289,6 +305,23 @@ class TestSynthAndEval:
         for value in report["corpus_medians"].values():
             assert value < 30.0  # the raw mixture is a poor estimate
 
+    def test_eval_missing_estimate_fails_piece(self, audio_tree, tmp_path,
+                                               capsys):
+        estimates = tmp_path / "estimates"
+        shutil.copytree(audio_tree, estimates)
+        piece_dir = sorted(p for p in estimates.iterdir() if p.is_dir())[0]
+        stem = sorted(p for p in piece_dir.glob("*.wav")
+                      if p.stem != "mixture")[0]
+        stem.unlink()
+        argv = ["eval", str(audio_tree), "--estimates", str(estimates)]
+        assert run_command([*argv, "--out", str(tmp_path / "e")]) == 0
+        assert f"{piece_dir.name}: no estimate for stems: {stem.stem}" in \
+            capsys.readouterr().err
+        report = json.loads((tmp_path / "e" / "eval_report.json").read_text())
+        assert piece_dir.name not in report["pieces"]
+        assert report["pieces"]  # the other piece is still scored
+        assert run_command([*argv, "--out", str(tmp_path / "s"), "--strict"]) == 1
+
     def test_eval_empty_tree(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -357,3 +390,91 @@ class TestEntryPoints:
             pytest.skip("console script not on PATH")
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestOneChain:
+    """Every MIDI subcommand is a range of one per-piece chain, so pipeline
+    parses each file once and matches the subcommands run by hand."""
+
+    @pytest.mark.parametrize("corpus", ["raw", "strings"])
+    def test_pipeline_parses_each_file_once(self, corpus, raw_corpus_dir,
+                                            strings_corpus_dir, tmp_path,
+                                            monkeypatch):
+        in_dir = raw_corpus_dir if corpus == "raw" else strings_corpus_dir
+        original = scoreforge.smf.parse_smf
+        parsed = []
+
+        def counting(data):
+            parsed.append(data)
+            return original(data)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("scoreforge") and \
+                    getattr(module, "parse_smf", None) is original:
+                monkeypatch.setattr(module, "parse_smf", counting)
+        run_command(["pipeline", str(in_dir), "--out", str(tmp_path / "run"),
+                     "--jobs", "1"])
+        inputs = sorted(p.read_bytes() for p in in_dir.glob("*.mid"))
+        assert sorted(parsed) == inputs
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("corpus", ["raw", "strings"])
+    def test_pipeline_equals_chained_subcommands(self, corpus, jobs,
+                                                 raw_corpus_dir,
+                                                 strings_corpus_dir, tmp_path):
+        # the raw corpus has rejections, duplicates and MissingTable drops;
+        # annotate keeps none of it, so its pipeline ends at 30_annotated
+        in_dir = raw_corpus_dir if corpus == "raw" else strings_corpus_dir
+        steps = list(STAGE_DIRS)[:3] if corpus == "raw" else list(STAGE_DIRS)
+        run_command(["pipeline", str(in_dir), "--out", str(tmp_path / "run"),
+                     "--jobs", jobs])
+        staged = tmp_path / "staged"
+        source = in_dir
+        for step in steps:
+            out = staged / STAGE_DIRS[step]
+            run_command([step, str(source), "--out", str(out), "--jobs", jobs])
+            if step in ("fix", "normalize", "annotate"):
+                source = out
+        assert tree_bytes(tmp_path / "run") == tree_bytes(staged)
+
+    def test_pipeline_stops_when_annotate_keeps_nothing(self, raw_corpus_dir,
+                                                        tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = run_command(["pipeline", str(raw_corpus_dir), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.endswith("no pieces left after annotate\n")
+        fixed = {p.stem for p in (out / "10_fixed").glob("*.mid")}
+        assert fixed
+        for piece_id in fixed:
+            assert f"skip {piece_id}: MissingTable" in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "10_fixed", "20_normalized", "30_annotated"]
+        assert not list((out / "30_annotated").glob("*.mid"))
+
+    def test_standalone_command_on_empty_input_is_usage_error(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for command in ("normalize", "annotate", "stats", "split", "manifest"):
+            assert run_command([command, str(empty), "--out",
+                                str(tmp_path / command)]) == 2
+
+    def test_in_memory_steps_equal_round_trip(self, raw_corpus_files):
+        """The chain hands each step's piece to the next without re-parsing,
+        which is only sound when it equals the written bytes parsed back."""
+        dictionary = InstrumentDictionary.default()
+        strings = load_articulation_tables()
+        tables = {name: strings["violin"] for name in REGISTRY}
+        annotated = 0
+        for path in raw_corpus_files:
+            try:
+                fixed, _ = fix_piece(parse_smf(path.read_bytes()), dictionary)
+            except UnknownInstrument:
+                continue
+            normalized = normalize(fixed)
+            final, _ = annotate(normalized, tables,
+                                replace(AnnotationParams(), seed=annotated))
+            for piece in (fixed, normalized, final):
+                assert parse_smf(write_smf(piece)) == piece, path.name
+            annotated += 1
+        assert annotated >= 30

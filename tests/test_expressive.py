@@ -23,7 +23,6 @@ from scoreforge.expressive import (
     apply_dynamics,
     apply_tempo,
     load_articulation_tables,
-    make_rng,
     mirror_velocity_to_cc1,
     params_from_dict,
     params_to_dict,
@@ -127,7 +126,7 @@ class TestArticulationTables:
 
     def test_sampling_prefers_heaviest_row(self, tables):
         table = tables["violin"]
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         drawn = table.sample_many(rng, 4000)
         counts = {}
         for row in drawn:
@@ -174,7 +173,7 @@ class TestTempoPlanning:
     def test_tiles_quarter_grid(self):
         piece = make_piece(quarters=96)
         params = AnnotationParams(seed=5)
-        intervals = plan_tempo_intervals(piece, params, make_rng(5))
+        intervals = plan_tempo_intervals(piece, params, np.random.default_rng(5))
         assert intervals[0].start_tick == 0
         assert intervals[-1].end_tick == piece.end_tick()
         for prev, cur in zip(intervals, intervals[1:]):
@@ -184,7 +183,7 @@ class TestTempoPlanning:
     def test_count_respects_span_law(self):
         piece = make_piece(quarters=96)  # upper bound 96/8 = 12
         params = AnnotationParams()
-        counts = {len(plan_tempo_intervals(piece, params, make_rng(s)))
+        counts = {len(plan_tempo_intervals(piece, params, np.random.default_rng(s)))
                   for s in range(300)}
         assert min(counts) == params.min_tempo_intervals
         assert max(counts) == 96 // INTERVAL_QUARTERS
@@ -194,7 +193,7 @@ class TestTempoPlanning:
         piece = make_piece(quarters=64)
         params = AnnotationParams(tempo_std=500.0)
         bpms = [iv.bpm for s in range(40)
-                for iv in plan_tempo_intervals(piece, params, make_rng(s))]
+                for iv in plan_tempo_intervals(piece, params, np.random.default_rng(s))]
         lo, hi = params.tempo_clamp
         assert all(lo <= b <= hi for b in bpms)
         assert lo in bpms and hi in bpms  # wide std pins draws to the bounds
@@ -202,15 +201,15 @@ class TestTempoPlanning:
     def test_minimum_span(self):
         params = AnnotationParams()
         ok = make_piece(quarters=3)
-        assert len(plan_tempo_intervals(ok, params, make_rng(0))) == 3
+        assert len(plan_tempo_intervals(ok, params, np.random.default_rng(0))) == 3
         with pytest.raises(PieceTooShort):
-            plan_tempo_intervals(make_piece(quarters=2), params, make_rng(0))
+            plan_tempo_intervals(make_piece(quarters=2), params, np.random.default_rng(0))
 
     def test_deterministic(self):
         piece = make_piece()
         params = AnnotationParams()
-        a = plan_tempo_intervals(piece, params, make_rng(9))
-        b = plan_tempo_intervals(piece, params, make_rng(9))
+        a = plan_tempo_intervals(piece, params, np.random.default_rng(9))
+        b = plan_tempo_intervals(piece, params, np.random.default_rng(9))
         assert a == b
 
     def test_apply_rewrites_tempo_events(self):
@@ -240,7 +239,7 @@ class TestDynamics:
         piece = make_piece(quarters=80)
         params = AnnotationParams()
         for seed in range(30):
-            for iv in plan_dynamic_intervals(piece, params, make_rng(seed)):
+            for iv in plan_dynamic_intervals(piece, params, np.random.default_rng(seed)):
                 lo, hi = VELOCITY_RANGES[iv.mark]
                 assert lo <= iv.target_velocity < hi
                 assert velocity_to_mark(iv.target_velocity) == iv.mark
@@ -250,10 +249,10 @@ class TestDynamics:
         always = AnnotationParams(gradual_fraction_range=(1.0, 1.0))
         never = AnnotationParams(gradual_fraction_range=(0.0, 0.0))
         for seed in range(10):
-            plan = plan_dynamic_intervals(piece, always, make_rng(seed))
+            plan = plan_dynamic_intervals(piece, always, np.random.default_rng(seed))
             assert plan[0].transition_ticks is None  # nothing to ramp from
             assert all(iv.transition_ticks is not None for iv in plan[1:])
-            plan = plan_dynamic_intervals(piece, never, make_rng(seed))
+            plan = plan_dynamic_intervals(piece, never, np.random.default_rng(seed))
             assert all(iv.transition_ticks is None for iv in plan)
 
     def test_transition_ticks_at_known_tempo(self):
@@ -264,7 +263,7 @@ class TestDynamics:
         tpq = piece.ticks_per_quarter
         unclipped = round(seconds * 1e6 * tpq / 500000)
         for seed in range(20):
-            plan = plan_dynamic_intervals(piece, params, make_rng(seed))
+            plan = plan_dynamic_intervals(piece, params, np.random.default_rng(seed))
             for prev, cur in zip(plan, plan[1:]):
                 cap = min(prev.end_tick - prev.start_tick,
                           cur.end_tick - cur.start_tick) // 2
@@ -308,7 +307,7 @@ class TestArticulations:
         piece = make_piece(quarters=64, instruments=("violin", "cello"),
                            start_quarters=[0, 8])
         params = AnnotationParams()
-        plan = plan_articulations(piece, tables, params, make_rng(3))
+        plan = plan_articulations(piece, tables, params, np.random.default_rng(3))
         by_track = {}
         for iv in plan:
             by_track.setdefault(iv.track_index, []).append(iv)
@@ -325,18 +324,18 @@ class TestArticulations:
     def test_missing_table(self, tables):
         piece = make_piece(instruments=("violin", "flute"))
         with pytest.raises(MissingTable) as info:
-            plan_articulations(piece, tables, AnnotationParams(), make_rng(0))
+            plan_articulations(piece, tables, AnnotationParams(), np.random.default_rng(0))
         assert info.value.instrument == "flute"
 
     def test_short_track_degrades_instead_of_failing(self, tables):
         piece = make_piece(quarters=2, instruments=("viola",))
-        plan = plan_articulations(piece, tables, AnnotationParams(), make_rng(1))
+        plan = plan_articulations(piece, tables, AnnotationParams(), np.random.default_rng(1))
         assert 1 <= len(plan) <= 2
 
     def test_apply_inserts_cc32_before_same_tick_noteons(self, tables):
         piece = make_piece(quarters=48, instruments=("violin", "viola"))
         params = AnnotationParams()
-        plan = plan_articulations(piece, tables, params, make_rng(11))
+        plan = plan_articulations(piece, tables, params, np.random.default_rng(11))
         out = apply_articulations(piece, plan)
         for index in (1, 2):
             events = out.tracks[index].events

@@ -14,7 +14,6 @@ from scoreforge.gmfix import (
     filter_corpus,
     fix_piece,
     identify_track,
-    map_instrument,
     normalize,
     normalize_name,
     note_fingerprint,
@@ -82,13 +81,13 @@ class TestNames:
 
 class TestMapInstrument:
     def test_by_name(self, dictionary):
-        assert map_instrument("Viola", dictionary) is REGISTRY["viola"]
-        assert map_instrument("  VIOLE ", dictionary) is REGISTRY["viola"]
+        assert dictionary.lookup("Viola") is REGISTRY["viola"]
+        assert dictionary.lookup("  VIOLE ") is REGISTRY["viola"]
 
     def test_unmapped_cases(self, dictionary):
-        assert map_instrument("", dictionary) is None
-        assert map_instrument("Theremin Solo", dictionary) is None
-        assert map_instrument("Piano", dictionary) is EXCLUDED
+        assert dictionary.lookup("") is None
+        assert dictionary.lookup("Theremin Solo") is None
+        assert dictionary.lookup("Piano") is EXCLUDED
 
     def test_channel_10_wins_over_name(self, dictionary):
         track = named_track("Viola", channel=9)
@@ -276,6 +275,8 @@ class TestCorpusOps:
         fixed, _ = fix_piece(base, dictionary)
         other = MidiPiece(480, [named_track("Oboe", pitch=61)])
         other_fixed, _ = fix_piece(other, dictionary)
-        kept, pairs = dedupe({"a": fixed, "b": other_fixed, "c": fixed})
-        assert list(kept) == ["a", "b"]
+        kept, pairs = dedupe({"a": note_fingerprint(fixed),
+                              "b": note_fingerprint(other_fixed),
+                              "c": note_fingerprint(fixed)})
+        assert kept == ["a", "b"]
         assert [(p.kept_id, p.dropped_id) for p in pairs] == [("a", "c")]

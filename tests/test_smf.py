@@ -30,7 +30,6 @@ from scoreforge.smf import (
     decode_vlq,
     encode_vlq,
     parse_smf,
-    tick_to_seconds,
     track_notes,
     write_smf,
 )
@@ -269,7 +268,7 @@ class TestTempoMap:
     def test_tick_to_seconds_uses_piece_events(self):
         piece = simple_piece()
         piece.tracks[0].events.insert(0, SetTempo(0, 1_000_000))
-        assert tick_to_seconds(piece, 480) == pytest.approx(1.0)
+        assert TempoMap.from_piece(piece).seconds_at(480) == pytest.approx(1.0)
 
 
 class TestTrackNotes:
