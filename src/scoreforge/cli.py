@@ -72,6 +72,7 @@ from .gmfix import (
 )
 from .renderkit import (
     DEFAULT_SAMPLE_RATE,
+    StemEntry,
     StemGroupRules,
     emit_manifest,
     mix_stems,
@@ -393,23 +394,22 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
                                  piece_id=piece_id, sample_rate=sample_rate)
         piece_dir = Path(out_dir) / piece_id
         piece_dir.mkdir(parents=True, exist_ok=True)
-        stems: dict[str, Waveform] = {}
-        for entry in manifest.entries:
-            selection = [tr.track_index for tr in entry.tracks]
-            rendered = test_synthesize(piece, selection, sample_rate)
-            # storage precision is float32; mix in that precision so the
-            # written stems sum exactly to the written mixture
-            stems[entry.stem] = Waveform(
-                rendered.samples.astype(np.float32).astype(np.float64),
-                sample_rate)
-        for stem in sorted(stems):
-            write_wav(piece_dir / f"{stem}.wav", stems[stem])
-        mix = mix_stems([stems[s] for s in sorted(stems)])
-        mixture = Waveform(
-            mix.waveform.samples.astype(np.float32).astype(np.float64),
-            sample_rate)
-        write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mixture)
-        return {"id": piece_id, "errors": {}, "stems": sorted(stems),
+
+        def render(entry: StemEntry) -> Waveform:
+            stem = test_synthesize(
+                piece, [tr.track_index for tr in entry.tracks], sample_rate)
+            # storage precision is float32; round in place and mix in that
+            # precision so the written stems sum exactly to the written
+            # mixture
+            stem.samples[:] = stem.samples.astype(np.float32)
+            write_wav(piece_dir / f"{entry.stem}.wav", stem)
+            return stem
+
+        # entries are sorted by stem name, which is the mix order
+        mix = mix_stems(render(entry) for entry in manifest.entries)
+        write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mix.waveform)
+        stems = [entry.stem for entry in manifest.entries]
+        return {"id": piece_id, "errors": {}, "stems": stems,
                 "peak": mix.peak}
     except Exception as exc:
         return {"id": piece_id,

@@ -76,24 +76,31 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
             f"frame of {frame_len_s} s is empty at {reference.sample_rate} Hz")
     threshold = 10.0 ** (silence_threshold_dbfs / 20.0)
 
+    # Row sums of products over a (frames, frame) view. einsum's own loop
+    # keeps BLAS, whose threads split dot products, out of the result.
+    n_frames = len(reference) // frame
+    s = reference.samples[:n_frames * frame].reshape(n_frames, frame)
+    s_hat = estimate.samples[:n_frames * frame].reshape(n_frames, frame)
+    signal_powers = np.einsum("ij,ij->i", s, s).tolist()
+    if projection == "plain":
+        diff = s - s_hat
+        residuals = np.einsum("ij,ij->i", diff, diff).tolist()
+    else:
+        estimate_powers = np.einsum("ij,ij->i", s_hat, s_hat).tolist()
+        crosses = np.einsum("ij,ij->i", s, s_hat).tolist()
+
     out: list[float | None] = []
-    for start in range(0, len(reference) - frame + 1, frame):
-        s = reference.samples[start:start + frame]
-        s_hat = estimate.samples[start:start + frame]
-        signal_power = float(np.dot(s, s))
+    for i, signal_power in enumerate(signal_powers):
         if math.sqrt(signal_power / frame) < threshold:
             out.append(SILENT)
             continue
         if projection == "plain":
-            diff = s - s_hat
-            residual = float(np.dot(diff, diff))
+            residual = residuals[i]
+        elif estimate_powers[i] > 0.0:
+            residual = max(signal_power - crosses[i] * crosses[i]
+                           / estimate_powers[i], 0.0)
         else:
-            estimate_power = float(np.dot(s_hat, s_hat))
-            if estimate_power > 0.0:
-                cross = float(np.dot(s, s_hat))
-                residual = max(signal_power - cross * cross / estimate_power, 0.0)
-            else:
-                residual = signal_power
+            residual = signal_power
         if residual <= 0.0:
             out.append(SDR_CAP_DB)
             continue

@@ -21,6 +21,7 @@ from .smf import (
     ControlChange,
     MidiPiece,
     NoteOn,
+    OtherChannel,
     ProgramChange,
     SetTempo,
     Track,
@@ -206,33 +207,32 @@ def fix_piece(piece: MidiPiece,
 
 
 def _retarget_track(track: Track, iid: InstrumentId) -> Track:
-    untuned = iid.name == "untuned_percussion"
+    """Move every channel message to one channel: the percussion channel for
+    untuned percussion, else the first channel the track uses (channel 0 in
+    place of the percussion channel, or when it uses none). Untyped channel
+    voice messages (pitch bend, aftertouch) move with the notes."""
+    if iid.name == "untuned_percussion":
+        target = PERCUSSION_CHANNEL
+    else:
+        first = next((ev.channel for ev in track.events
+                      if hasattr(ev, "channel")), 0)
+        target = first if first != PERCUSSION_CHANNEL else 0
     events = []
-    target_channel = None
     for ev in track.events:
         channel = getattr(ev, "channel", None)
         if channel is None:
-            if not isinstance(ev, ProgramChange):
-                events.append(ev)
-            continue
-        if untuned:
-            if target_channel is None:
-                target_channel = PERCUSSION_CHANNEL
-            new_channel = PERCUSSION_CHANNEL
-        else:
-            if target_channel is None:
-                target_channel = (
-                    channel if channel != PERCUSSION_CHANNEL else 0)
-            new_channel = target_channel
-        if isinstance(ev, ProgramChange):
+            if (isinstance(ev, OtherChannel) and 0x80 <= ev.status < 0xF0
+                    and ev.status & 0x0F != target):
+                ev = replace(ev, status=(ev.status & 0xF0) | target)
+        elif isinstance(ev, ProgramChange):
             continue  # re-emitted once at tick 0 below
-        events.append(replace(ev, channel=new_channel) if channel != new_channel else ev)
-    if target_channel is None:
-        target_channel = PERCUSSION_CHANNEL if untuned else 0
-    events.insert(0, ProgramChange(0, target_channel, iid.gm_program))
+        elif channel != target:
+            ev = replace(ev, channel=target)
+        events.append(ev)
+    events.insert(0, ProgramChange(0, target, iid.gm_program))
     events.sort(key=lambda e: e.tick)
     return Track(events=events, name=track.name,
-                 channel_hint=target_channel, program=iid.gm_program)
+                 channel_hint=target, program=iid.gm_program)
 
 
 def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:

@@ -17,7 +17,7 @@ is that stems add up to the mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ ATTACK_SECONDS = 0.010
 RELEASE_SECONDS = 0.010
 SYNTH_GAIN = 0.2
 MAX_HARMONICS = 32
+# Samples per pitch kept in the partials table (0.65 s at 22.05 kHz);
+# longer notes compute their tail directly.
+PARTIALS_CAP = 14_336
 
 DEFAULT_MERGES = {
     "piccolo": "flute",
@@ -172,6 +175,43 @@ def _pitch_to_hz(pitch: int) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
 
+# (pitch, sample rate) -> (buffer of PARTIALS_CAP samples, samples filled):
+# each pitch's summed partials from phase 0, filled on demand, per process.
+# Every note starts at phase 0, so a note of length L is the first L samples
+# of its pitch's partials: a prefix slice, bit-identical to rendering anew.
+_partials: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+
+
+def _sum_partials(frequency: float, harmonics: int, sample_rate: int,
+                  lo: int, hi: int) -> np.ndarray:
+    """Samples lo..hi-1 of the summed partials; each sample is the same
+    whatever range it is computed in."""
+    t = np.arange(lo, hi, dtype=np.float64) / sample_rate
+    wave = np.zeros(hi - lo, dtype=np.float64)
+    for k in range(1, harmonics + 1):
+        wave += np.sin(2.0 * np.pi * k * frequency * t) / k
+    return wave
+
+
+def _note_wave(pitch: int, frequency: float, harmonics: int,
+               sample_rate: int, length: int) -> np.ndarray:
+    """The first `length` samples of a pitch's summed partials: a view of
+    the table up to PARTIALS_CAP, the rest computed directly. Callers must
+    not write to the result."""
+    key = (pitch, sample_rate)
+    table, filled = _partials.get(key) or (np.empty(PARTIALS_CAP), 0)
+    want = min(length, PARTIALS_CAP)
+    if filled < want:
+        table[filled:want] = _sum_partials(frequency, harmonics, sample_rate,
+                                           filled, want)
+        filled = want
+        _partials[key] = (table, filled)
+    if length <= filled:
+        return table[:length]
+    return np.concatenate((table, _sum_partials(
+        frequency, harmonics, sample_rate, PARTIALS_CAP, length)))
+
+
 def test_synthesize(piece: MidiPiece,
                     track_selection: Sequence[int] | None = None,
                     sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
@@ -205,10 +245,8 @@ def test_synthesize(piece: MidiPiece,
             harmonics = min(int(nyquist / frequency), MAX_HARMONICS)
             if harmonics < 1:
                 continue
-            t = np.arange(length, dtype=np.float64) / sample_rate
-            wave = np.zeros(length, dtype=np.float64)
-            for k in range(1, harmonics + 1):
-                wave += np.sin(2.0 * np.pi * k * frequency * t) / k
+            wave = _note_wave(note.pitch, frequency, harmonics, sample_rate,
+                              length)
             envelope = np.minimum(
                 np.minimum(np.arange(1, length + 1, dtype=np.float64) / attack,
                            np.arange(length, 0, -1, dtype=np.float64) / release),
@@ -223,19 +261,25 @@ class MixResult:
     peak: float
 
 
-def mix_stems(stems: Sequence[Waveform]) -> MixResult:
+def mix_stems(stems: Iterable[Waveform]) -> MixResult:
     """Sample-wise sum of stems in the given order: no normalization, no
-    clipping. Shorter stems are zero-padded to the longest."""
-    if not stems:
-        raise AudioError("no stems to mix")
-    rate = stems[0].sample_rate
+    clipping. Shorter stems are zero-padded to the longest. Any iterable
+    works; each stem is added as it arrives, so a generator keeps only one
+    stem alive at a time."""
+    out: np.ndarray | None = None
+    rate = 0
     for stem in stems:
-        if stem.sample_rate != rate:
+        if out is None:
+            rate = stem.sample_rate
+            out = np.zeros(len(stem), dtype=np.float64)
+        elif stem.sample_rate != rate:
             raise SampleRateMismatch(
                 f"stems at {stem.sample_rate} Hz and {rate} Hz cannot be mixed")
-    length = max(len(stem) for stem in stems)
-    out = np.zeros(length, dtype=np.float64)
-    for stem in stems:
+        if len(stem) > len(out):
+            out = np.concatenate((out, np.zeros(len(stem) - len(out))))
         out[:len(stem)] += stem.samples
-    peak = float(np.max(np.abs(out))) if length else 0.0
+        del stem  # so a generator's next stem does not coexist with this one
+    if out is None:
+        raise AudioError("no stems to mix")
+    peak = float(np.max(np.abs(out))) if len(out) else 0.0
     return MixResult(Waveform(out, rate), peak)

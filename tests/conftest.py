@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Child interpreters the tests start import the package from this checkout,
+# as the test process does, whether or not PYTHONPATH names it.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 import corpus  # noqa: E402
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +119,70 @@ class TestFrameSdr:
             frame_sdr(ref, ref, frame_len_s=1e-6)
         with pytest.raises(EvalError):
             frame_sdr(ref, ref, projection="mad")
+
+
+def loop_frame_sdr(reference, estimate, projection):
+    """The frame-by-frame np.dot formulation frame_sdr replaced."""
+    frame = int(round(FRAME_SECONDS * reference.sample_rate))
+    threshold = 10.0 ** (SILENCE_DBFS / 20.0)
+    out = []
+    for start in range(0, len(reference) - frame + 1, frame):
+        s = reference.samples[start:start + frame]
+        s_hat = estimate.samples[start:start + frame]
+        signal_power = float(np.dot(s, s))
+        if math.sqrt(signal_power / frame) < threshold:
+            out.append(SILENT)
+            continue
+        if projection == "plain":
+            residual = float(np.dot(s - s_hat, s - s_hat))
+        else:
+            estimate_power = float(np.dot(s_hat, s_hat))
+            cross = float(np.dot(s, s_hat))
+            residual = max(signal_power - cross * cross / estimate_power, 0.0)
+        out.append(SDR_CAP_DB if residual <= 0.0 else
+                   min(10.0 * math.log10(signal_power / residual), SDR_CAP_DB))
+    return out
+
+
+def noisy_pair(seconds=6.5, seed=3):
+    rng = np.random.default_rng(seed)
+    reference = sine(seconds=seconds).samples * np.repeat(
+        [1.0, 0.0, 0.3, 1e-5, 1.0, 0.8, 1.0], SR)[:int(seconds * SR)]
+    estimate = 0.7 * reference + 0.01 * rng.standard_normal(len(reference))
+    return Waveform(reference, SR), Waveform(estimate, SR)
+
+
+class TestFrameSdrArithmetic:
+    @pytest.mark.parametrize("projection", ["plain", "scalar"])
+    def test_agrees_with_frame_loop(self, projection):
+        reference, estimate = noisy_pair()
+        got = frame_sdr(reference, estimate, projection=projection)
+        want = loop_frame_sdr(reference, estimate, projection)
+        assert [v is SILENT for v in got] == [v is SILENT for v in want]
+        assert SILENT in got and len(got) == 6
+        for a, b in zip(got, want):
+            if a is not SILENT:
+                assert abs(a - b) <= 1e-9
+
+    def test_independent_of_blas_threads(self):
+        # threaded BLAS dot products split their sums by thread count
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from test_evalkit import noisy_pair\n"
+            "from scoreforge.evalkit import frame_sdr\n"
+            "ref, est = noisy_pair()\n"
+            "print(json.dumps([[v if v is None else v.hex() for v in\n"
+            "    frame_sdr(ref, est, projection=p)] for p in ('plain', 'scalar')]))\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, os.path.dirname(__file__)],
+                env=env, capture_output=True, text=True, check=True)
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestMedians:

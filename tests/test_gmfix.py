@@ -1,6 +1,8 @@
 """Instrument mapping, normalization, filtering, and deduplication."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from scoreforge.gmfix import (
@@ -25,11 +27,13 @@ from scoreforge.smf import (
     MidiPiece,
     NoteOff,
     NoteOn,
+    OtherChannel,
     ProgramChange,
     SetTempo,
     Track,
     TrackName,
     parse_smf,
+    track_notes,
     write_smf,
 )
 
@@ -162,6 +166,71 @@ class TestFixPiece:
             write_smf(fixed)
             fixed_any = True
         assert fixed_any
+
+
+# channel voice messages the reader keeps untyped, with their data lengths
+UNTYPED_VOICE = {0xA0: 2, 0xD0: 1, 0xE0: 2}
+
+
+@st.composite
+def mixed_channel_tracks(draw):
+    """A note-bearing track whose events are spread over several channels:
+    notes, controllers, programs, pitch bend, aftertouch, sysex."""
+    name = draw(st.sampled_from(
+        ["Violin I", "Cello", "Tuba", "Oboe", "Harp", "Percussion"]))
+    channels = st.integers(0, 15)
+    events = [TrackName(0, name)]
+    for _ in range(draw(st.integers(1, 4))):
+        on = draw(st.integers(0, 1900))
+        channel, pitch = draw(channels), draw(st.integers(30, 90))
+        events += [NoteOn(on, channel, pitch, 80),
+                   NoteOff(on + draw(st.integers(1, 480)), channel, pitch, 0)]
+    for _ in range(draw(st.integers(0, 5))):
+        tick, channel = draw(st.integers(0, 2400)), draw(channels)
+        kind = draw(st.sampled_from(["cc", "program", "sysex", *UNTYPED_VOICE]))
+        if kind == "cc":
+            events.append(ControlChange(tick, channel, 7, 100))
+        elif kind == "program":
+            events.append(ProgramChange(tick, channel, draw(st.integers(0, 127))))
+        elif kind == "sysex":
+            events.append(OtherChannel(tick, 0xF0, b"\x7e\x01\xf7"))
+        else:
+            events.append(OtherChannel(tick, kind | channel,
+                                       bytes([0x40] * UNTYPED_VOICE[kind])))
+    events.sort(key=lambda e: e.tick)
+    events.append(EndOfTrack(events[-1].tick))
+    return Track(events=events, name=name)
+
+
+def channel_of(event):
+    if isinstance(event, OtherChannel):
+        return event.status & 0x0F if 0x80 <= event.status < 0xF0 else None
+    return getattr(event, "channel", None)
+
+
+class TestChannelProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(tracks=st.lists(mixed_channel_tracks(), min_size=1, max_size=3))
+    def test_channel_messages_move_with_notes(self, dictionary, tracks):
+        fixed, _ = fix_piece(MidiPiece(480, tracks), dictionary)
+        for track in parse_smf(write_smf(fixed)).tracks:
+            assert track_notes(track)
+            channels = {channel_of(ev) for ev in track.events} - {None}
+            assert channels == {track.channel_hint}
+
+    def test_raw_corpus_has_no_stray_channel_events(self, dictionary,
+                                                    tmp_path):
+        strays = 0
+        for path in corpus.make_raw_corpus(tmp_path, 400):
+            try:
+                fixed, _ = fix_piece(parse_smf(path.read_bytes()), dictionary)
+            except UnknownInstrument:
+                continue
+            for track in fixed.tracks:
+                if track_notes(track):
+                    strays += sum(channel_of(ev) not in (None, track.channel_hint)
+                                  for ev in track.events)
+        assert strays == 0
 
 
 class TestNormalize:

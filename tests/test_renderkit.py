@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from scoreforge import renderkit
 from scoreforge.audio import AudioError, Waveform
 from scoreforge.expressive import (
     AnnotationParams,
@@ -16,6 +17,7 @@ from scoreforge.renderkit import (
     ATTACK_SECONDS,
     DEFAULT_SAMPLE_RATE,
     MAX_HARMONICS,
+    PARTIALS_CAP,
     RELEASE_SECONDS,
     SYNTH_GAIN,
     RenderError,
@@ -37,6 +39,8 @@ from scoreforge.smf import (
     TempoMap,
     Track,
     TrackName,
+    parse_smf,
+    track_notes,
 )
 
 
@@ -164,6 +168,83 @@ class TestSynthesizer:
         assert np.array_equal(a, b)
 
 
+def reference_piece(piece, sample_rate=DEFAULT_SAMPLE_RATE):
+    """Every note of every track rendered by reference_note and summed in
+    the synthesizer's order."""
+    tempo_map = TempoMap.from_piece(piece)
+    total_s = tempo_map.seconds_at(piece.end_tick())
+    out = np.zeros(max(int(round(total_s * sample_rate)), 1))
+    for track in piece.tracks:
+        for note in track_notes(track):
+            out += reference_note(note.pitch, note.velocity,
+                                  tempo_map.seconds_at(note.tick_on),
+                                  tempo_map.seconds_at(note.tick_off),
+                                  sample_rate, total_s)
+    return out
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty partials table for the test, restored afterwards."""
+    monkeypatch.setattr(renderkit, "_partials", {})
+
+
+class TestPartialsTable:
+    # tpq 441 at 20 ms per quarter makes one tick one sample at 22.05 kHz
+    TPQ, TEMPO_US = 441, 20_000
+
+    def one_note(self, pitch, length, onset=100):
+        return MidiPiece(self.TPQ, [
+            conductor(onset + length + 50, tempos=((0, self.TEMPO_US),)),
+            fixed_track("cello", 0, [(onset, onset + length, pitch, 90)]),
+        ])
+
+    def expected(self, pitch, length, onset=100):
+        sr = DEFAULT_SAMPLE_RATE
+        return reference_note(pitch, 90, onset / sr, (onset + length) / sr,
+                              sr, (onset + length + 50) / sr)
+
+    LENGTHS = (PARTIALS_CAP // 3, PARTIALS_CAP - 1, PARTIALS_CAP,
+               PARTIALS_CAP + 1, 2 * PARTIALS_CAP + 7)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_note_cold_then_warm(self, cold_table, length):
+        piece, expected = self.one_note(45, length), self.expected(45, length)
+        assert np.array_equal(synthesize(piece).samples, expected)   # cold
+        assert np.array_equal(synthesize(piece).samples, expected)   # warm
+
+    @pytest.mark.parametrize("order", [LENGTHS, LENGTHS[::-1]])
+    def test_lengths_share_one_table(self, cold_table, order):
+        # growing in steps and slicing a longer fill give the same bits
+        for pitch in (33, 57, 81):
+            for length in order:
+                rendered = synthesize(self.one_note(pitch, length)).samples
+                assert np.array_equal(rendered, self.expected(pitch, length))
+        for table, filled in renderkit._partials.values():
+            assert filled == PARTIALS_CAP
+
+    def test_strings_corpus_in_either_order(self, strings_corpus_dir,
+                                            monkeypatch):
+        pieces = [parse_smf(path.read_bytes())
+                  for path in sorted(strings_corpus_dir.glob("*.mid"))]
+
+        def render_all(order):
+            monkeypatch.setattr(renderkit, "_partials", {})
+            return {i: synthesize(pieces[i]).samples for i in order}
+
+        forward = render_all(range(len(pieces)))
+        tables = renderkit._partials
+        assert sum(table.nbytes for table, _ in tables.values()) \
+            <= 128 * PARTIALS_CAP * 8
+        assert all(filled <= PARTIALS_CAP for _, filled in tables.values())
+        backward = render_all(reversed(range(len(pieces))))
+        for i in range(len(pieces)):
+            assert np.array_equal(forward[i], backward[i])
+        # rendered last on a warm table, then first on a cold one
+        last = len(pieces) - 1
+        assert np.array_equal(forward[last], reference_piece(pieces[last]))
+
+
 class TestMixing:
     def test_sum_and_padding(self):
         a = Waveform(np.array([0.5, 0.5, 0.5]), 22050)
@@ -181,11 +262,31 @@ class TestMixing:
         assert result.peak == pytest.approx(1.8)
 
     def test_rejects_mixed_rates_and_empty(self):
-        with pytest.raises(SampleRateMismatch):
-            mix_stems([Waveform(np.zeros(4), 22050),
-                       Waveform(np.zeros(4), 44100)])
-        with pytest.raises(AudioError):
-            mix_stems([])
+        for wrap in (list, iter):
+            with pytest.raises(SampleRateMismatch):
+                mix_stems(wrap([Waveform(np.zeros(4), 22050),
+                                Waveform(np.zeros(4), 44100)]))
+            with pytest.raises(AudioError):
+                mix_stems(wrap([]))
+
+    def test_generator_equals_list(self):
+        rng = np.random.default_rng(7)
+        stems = [Waveform(rng.standard_normal(n), 22050) for n in (5, 9, 9, 3)]
+        from_list = mix_stems(stems)
+        from_generator = mix_stems(stem for stem in stems)
+        assert np.array_equal(from_generator.waveform.samples,
+                              from_list.waveform.samples)
+        assert from_generator.peak == from_list.peak
+        assert from_generator.waveform.sample_rate == 22050
+
+    def test_padding_as_stems_grow(self):
+        stems = [Waveform(np.array([0.25, -0.25]), 22050),
+                 Waveform(np.array([0.5, 0.5, 0.5]), 22050),
+                 Waveform(np.array([1.0]), 22050)]
+        result = mix_stems(iter(stems))
+        assert np.array_equal(result.waveform.samples,
+                              np.array([1.75, 0.25, 0.5]))
+        assert result.peak == 1.75
 
 
 class TestStemRules:
