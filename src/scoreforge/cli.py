@@ -46,6 +46,7 @@ from .datasetkit import (
     DEFAULT_RATIOS,
     InvalidRatios,
     activity_time,
+    as_fractions,
     piece_labels,
     polyphony_histogram,
     stratified_split,
@@ -55,9 +56,8 @@ from .expressive import (
     AnnotationParams,
     AnnotationPlan,
     annotate,
+    from_dict,
     load_articulation_tables,
-    params_from_dict,
-    params_to_dict,
     piece_seed,
     plan_from_dict,
     plan_to_dict,
@@ -103,50 +103,36 @@ class PipelineConfig:
     projection: str = "plain"
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
+    def from_file(cls, path: str | Path,
+                  overrides: dict | None = None) -> "PipelineConfig":
+        """The config in the JSON file at ``path``, with ``overrides`` on top."""
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        return cls.from_dict({**raw, **(overrides or {})})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "annotation" in kwargs:
-            try:
-                kwargs["annotation"] = params_from_dict(kwargs["annotation"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad annotation params: {exc}") from exc
-        if "split_ratios" in kwargs:
-            kwargs["split_ratios"] = tuple(kwargs["split_ratios"])
-        config = cls(**kwargs)
+        """Decode and check a whole config; every fault is a ConfigError."""
+        try:
+            config = from_dict(cls, raw)
+            as_fractions(config.split_ratios)
+        except (TypeError, ValueError, InvalidRatios) as exc:
+            raise ConfigError(str(exc)) from exc
         if config.annotate_mode not in ("plain", "proposed"):
             raise ConfigError(f"bad annotate_mode {config.annotate_mode!r}")
         if config.projection not in ("plain", "scalar"):
             raise ConfigError(f"bad projection {config.projection!r}")
+        for name in ("sample_rate", "frame_len_s"):
+            if not getattr(config, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if config.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
         return config
-
-    def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "corpus_dir": self.corpus_dir,
-            "output_dir": self.output_dir,
-            "dictionary": self.dictionary,
-            "articulation_tables": self.articulation_tables,
-            "annotation": params_to_dict(self.annotation),
-            "split_ratios": list(self.split_ratios),
-            "annotate_mode": self.annotate_mode,
-            "sample_rate": self.sample_rate,
-            "frame_len_s": self.frame_len_s,
-            "silence_threshold_dbfs": self.silence_threshold_dbfs,
-            "projection": self.projection,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +149,7 @@ def _write_provenance(out_dir: Path, stage: str, config: PipelineConfig) -> None
         "tool": "scoreforge",
         "version": __version__,
         "stage": stage,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     })
 
 
@@ -218,6 +204,21 @@ def _dictionary(path: str | None) -> InstrumentDictionary:
 _tables = cache(load_articulation_tables)
 
 
+def _load_config_files(steps: tuple[str, ...], config: PipelineConfig) -> None:
+    """Fill the caches with the files ``steps`` read before any worker starts
+    (forked workers inherit them); a file that fails to load is a ConfigError."""
+    loads = {"fix": (_dictionary, config.dictionary)}
+    if config.annotate_mode == "proposed":
+        loads["annotate"] = (_tables, config.articulation_tables)
+    for step, (load, path) in loads.items():
+        if step in steps:
+            try:
+                load(path)
+            except Exception as exc:
+                raise ConfigError(f"cannot load {path}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # The per-piece chain (top level so it pickles for process pools)
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ _STEP_ERRORS = {
     "normalize": ((SmfError, OSError), False),
     "annotate": (Exception, True),
     "stats": ((SmfError, OSError), False),
-    "split": (SmfError, False),
+    "split": ((SmfError, OSError), False),
     "manifest": (Exception, True),
 }
 
@@ -321,6 +322,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     stats totals, split) and write each step's directory. Stops with exit
     code 1 when a chain step leaves no piece for the steps after it."""
     steps = tuple(out_dirs)
+    _load_config_files(steps, config)
     worker = partial(_chain_worker, steps=steps, config=config,
                      plans_dir=str(plans_dir) if plans_dir else None)
     alive = _map_jobs(worker, [str(p) for p in _midi_files(in_dir)], jobs)
@@ -358,12 +360,9 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         elif step == "split":
             if not ok:
                 raise ConfigError(f"no usable pieces in {in_dir}")
-            try:
-                result = stratified_split({r["id"]: r["split"] for r in ok},
-                                          config.split_ratios,
-                                          np.random.default_rng(config.master_seed))
-            except InvalidRatios as exc:
-                raise ConfigError(str(exc)) from exc
+            result = stratified_split({r["id"]: r["split"] for r in ok},
+                                      config.split_ratios,
+                                      np.random.default_rng(config.master_seed))
             _write_json(out_dir / "split.json", {
                 "ratios": list(result.ratios),
                 "assignment": dict(sorted(result.assignment.items())),
@@ -451,10 +450,11 @@ def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
 
 def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
                jobs: int, failures: _Failures) -> int:
+    files = [str(p) for p in _midi_files(in_dir)]
     out_dir.mkdir(parents=True, exist_ok=True)
     worker = partial(_synth_worker, out_dir=str(out_dir),
                      sample_rate=config.sample_rate)
-    results = _map_jobs(worker, [str(p) for p in _midi_files(in_dir)], jobs)
+    results = _map_jobs(worker, files, jobs)
     report = {r["id"]: {"stems": r["stems"], "peak": r["peak"]}
               for r in _collect(results, "synth-test", failures)}
     _write_json(out_dir / "synth_report.json", {"pieces": report})
@@ -465,10 +465,12 @@ def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
 def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
               jobs: int, failures: _Failures,
               estimates_dir: Path | None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not audio_dir.is_dir():
+        raise ConfigError(f"not a directory: {audio_dir}")
     piece_dirs = sorted(p for p in audio_dir.iterdir() if p.is_dir())
     if not piece_dirs:
         raise ConfigError(f"no piece directories in {audio_dir}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     worker = partial(_eval_worker,
                      estimates_dir=str(estimates_dir) if estimates_dir else None,
                      frame_len_s=config.frame_len_s,
@@ -549,25 +551,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config key -> the flag that overrides it
+_OVERRIDES = {"master_seed": "seed", "dictionary": "dictionary",
+              "articulation_tables": "tables", "annotate_mode": "mode",
+              "sample_rate": "sample_rate", "projection": "projection",
+              "split_ratios": "ratios"}
+
+
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = (PipelineConfig.from_file(args.config) if args.config
-              else PipelineConfig())
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if getattr(args, "dictionary", None):
-        config.dictionary = args.dictionary
-    if getattr(args, "tables", None):
-        config.articulation_tables = args.tables
-    if getattr(args, "mode", None):
-        config.annotate_mode = args.mode
-    if getattr(args, "sample_rate", None):
-        config.sample_rate = args.sample_rate
-    if getattr(args, "projection", None):
-        config.projection = args.projection
-    if getattr(args, "ratios", None):
-        parts = [float(x) for x in args.ratios.split(",")]
-        config.split_ratios = tuple(parts)
-    return config
+    overrides = {key: getattr(args, flag, None) for key, flag in _OVERRIDES.items()}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if "split_ratios" in overrides:
+        try:
+            overrides["split_ratios"] = [float(x) for x in args.ratios.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad --ratios {args.ratios!r}: {exc}") from exc
+    return (PipelineConfig.from_file(args.config, overrides) if args.config
+            else PipelineConfig.from_dict(overrides))
 
 
 def run_command(argv: Sequence[str]) -> int:

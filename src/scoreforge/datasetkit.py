@@ -143,11 +143,16 @@ class SplitAssignment:
         return sorted(pid for pid, s in self.assignment.items() if s == name)
 
 
-def _as_fractions(ratios: Sequence[float]) -> list[Fraction]:
+def as_fractions(ratios: Sequence[float]) -> list[Fraction]:
+    """The split ratios as exact fractions; raises InvalidRatios unless
+    there are three finite, non-negative ratios summing to 1."""
     if len(ratios) != len(SPLIT_NAMES):
         raise InvalidRatios(
             f"expected {len(SPLIT_NAMES)} ratios, got {len(ratios)}")
-    fracs = [Fraction(r).limit_denominator(1_000_000) for r in ratios]
+    try:
+        fracs = [Fraction(r).limit_denominator(1_000_000) for r in ratios]
+    except (ValueError, OverflowError) as exc:
+        raise InvalidRatios(f"bad ratio in {ratios}: {exc}") from exc
     if any(f < 0 for f in fracs):
         raise InvalidRatios(f"negative ratio in {ratios}")
     if sum(fracs) != 1:
@@ -173,7 +178,7 @@ def stratified_split(label_sets: Mapping[str, set],
     for piece_id, labels in label_sets.items():
         if not labels:
             raise DatasetError(f"piece {piece_id!r} has no labels")
-    fracs = _as_fractions(ratios)
+    fracs = as_fractions(ratios)
     if rng is None:
         rng = np.random.default_rng(0)
 

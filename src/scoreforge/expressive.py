@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -331,10 +332,8 @@ def apply_tempo(piece: MidiPiece,
             events.extend(tempo_events)
             events.sort(key=lambda e: e.tick)
             events = _settle_order(events)
-        new_tracks.append(Track(events=events, name=track.name,
-                                channel_hint=track.channel_hint,
-                                program=track.program))
-    return MidiPiece(piece.ticks_per_quarter, new_tracks, piece.format)
+        new_tracks.append(replace(track, events=events))
+    return replace(piece, tracks=new_tracks)
 
 
 def _settle_order(events: list) -> list:
@@ -415,10 +414,8 @@ def apply_dynamics(piece: MidiPiece,
             if isinstance(ev, NoteOn) else ev
             for ev in track.events
         ]
-        new_tracks.append(Track(events=events, name=track.name,
-                                channel_hint=track.channel_hint,
-                                program=track.program))
-    return MidiPiece(piece.ticks_per_quarter, new_tracks, piece.format)
+        new_tracks.append(replace(track, events=events))
+    return replace(piece, tracks=new_tracks)
 
 
 def _active_span(track: Track) -> tuple[int, int] | None:
@@ -485,11 +482,9 @@ def apply_articulations(piece: MidiPiece,
             ControlChange(iv.start_tick, channel, 32, iv.cc32_value)
             for iv in track_intervals
         ]
-        new_tracks[index] = Track(
-            events=_merge_before_noteons(track.events, inserts),
-            name=track.name, channel_hint=track.channel_hint,
-            program=track.program)
-    return MidiPiece(piece.ticks_per_quarter, new_tracks, piece.format)
+        new_tracks[index] = replace(
+            track, events=_merge_before_noteons(track.events, inserts))
+    return replace(piece, tracks=new_tracks)
 
 
 def _merge_before_noteons(events: list, inserts: list) -> list:
@@ -537,10 +532,8 @@ def mirror_velocity_to_cc1(piece: MidiPiece,
             elif isinstance(ev, NoteOn) and current_class == LENGTH_LONG:
                 events.append(ControlChange(ev.tick, ev.channel, 1, ev.velocity))
             events.append(ev)
-        new_tracks.append(Track(events=events, name=track.name,
-                                channel_hint=track.channel_hint,
-                                program=track.program))
-    return MidiPiece(piece.ticks_per_quarter, new_tracks, piece.format)
+        new_tracks.append(replace(track, events=events))
+    return replace(piece, tracks=new_tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -567,74 +560,54 @@ def annotate(piece: MidiPiece,
 
 
 # ---------------------------------------------------------------------------
-# Plan serialization (used for per-piece provenance files)
+# JSON form of the records (plan sidecars, the CLI's config)
 # ---------------------------------------------------------------------------
 
-def params_to_dict(params: AnnotationParams) -> dict:
-    return {
-        "tempo_mean": params.tempo_mean,
-        "tempo_std": params.tempo_std,
-        "tempo_clamp": list(params.tempo_clamp),
-        "min_tempo_intervals": params.min_tempo_intervals,
-        "gradual_fraction_range": list(params.gradual_fraction_range),
-        "transition_duration_range": list(params.transition_duration_range),
-        "seed": params.seed,
-    }
+def from_dict(cls: type, data: Mapping, where: str = ""):
+    """Build dataclass ``cls`` from its JSON form (``asdict`` after a JSON
+    round trip): lists become tuples, objects nested dataclasses. Raises
+    TypeError on an unknown key or a value of the wrong JSON type; a bool is
+    no int, and an int where a float is declared is kept as given. Messages
+    name the field by its path from ``where`` (default: the class name)."""
+    where = where or cls.__name__
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{where}: expected an object, got {data!r}")
+    hints = _field_types(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise TypeError(f"{where}: unknown keys {unknown}")
+    return cls(**{key: _decode(hints[key], value, f"{where}.{key}")
+                  for key, value in data.items()})
 
 
-def params_from_dict(data: Mapping) -> AnnotationParams:
-    kwargs = dict(data)
-    for key in ("tempo_clamp", "gradual_fraction_range", "transition_duration_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return AnnotationParams(**kwargs)
+_field_types = cache(get_type_hints)  # a dataclass's annotations are its fields
+
+
+def _decode(tp, value, where: str):
+    args = get_args(tp)
+    if is_dataclass(tp):
+        return from_dict(tp, value, where)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{where}: expected a list, got {value!r}")
+        types = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if len(types) != len(value):
+            raise TypeError(f"{where}: expected {len(types)} items, got {value!r}")
+        return tuple(_decode(t, v, where) for t, v in zip(types, value))
+    if args:  # X | None
+        return None if value is None else _decode(args[0], value, where)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if tp is float else tp):
+        raise TypeError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def plan_to_dict(plan: AnnotationPlan) -> dict:
+    return {"seed": plan.params.seed, **asdict(plan)}
 
 
 def plan_from_dict(data: Mapping) -> AnnotationPlan:
     """Inverse of plan_to_dict; the top-level ``seed`` repeats params.seed
     and is not read."""
-    return AnnotationPlan(
-        tempo=tuple(TempoInterval(iv["start_tick"], iv["end_tick"], iv["bpm"])
-                    for iv in data["tempo"]),
-        dynamics=tuple(
-            DynamicInterval(iv["start_tick"], iv["end_tick"], iv["mark"],
-                            iv["target_velocity"], iv["transition_ticks"])
-            for iv in data["dynamics"]),
-        articulations=tuple(
-            ArticulationInterval(iv["track_index"], iv["start_tick"],
-                                 iv["end_tick"], iv["cc32_value"],
-                                 iv["articulation"])
-            for iv in data["articulations"]),
-        params=params_from_dict(data["params"]),
-    )
-
-
-def plan_to_dict(plan: AnnotationPlan) -> dict:
-    return {
-        "seed": plan.params.seed,
-        "params": params_to_dict(plan.params),
-        "tempo": [
-            {"start_tick": iv.start_tick, "end_tick": iv.end_tick, "bpm": iv.bpm}
-            for iv in plan.tempo
-        ],
-        "dynamics": [
-            {
-                "start_tick": iv.start_tick,
-                "end_tick": iv.end_tick,
-                "mark": iv.mark,
-                "target_velocity": iv.target_velocity,
-                "transition_ticks": iv.transition_ticks,
-            }
-            for iv in plan.dynamics
-        ],
-        "articulations": [
-            {
-                "track_index": iv.track_index,
-                "start_tick": iv.start_tick,
-                "end_tick": iv.end_tick,
-                "cc32_value": iv.cc32_value,
-                "articulation": iv.articulation,
-            }
-            for iv in plan.articulations
-        ],
-    }
+    return from_dict(AnnotationPlan,
+                     {key: value for key, value in data.items() if key != "seed"})

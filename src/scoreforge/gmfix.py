@@ -202,8 +202,7 @@ def fix_piece(piece: MidiPiece,
                 f"track {index} ({track.name!r}): {iid.name} not a target instrument")
         fixed_tracks.append(_retarget_track(track, iid))
         instruments.append(iid)
-    fixed = MidiPiece(piece.ticks_per_quarter, fixed_tracks, piece.format)
-    return fixed, instruments
+    return replace(piece, tracks=fixed_tracks), instruments
 
 
 def _retarget_track(track: Track, iid: InstrumentId) -> Track:
@@ -231,8 +230,8 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
         events.append(ev)
     events.insert(0, ProgramChange(0, target, iid.gm_program))
     events.sort(key=lambda e: e.tick)
-    return Track(events=events, name=track.name,
-                 channel_hint=target, program=iid.gm_program)
+    return replace(track, events=events, channel_hint=target,
+                   program=iid.gm_program)
 
 
 def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:
@@ -281,10 +280,8 @@ def normalize(piece: MidiPiece) -> MidiPiece:
             events.append(ev)
         if index == 0:
             events.insert(0, SetTempo(0, NORMALIZED_TEMPO_US))
-        new_tracks.append(Track(events=events, name=track.name,
-                                channel_hint=track.channel_hint,
-                                program=track.program))
-    return MidiPiece(piece.ticks_per_quarter, new_tracks, piece.format)
+        new_tracks.append(replace(track, events=events))
+    return replace(piece, tracks=new_tracks)
 
 
 def note_fingerprint(piece: MidiPiece) -> str:
@@ -331,28 +328,6 @@ def admit_piece(piece: MidiPiece,
     if len(set(instruments)) < 2:
         raise PieceRejected(f"monotimbral: only {instruments[0].name}")
     return fixed, instruments
-
-
-@dataclass(frozen=True, slots=True)
-class RejectedPiece:
-    piece_id: str
-    reason: str
-
-
-def filter_corpus(pieces: dict[str, MidiPiece],
-                  dictionary: InstrumentDictionary,
-                  targets: set[InstrumentId] | None = None,
-                  ) -> tuple[dict[str, MidiPiece], list[RejectedPiece]]:
-    """admit_piece over a corpus. Order is preserved; returns (kept fixed
-    pieces, rejections with reasons)."""
-    kept: dict[str, MidiPiece] = {}
-    rejected: list[RejectedPiece] = []
-    for piece_id, piece in pieces.items():
-        try:
-            kept[piece_id], _ = admit_piece(piece, dictionary, targets)
-        except PieceRejected as exc:
-            rejected.append(RejectedPiece(piece_id, str(exc)))
-    return kept, rejected
 
 
 @dataclass(frozen=True, slots=True)

@@ -495,9 +495,6 @@ class TempoMap:
         """Microseconds per quarter note in effect at ``tick``."""
         return self._tempos[self._segment(max(tick, 0))]
 
-    def bpm_at(self, tick: int) -> float:
-        return 60_000_000.0 / self.tempo_at(tick)
-
     def seconds_at(self, tick: int) -> float:
         if tick <= 0:
             return 0.0
@@ -523,11 +520,11 @@ class TempoMap:
 # Note pairing
 # ---------------------------------------------------------------------------
 
-def track_notes(track: Track, end_tick: int | None = None) -> list[Note]:
+def track_notes(track: Track) -> list[Note]:
     """Pair note-ons with note-offs (FIFO per channel/pitch).
 
-    Unterminated notes are closed at ``end_tick`` (default: the track's own
-    end) so malformed corpus files still yield usable intervals.
+    Unterminated notes are closed at the track's end so malformed corpus
+    files still yield usable intervals.
     """
     notes: list[Note] = []
     open_notes: dict[tuple[int, int], deque[tuple[int, int]]] = {}
@@ -541,7 +538,7 @@ def track_notes(track: Track, end_tick: int | None = None) -> list[Note]:
                 on_tick, velocity = queue.popleft()
                 notes.append(Note(on_tick, ev.tick, ev.channel, ev.pitch, velocity))
     if any(open_notes.values()):
-        close = track.end_tick() if end_tick is None else end_tick
+        close = track.end_tick()
         for (channel, pitch), queue in open_notes.items():
             for on_tick, velocity in queue:
                 notes.append(Note(on_tick, max(close, on_tick), channel, pitch, velocity))

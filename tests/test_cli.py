@@ -4,15 +4,29 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scoreforge.smf
 from scoreforge.cli import ConfigError, PipelineConfig, run_command
-from scoreforge.expressive import AnnotationParams, annotate, load_articulation_tables
+from scoreforge.expressive import (
+    DYNAMIC_MARKS,
+    AnnotationParams,
+    AnnotationPlan,
+    ArticulationInterval,
+    DynamicInterval,
+    TempoInterval,
+    annotate,
+    from_dict,
+    load_articulation_tables,
+    plan_from_dict,
+    plan_to_dict,
+)
 from scoreforge.gmfix import (
     NORMALIZED_VELOCITY,
     REGISTRY,
@@ -51,10 +65,114 @@ def fixed_raw(raw_corpus_dir, tmp_path_factory):
     return out
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# ints stand where floats are declared too: the codec keeps them as given
+positive = st.integers(1, 10**6) | st.floats(1e-6, 1e6)
+non_negative = st.integers(0, 10**6) | st.floats(0.0, 1e6)
+number = st.integers(-10**6, 10**6) | st.floats(allow_nan=False,
+                                                 allow_infinity=False)
+ticks = st.integers(0, 2**31)
+
+
+def ordered_pair(values):
+    return st.lists(values, min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+annotation_params = st.builds(
+    AnnotationParams, tempo_mean=positive, tempo_std=non_negative,
+    tempo_clamp=ordered_pair(positive), min_tempo_intervals=st.integers(3, 10**6),
+    gradual_fraction_range=ordered_pair(st.sampled_from([0, 1]) | st.floats(0, 1)),
+    transition_duration_range=ordered_pair(non_negative),
+    seed=st.integers(0, 2**64 - 1))
+annotation_plans = st.builds(
+    AnnotationPlan,
+    tempo=st.lists(st.builds(TempoInterval, ticks, ticks, positive)).map(tuple),
+    dynamics=st.lists(st.builds(
+        DynamicInterval, ticks, ticks, st.sampled_from(DYNAMIC_MARKS),
+        st.integers(1, 127), st.none() | ticks)).map(tuple),
+    articulations=st.lists(st.builds(
+        ArticulationInterval, st.integers(0, 64), ticks, ticks,
+        st.integers(1, 127), st.text())).map(tuple),
+    params=annotation_params)
+pipeline_configs = st.builds(
+    PipelineConfig, master_seed=st.integers(0, 2**64), corpus_dir=st.text(),
+    output_dir=st.text(), dictionary=st.none() | st.text(),
+    articulation_tables=st.none() | st.text(), annotation=annotation_params,
+    split_ratios=st.lists(number).map(tuple), annotate_mode=st.text(),
+    sample_rate=st.integers(), frame_len_s=number,
+    silence_threshold_dbfs=number, projection=st.text())
+
+# a value of the wrong JSON type for every PipelineConfig field
+WRONG_TYPED = {
+    "master_seed": "abc", "corpus_dir": 3, "output_dir": None,
+    "dictionary": 1.5, "articulation_tables": ["tables.csv"],
+    "annotation": "fast", "split_ratios": "0.7,0.1,0.2",
+    "annotate_mode": None, "sample_rate": "x", "frame_len_s": "1",
+    "silence_threshold_dbfs": True, "projection": 0,
+}
+
+
+def json_round_trip(record):
+    return json.loads(json.dumps(asdict(record)))
+
+
 class TestConfig:
+    @given(annotation_params)
+    def test_params_json_round_trip(self, params):
+        assert from_dict(AnnotationParams, json_round_trip(params)) == params
+
+    @given(annotation_plans)
+    def test_plan_json_round_trip(self, plan):
+        assert from_dict(AnnotationPlan, json_round_trip(plan)) == plan
+        assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
+
+    @given(pipeline_configs)
+    def test_config_json_round_trip(self, config):
+        assert from_dict(PipelineConfig, json_round_trip(config)) == config
+
+    @pytest.mark.parametrize("key", sorted(WRONG_TYPED))
+    def test_wrong_typed_field_is_config_error(self, key):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({key: WRONG_TYPED[key]})
+
+    def test_every_field_has_a_wrong_typed_case(self):
+        assert set(WRONG_TYPED) == {f.name for f in fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("raw", [
+        {"master_seed": True}, {"master_seed": 1.0}, {"master_seed": -1},
+        {"sample_rate": 0}, {"sample_rate": 22050.0}, {"frame_len_s": 0},
+        {"frame_len_s": -1.0}, {"split_ratios": [0.5, 0.5]},
+        {"split_ratios": [0.7, 0.1, "0.2"]}, {"split_ratios": [0.5, 0.5, 0.5]},
+        {"split_ratios": [float("inf"), 0, 0]}, {"split_ratios": [float("nan"), 0, 1]},
+        {"annotation": {"tempo_mean": "fast"}}, {"annotation": {"tempo_clamp": [40.0]}},
+        {"annotation": {"seed": None}}, {"annotation": [120.0]},
+    ])
+    def test_bad_values_are_config_errors(self, raw):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(raw)
+
+    def test_ints_for_floats_written_as_given(self, strings_corpus_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"frame_len_s": 1, "split_ratios": [1, 0, 0],
+                                      "annotation": {"tempo_mean": 100}}))
+        out = tmp_path / "out"
+        assert run_command(["stats", str(strings_corpus_dir), "--out", str(out),
+                            "--config", str(config)]) == 0
+        written = json.loads((out / "provenance.json").read_text())["config"]
+        assert written["frame_len_s"] == 1 and type(written["frame_len_s"]) is int
+        assert written["split_ratios"] == [1, 0, 0]
+        assert type(written["annotation"]["tempo_mean"]) is int
+
+    def test_readme_shows_the_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == json_round_trip(PipelineConfig())
+
     def test_defaults_and_round_trip(self):
         config = PipelineConfig()
-        again = PipelineConfig.from_dict(config.to_dict())
+        again = PipelineConfig.from_dict(asdict(config))
         assert again == config
 
     def test_unknown_keys_rejected(self):
@@ -84,6 +202,70 @@ class TestConfig:
         bad.write_text("{nope")
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(bad)
+
+
+class TestConfigErrorsExitBeforeOutput:
+    """A bad config value or config file exits 2 before any stage runs, so
+    no output directory is created."""
+
+    def run(self, tmp_path, argv, config=None):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"master_seed": "abc"}, {"sample_rate": "x"},
+        {"split_ratios": [0.5, 0.5]}, {"annotation": {"tempo_clamp": [40.0]}},
+    ])
+    def test_pipeline_config(self, strings_corpus_dir, tmp_path, config):
+        self.run(tmp_path, ["pipeline", str(strings_corpus_dir)], config)
+
+    def test_config_not_an_object(self, strings_corpus_dir, tmp_path):
+        self.run(tmp_path, ["pipeline", str(strings_corpus_dir)], [1, 2])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_dictionary(self, strings_corpus_dir, tmp_path, jobs):
+        self.run(tmp_path, ["fix", str(strings_corpus_dir), "--jobs", jobs,
+                            "--dictionary", str(tmp_path / "missing.csv")])
+
+    def test_bad_dictionary_row(self, strings_corpus_dir, tmp_path):
+        names = tmp_path / "names.csv"
+        names.write_text("name,instrument\nViolin I,fiddle\n")
+        self.run(tmp_path, ["pipeline", str(strings_corpus_dir)],
+                 {"dictionary": str(names)})
+
+    def test_tables_out_of_range(self, pipeline_out, tmp_path):
+        tables = tmp_path / "tables.csv"
+        tables.write_text("instrument,articulation,cc32,weight,length_class\n"
+                          "violin,legato,200,1.0,long\n")
+        normalized = str(pipeline_out / "20_normalized")
+        self.run(tmp_path, ["annotate", normalized, "--tables", str(tables)])
+        # plain mode reads no tables
+        assert run_command(["annotate", normalized, "--mode", "plain",
+                            "--tables", str(tables),
+                            "--out", str(tmp_path / "plain")]) == 0
+
+    @pytest.mark.parametrize("ratios", ["0.7,0.1,x", "inf,0,0", "0.5,0.5"])
+    def test_split_ratios_flag(self, pipeline_out, tmp_path, ratios):
+        self.run(tmp_path, ["split", str(pipeline_out / "30_annotated"),
+                            "--ratios", ratios])
+
+    def test_sample_rate_zero(self, pipeline_out, tmp_path):
+        self.run(tmp_path, ["synth-test", str(pipeline_out / "30_annotated"),
+                            "--sample-rate", "0"])
+
+    @pytest.mark.parametrize("command", ["synth-test", "eval"])
+    @pytest.mark.parametrize("make_input", [False, True])
+    def test_audio_commands_on_missing_or_empty_input(self, tmp_path, command,
+                                                      make_input):
+        source = tmp_path / "input"
+        if make_input:
+            source.mkdir()
+        self.run(tmp_path, [command, str(source)])
 
 
 class TestFixCommand:
@@ -226,6 +408,19 @@ class TestSplitCommand:
         assert rc == 0
         split = json.loads((out / "split.json").read_text())
         assert split["ratios"] == [0.5, 0.25, 0.25]
+
+    def test_unreadable_file_skipped(self, pipeline_out, tmp_path, capsys):
+        annotated = tmp_path / "annotated"
+        shutil.copytree(pipeline_out / "30_annotated", annotated)
+        (annotated / "x.mid").mkdir()
+        out = tmp_path / "split"
+        assert run_command(["split", str(annotated), "--out", str(out),
+                            "--seed", "7"]) == 0
+        assert "skip x: " in capsys.readouterr().err
+        assert (out / "split.json").read_bytes() == \
+            (pipeline_out / "50_split" / "split.json").read_bytes()
+        assert run_command(["split", str(annotated), "--out", str(tmp_path / "s"),
+                            "--strict"]) == 1
 
     def test_bad_ratios_exit_2(self, pipeline_out, tmp_path):
         annotated = pipeline_out / "30_annotated"

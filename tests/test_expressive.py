@@ -1,6 +1,7 @@
 """Annotation planning and application: tempo, dynamics, articulations."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scoreforge.expressive import (
     LENGTH_SHORT,
     VELOCITY_RANGES,
     AnnotationParams,
+    AnnotationPlan,
     ArticulationInterval,
     DynamicInterval,
     MissingTable,
@@ -22,10 +24,9 @@ from scoreforge.expressive import (
     apply_articulations,
     apply_dynamics,
     apply_tempo,
+    from_dict,
     load_articulation_tables,
     mirror_velocity_to_cc1,
-    params_from_dict,
-    params_to_dict,
     piece_seed,
     plan_articulations,
     plan_dynamic_intervals,
@@ -222,7 +223,8 @@ class TestTempoPlanning:
         assert tempos == [(0, 600000), (8 * 480, 375000)]
         for track in out.tracks[1:]:
             assert not any(isinstance(ev, SetTempo) for ev in track.events)
-        assert TempoMap.from_piece(out).bpm_at(9 * 480) == pytest.approx(160.0)
+        assert 60_000_000 / TempoMap.from_piece(out).tempo_at(9 * 480) == \
+            pytest.approx(160.0)
         write_smf(out)  # ordering invariants hold
 
     def test_apply_rejects_gaps(self):
@@ -419,7 +421,7 @@ class TestAnnotateChain:
 
     def test_params_round_trip_and_validation(self):
         params = AnnotationParams(tempo_mean=90.0, seed=5)
-        assert params_from_dict(params_to_dict(params)) == params
+        assert from_dict(AnnotationParams, asdict(params)) == params
         for bad in [dict(tempo_mean=-1.0), dict(tempo_std=-0.5),
                     dict(tempo_clamp=(0.0, 100.0)),
                     dict(tempo_clamp=(200.0, 100.0)),
@@ -439,3 +441,58 @@ class TestAnnotateChain:
         out, plan = annotate(piece, tables, AnnotationParams(seed=8))
         assert plan.tempo and plan.dynamics and plan.articulations
         write_smf(out)
+
+
+class TestFromDict:
+    """The JSON codec the plan sidecars and the CLI config share."""
+
+    def test_lists_become_tuples_and_objects_dataclasses(self):
+        data = {"tempo": [{"start_tick": 0, "end_tick": 960, "bpm": 90.5}],
+                "dynamics": [{"start_tick": 0, "end_tick": 960, "mark": "p",
+                              "target_velocity": 40, "transition_ticks": None}],
+                "articulations": [],
+                "params": {"tempo_clamp": [50.0, 150.0]}}
+        plan = from_dict(AnnotationPlan, data)
+        assert plan.tempo == (TempoInterval(0, 960, 90.5),)
+        assert plan.dynamics == (DynamicInterval(0, 960, "p", 40, None),)
+        assert plan.articulations == ()
+        assert plan.params == AnnotationParams(tempo_clamp=(50.0, 150.0))
+
+    def test_int_for_float_kept_as_given(self):
+        params = from_dict(AnnotationParams, {"tempo_mean": 100,
+                                              "tempo_clamp": [40, 200.0]})
+        assert type(params.tempo_mean) is int
+        assert [type(x) for x in params.tempo_clamp] == [int, float]
+        assert json.dumps(asdict(params)["tempo_clamp"]) == "[40, 200.0]"
+
+    @pytest.mark.parametrize("data", [
+        {"tempo_mean": "fast"},
+        {"tempo_mean": True},            # a bool is no number here
+        {"min_tempo_intervals": 3.0},    # nor is a float an int
+        {"min_tempo_intervals": False},
+        {"seed": None},
+        {"tempo_clamp": 40.0},
+        {"tempo_clamp": [40.0]},
+        {"tempo_clamp": [40.0, 100.0, 200.0]},
+        {"tempo_clamp": [40.0, "200"]},
+        {"tempo_sd": 30.0},              # unknown key
+    ])
+    def test_wrong_json_type_is_type_error(self, data):
+        with pytest.raises(TypeError):
+            from_dict(AnnotationParams, data)
+
+    def test_nested_errors_name_the_field(self):
+        with pytest.raises(TypeError, match=r"DynamicInterval\.transition_ticks"):
+            from_dict(DynamicInterval, {"start_tick": 0, "end_tick": 1, "mark": "p",
+                                        "target_velocity": 40,
+                                        "transition_ticks": "1"})
+        with pytest.raises(TypeError, match="expected an object"):
+            from_dict(AnnotationPlan, {"tempo": [5], "dynamics": [],
+                                       "articulations": [], "params": {}})
+
+    def test_plan_sidecar_is_asdict_plus_seed(self, tables):
+        piece = make_piece(quarters=48, instruments=("violin", "cello"))
+        _, plan = annotate(piece, tables, AnnotationParams(seed=17))
+        data = plan_to_dict(plan)
+        assert data == {"seed": 17, **asdict(plan)}
+        assert plan_from_dict({**data, "seed": 99}) == plan  # not read

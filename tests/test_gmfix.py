@@ -11,9 +11,10 @@ from scoreforge.gmfix import (
     NORMALIZED_VELOCITY,
     REGISTRY,
     InstrumentDictionary,
+    PieceRejected,
     UnknownInstrument,
+    admit_piece,
     dedupe,
-    filter_corpus,
     fix_piece,
     identify_track,
     normalize,
@@ -312,6 +313,18 @@ class TestFingerprint:
         assert note_fingerprint(a) == note_fingerprint(b)
 
 
+def admit_all(pieces, dictionary, targets=None):
+    """admit_piece over a corpus: (kept ids, piece id -> rejection reason)."""
+    kept, reasons = [], {}
+    for piece_id, piece in pieces.items():
+        try:
+            admit_piece(piece, dictionary, targets)
+            kept.append(piece_id)
+        except PieceRejected as exc:
+            reasons[piece_id] = str(exc)
+    return kept, reasons
+
+
 class TestCorpusOps:
     def test_filter_rules(self, dictionary):
         pieces = {
@@ -325,9 +338,8 @@ class TestCorpusOps:
                                      named_track("Soprano", channel=1)]),
             "empty": MidiPiece(480, [Track(events=[EndOfTrack(0)])]),
         }
-        kept, rejected = filter_corpus(pieces, dictionary)
+        kept, reasons = admit_all(pieces, dictionary)
         assert list(kept) == ["good"]
-        reasons = {r.piece_id: r.reason for r in rejected}
         assert set(reasons) == {"mono", "bad", "vocal", "empty"}
         assert "monotimbral" in reasons["mono"]
 
@@ -335,9 +347,9 @@ class TestCorpusOps:
         pieces = {"p": MidiPiece(480, [named_track("Flute 1"),
                                        named_track("Viola", channel=1)])}
         strings = {REGISTRY[n] for n in ("violin", "viola", "cello", "contrabass")}
-        kept, rejected = filter_corpus(pieces, dictionary, strings)
+        kept, reasons = admit_all(pieces, dictionary, strings)
         assert not kept
-        assert rejected[0].piece_id == "p"
+        assert list(reasons)[0] == "p"
 
     def test_dedupe_first_wins(self, dictionary):
         base = MidiPiece(480, [named_track("Oboe")])

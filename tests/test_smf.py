@@ -238,7 +238,7 @@ class TestTempoMap:
         tm = TempoMap(480)
         assert tm.tempo_at(0) == 500_000
         assert tm.seconds_at(480) == pytest.approx(0.5)
-        assert tm.bpm_at(100) == pytest.approx(120.0)
+        assert 60_000_000 / tm.tempo_at(100) == pytest.approx(120.0)
 
     def test_two_segments(self):
         tm = TempoMap(480, [(0, 1_000_000), (480, 500_000)])
