@@ -467,6 +467,8 @@ def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
               estimates_dir: Path | None) -> int:
     if not audio_dir.is_dir():
         raise ConfigError(f"not a directory: {audio_dir}")
+    if estimates_dir is not None and not estimates_dir.is_dir():
+        raise ConfigError(f"--estimates is not a directory: {estimates_dir}")
     piece_dirs = sorted(p for p in audio_dir.iterdir() if p.is_dir())
     if not piece_dirs:
         raise ConfigError(f"no piece directories in {audio_dir}")
@@ -580,8 +582,11 @@ def run_command(argv: Sequence[str]) -> int:
         jobs = max(args.jobs, 1)
 
         if args.command in STEPS:
-            plans = (Path(args.plans or args.input)
-                     if args.command == "manifest" else None)
+            plans = None
+            if args.command == "manifest":
+                plans = Path(args.plans or args.input)
+                if args.plans and not plans.is_dir():
+                    raise ConfigError(f"--plans is not a directory: {plans}")
             return _run_steps(Path(args.input), {args.command: out_dir}, config,
                               jobs, failures, plans)
         if args.command == "synth-test":

@@ -267,6 +267,27 @@ class TestConfigErrorsExitBeforeOutput:
             source.mkdir()
         self.run(tmp_path, [command, str(source)])
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_manifest_plans_not_a_directory(self, pipeline_out, tmp_path, capsys,
+                                            kind):
+        plans = tmp_path / "plans"
+        if kind == "file":
+            plans.write_text("")
+        self.run(tmp_path, ["manifest", str(pipeline_out / "30_annotated"),
+                            "--plans", str(plans)])
+        assert f"--plans is not a directory: {plans}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_eval_estimates_not_a_directory(self, audio_tree, tmp_path, capsys,
+                                            kind):
+        estimates = tmp_path / "estimates"
+        if kind == "file":
+            estimates.write_text("")
+        self.run(tmp_path, ["eval", str(audio_tree), "--estimates",
+                            str(estimates)])
+        assert f"--estimates is not a directory: {estimates}" in \
+            capsys.readouterr().err
+
 
 class TestFixCommand:
     def test_report_and_outputs(self, fixed_raw, raw_corpus_files):
