@@ -33,6 +33,8 @@ from .audio import Waveform
 FRAME_SECONDS = 1.0
 SILENCE_DBFS = -60.0
 SDR_CAP_DB = 100.0
+# samples of s - s_hat held at once in the plain projection (2 MiB of float64)
+_RESIDUAL_BLOCK_SAMPLES = 1 << 18
 
 SILENT = None  # frames and pieces use None as the "silent" marker
 
@@ -83,8 +85,19 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     s_hat = estimate.samples[:n_frames * frame].reshape(n_frames, frame)
     signal_powers = np.einsum("ij,ij->i", s, s).tolist()
     if projection == "plain":
-        diff = s - s_hat
-        residuals = np.einsum("ij,ij->i", diff, diff).tolist()
+        # s - s_hat a block of frames at a time, so memory does not grow
+        # with the piece. A row sums to the same bits in any block of two
+        # or more rows; a block of one row is summed in buffer-sized pieces
+        # once the frame exceeds einsum's buffer, so no block is left with
+        # one row unless the whole signal is one frame.
+        rows = max(2, _RESIDUAL_BLOCK_SAMPLES // frame)
+        residuals = []
+        start = 0
+        while start < n_frames:
+            stop = start + rows if n_frames - start - rows != 1 else n_frames
+            diff = s[start:stop] - s_hat[start:stop]
+            residuals += np.einsum("ij,ij->i", diff, diff).tolist()
+            start = stop
     else:
         estimate_powers = np.einsum("ij,ij->i", s_hat, s_hat).tolist()
         crosses = np.einsum("ij,ij->i", s, s_hat).tolist()

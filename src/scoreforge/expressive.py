@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from functools import cache
 from importlib import resources
@@ -32,6 +33,7 @@ import numpy as np
 from .gmfix import InstrumentId, track_instruments
 from .smf import (
     ControlChange,
+    EndOfTrack,
     MidiPiece,
     NoteOn,
     SetTempo,
@@ -329,24 +331,20 @@ def apply_tempo(piece: MidiPiece,
     for index, track in enumerate(piece.tracks):
         events = [ev for ev in track.events if not isinstance(ev, SetTempo)]
         if index == 0:
-            events.extend(tempo_events)
-            events.sort(key=lambda e: e.tick)
-            events = _settle_order(events)
+            events = _settle_order(events + tempo_events)
         new_tracks.append(replace(track, events=events))
     return replace(piece, tracks=new_tracks)
 
 
 def _settle_order(events: list) -> list:
     """Stable-sort by tick with meta/CC events ahead of note-ons at the same
-    tick, and end-of-track last."""
-    from .smf import EndOfTrack
-
-    def rank(ev) -> int:
-        if isinstance(ev, EndOfTrack):
-            return 2
-        return 1 if isinstance(ev, NoteOn) else 0
-
-    return sorted(events, key=lambda e: (e.tick, rank(e)))
+    tick. The end-of-track goes last, moved to the last event's tick when
+    the new events reach past it (a conductor track that ends early)."""
+    body = [ev for ev in events if not isinstance(ev, EndOfTrack)]
+    body.sort(key=lambda e: (e.tick, isinstance(e, NoteOn)))
+    if len(body) < len(events):
+        body.append(EndOfTrack(max(ev.tick for ev in events)))
+    return body
 
 
 def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
@@ -394,7 +392,6 @@ def apply_dynamics(piece: MidiPiece,
     starts = [iv.start_tick for iv in intervals]
 
     def velocity_at(tick: int) -> int:
-        from bisect import bisect_right
         i = min(bisect_right(starts, tick) - 1, len(intervals) - 1)
         i = max(i, 0)
         iv = intervals[i]
@@ -410,7 +407,7 @@ def apply_dynamics(piece: MidiPiece,
     new_tracks: list[Track] = []
     for track in piece.tracks:
         events = [
-            replace(ev, velocity=velocity_at(ev.tick))
+            NoteOn(ev.tick, ev.channel, ev.pitch, velocity_at(ev.tick))
             if isinstance(ev, NoteOn) else ev
             for ev in track.events
         ]
@@ -425,6 +422,30 @@ def _active_span(track: Track) -> tuple[int, int] | None:
     return (min(n.tick_on for n in notes), max(n.tick_off for n in notes))
 
 
+def _track_tables(piece: MidiPiece,
+                  tables: Mapping[Union[str, InstrumentId], ArticulationTable],
+                  ) -> list[ArticulationTable | None]:
+    """Each track's articulation table, None for a track without notes.
+
+    A track is looked up by its instrument's registry name, else its track
+    name, else ``track N``. Raises MissingTable naming the first note-bearing
+    track, in track order, that has no table.
+    """
+    named = _tables_by_name(tables)
+    out: list[ArticulationTable | None] = []
+    for index, (track, iid) in enumerate(zip(piece.tracks,
+                                             track_instruments(piece))):
+        if iid is None and not any(isinstance(ev, NoteOn) for ev in track.events):
+            out.append(None)
+            continue
+        name = iid.name if iid is not None else (track.name or f"track {index}")
+        table = named.get(name)
+        if table is None:
+            raise MissingTable(name)
+        out.append(table)
+    return out
+
+
 def plan_articulations(piece: MidiPiece,
                        tables: Mapping[Union[str, InstrumentId], ArticulationTable],
                        params: AnnotationParams,
@@ -435,17 +456,12 @@ def plan_articulations(piece: MidiPiece,
     Tracks too short for the minimum interval count get as many intervals
     as their beat grid allows, down to one.
     """
-    named = _tables_by_name(tables)
-    instruments = track_instruments(piece)
     out: list[ArticulationInterval] = []
-    for index, (track, iid) in enumerate(zip(piece.tracks, instruments)):
-        span = _active_span(track)
-        if span is None:
-            continue
-        name = iid.name if iid is not None else (track.name or f"track {index}")
-        table = named.get(name)
+    for index, (track, table) in enumerate(zip(piece.tracks,
+                                               _track_tables(piece, tables))):
         if table is None:
-            raise MissingTable(name)
+            continue
+        span = _active_span(track)
         bounds = _draw_bounds(span[0], span[1], piece.ticks_per_quarter,
                               params.min_tempo_intervals, rng)
         for start, stop in bounds:
@@ -545,7 +561,15 @@ def annotate(piece: MidiPiece,
              params: AnnotationParams) -> tuple[MidiPiece, AnnotationPlan]:
     """Run the full chain (tempo, then dynamics, then articulations, then
     CC#1 mirroring) on a normalized piece, returning the annotated piece
-    and the plan that produced it."""
+    and the plan that produced it.
+
+    The checks come first and in this order: the span (PieceTooShort), then
+    table coverage of every note-bearing track (MissingTable), so a piece
+    that fails either draws nothing and plans nothing. The result is not
+    validated here; ``write_smf`` validates every piece it writes.
+    """
+    _require_span(piece, params)
+    _track_tables(piece, tables)
     rng = np.random.default_rng(params.seed)
     tempo = plan_tempo_intervals(piece, params, rng)
     with_tempo = apply_tempo(piece, tempo)

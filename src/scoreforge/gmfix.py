@@ -15,6 +15,7 @@ import hashlib
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 from .smf import (
@@ -222,14 +223,17 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
         if channel is None:
             if (isinstance(ev, OtherChannel) and 0x80 <= ev.status < 0xF0
                     and ev.status & 0x0F != target):
-                ev = replace(ev, status=(ev.status & 0xF0) | target)
+                ev = OtherChannel(ev.tick, (ev.status & 0xF0) | target, ev.data)
         elif isinstance(ev, ProgramChange):
             continue  # re-emitted once at tick 0 below
         elif channel != target:
-            ev = replace(ev, channel=target)
+            if isinstance(ev, ControlChange):
+                ev = ControlChange(ev.tick, target, ev.controller, ev.value)
+            else:  # NoteOn or NoteOff
+                ev = type(ev)(ev.tick, target, ev.pitch, ev.velocity)
         events.append(ev)
     events.insert(0, ProgramChange(0, target, iid.gm_program))
-    events.sort(key=lambda e: e.tick)
+    events.sort(key=attrgetter("tick"))
     return replace(track, events=events, channel_hint=target,
                    program=iid.gm_program)
 
@@ -271,12 +275,13 @@ def normalize(piece: MidiPiece) -> MidiPiece:
     for index, track in enumerate(piece.tracks):
         events = []
         for ev in track.events:
-            if isinstance(ev, SetTempo):
+            if isinstance(ev, NoteOn):
+                if ev.velocity != NORMALIZED_VELOCITY:
+                    ev = NoteOn(ev.tick, ev.channel, ev.pitch, NORMALIZED_VELOCITY)
+            elif isinstance(ev, SetTempo) or (
+                    isinstance(ev, ControlChange)
+                    and ev.controller in STRIPPED_CONTROLLERS):
                 continue
-            if isinstance(ev, ControlChange) and ev.controller in STRIPPED_CONTROLLERS:
-                continue
-            if isinstance(ev, NoteOn) and ev.velocity != NORMALIZED_VELOCITY:
-                ev = replace(ev, velocity=NORMALIZED_VELOCITY)
             events.append(ev)
         if index == 0:
             events.insert(0, SetTempo(0, NORMALIZED_TEMPO_US))

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 DEFAULT_TEMPO_US = 500_000  # 120 BPM; SMF default before the first tempo event
@@ -197,8 +198,6 @@ def encode_vlq(value: int) -> bytes:
 # Parsing
 # ---------------------------------------------------------------------------
 
-# data byte counts for channel messages we pass through opaquely
-_OPAQUE_CHANNEL_SIZES = {0xA0: 2, 0xD0: 1, 0xE0: 2}
 _SYSTEM_COMMON_SIZES = {0xF1: 1, 0xF2: 2, 0xF3: 1, 0xF6: 0}
 
 
@@ -244,16 +243,26 @@ def parse_smf(data: bytes) -> MidiPiece:
 
 def _parse_track(chunk: bytes) -> Track:
     events: list[Event] = []
+    append = events.append
+    end = len(chunk)
     tick = 0
     pos = 0
     running: int | None = None
     track = Track(events=events)
     saw_eot = False
 
-    while pos < len(chunk):
-        delta, pos = decode_vlq(chunk, pos)
-        tick += delta
-        if pos >= len(chunk):
+    while pos < end:
+        byte = chunk[pos]
+        if byte < 0x80:  # one- and two-byte delta times inline
+            tick += byte
+            pos += 1
+        elif pos + 1 < end and chunk[pos + 1] < 0x80:
+            tick += (byte & 0x7F) << 7 | chunk[pos + 1]
+            pos += 2
+        else:
+            delta, pos = decode_vlq(chunk, pos)
+            tick += delta
+        if pos >= end:
             raise TruncatedTrack("event status missing at end of track")
         status = chunk[pos]
         if status < 0x80:
@@ -263,70 +272,71 @@ def _parse_track(chunk: bytes) -> Track:
         else:
             pos += 1
 
-        if status == 0xFF:
-            running = None
-            if pos >= len(chunk):
-                raise TruncatedTrack("meta event truncated")
-            meta_type = chunk[pos]
-            pos += 1
-            length, pos = decode_vlq(chunk, pos)
-            if pos + length > len(chunk):
-                raise TruncatedTrack("meta payload truncated")
-            payload = chunk[pos:pos + length]
-            pos += length
-            if meta_type == 0x2F:
-                events.append(EndOfTrack(tick))
-                saw_eot = True
-                break
-            if meta_type == 0x51 and length == 3:
-                events.append(SetTempo(tick, int.from_bytes(payload, "big")))
-            elif meta_type == 0x03:
-                text = payload.decode("latin-1")
-                events.append(TrackName(tick, text))
-                if not track.name:
-                    track.name = text
-            else:
-                events.append(OtherMeta(tick, meta_type, payload))
-        elif status in (0xF0, 0xF7):
-            running = None
-            length, pos = decode_vlq(chunk, pos)
-            if pos + length > len(chunk):
-                raise TruncatedTrack("sysex payload truncated")
-            events.append(OtherChannel(tick, status, chunk[pos:pos + length]))
-            pos += length
-        elif status >= 0xF0:
-            running = None
-            size = _SYSTEM_COMMON_SIZES.get(status, 0)
-            if pos + size > len(chunk):
-                raise TruncatedTrack("system message truncated")
-            events.append(OtherChannel(tick, status, chunk[pos:pos + size]))
-            pos += size
-        else:
+        if status < 0xF0:  # channel message
             running = status
             kind = status & 0xF0
             channel = status & 0x0F
             if track.channel_hint is None:
                 track.channel_hint = channel
             size = 1 if kind in (0xC0, 0xD0) else 2
-            if pos + size > len(chunk):
+            if pos + size > end:
                 raise TruncatedTrack("channel message truncated")
-            d = chunk[pos:pos + size]
-            pos += size
+            d0 = chunk[pos]
             if kind == 0x90:
-                if d[1] == 0:
-                    events.append(NoteOff(tick, channel, d[0], 0))
+                d1 = chunk[pos + 1]
+                if d1 == 0:
+                    append(NoteOff(tick, channel, d0, 0))
                 else:
-                    events.append(NoteOn(tick, channel, d[0], d[1]))
+                    append(NoteOn(tick, channel, d0, d1))
             elif kind == 0x80:
-                events.append(NoteOff(tick, channel, d[0], d[1]))
+                append(NoteOff(tick, channel, d0, chunk[pos + 1]))
             elif kind == 0xB0:
-                events.append(ControlChange(tick, channel, d[0], d[1]))
+                append(ControlChange(tick, channel, d0, chunk[pos + 1]))
             elif kind == 0xC0:
-                events.append(ProgramChange(tick, channel, d[0]))
+                append(ProgramChange(tick, channel, d0))
                 if track.program is None:
-                    track.program = d[0]
+                    track.program = d0
             else:
-                events.append(OtherChannel(tick, status, bytes(d)))
+                append(OtherChannel(tick, status, bytes(chunk[pos:pos + size])))
+            pos += size
+        elif status == 0xFF:
+            running = None
+            if pos >= end:
+                raise TruncatedTrack("meta event truncated")
+            meta_type = chunk[pos]
+            pos += 1
+            length, pos = decode_vlq(chunk, pos)
+            if pos + length > end:
+                raise TruncatedTrack("meta payload truncated")
+            payload = chunk[pos:pos + length]
+            pos += length
+            if meta_type == 0x2F:
+                append(EndOfTrack(tick))
+                saw_eot = True
+                break
+            if meta_type == 0x51 and length == 3:
+                append(SetTempo(tick, int.from_bytes(payload, "big")))
+            elif meta_type == 0x03:
+                text = payload.decode("latin-1")
+                append(TrackName(tick, text))
+                if not track.name:
+                    track.name = text
+            else:
+                append(OtherMeta(tick, meta_type, payload))
+        elif status in (0xF0, 0xF7):
+            running = None
+            length, pos = decode_vlq(chunk, pos)
+            if pos + length > end:
+                raise TruncatedTrack("sysex payload truncated")
+            append(OtherChannel(tick, status, chunk[pos:pos + length]))
+            pos += length
+        else:
+            running = None
+            size = _SYSTEM_COMMON_SIZES.get(status, 0)
+            if pos + size > end:
+                raise TruncatedTrack("system message truncated")
+            append(OtherChannel(tick, status, chunk[pos:pos + size]))
+            pos += size
 
     if not saw_eot:
         events.append(EndOfTrack(track.end_tick()))
@@ -355,7 +365,11 @@ def write_smf(piece: MidiPiece) -> bytes:
 
 def validate_piece(piece: MidiPiece) -> None:
     """Raise InvariantViolation unless the piece is serializable: sorted
-    ticks, 7-bit data ranges, valid channels, end-of-track only last."""
+    ticks, 7-bit data ranges, valid channels, end-of-track only last.
+
+    Each event gets one range test for its exact type; only an event that
+    fails it, or one of a rarer type, goes through ``_check_event``, which
+    raises the message for its first broken rule."""
     if piece.ticks_per_quarter <= 0 or piece.ticks_per_quarter > 0x7FFF:
         raise InvariantViolation(
             f"ticks_per_quarter out of range: {piece.ticks_per_quarter}")
@@ -365,59 +379,90 @@ def validate_piece(piece: MidiPiece) -> None:
         raise InvariantViolation("format 0 requires exactly one track")
     for ti, track in enumerate(piece.tracks):
         last_tick = 0
+        last_index = len(track.events) - 1
         for i, ev in enumerate(track.events):
-            if ev.tick < 0:
-                raise InvariantViolation(f"track {ti}: negative tick {ev.tick}")
-            if ev.tick < last_tick:
+            tick = ev.tick
+            if tick < 0:
+                raise InvariantViolation(f"track {ti}: negative tick {tick}")
+            if tick < last_tick:
                 raise InvariantViolation(
                     f"track {ti}: events not sorted at index {i}")
-            last_tick = ev.tick
-            _validate_event(ti, ev)
-            if isinstance(ev, EndOfTrack) and i != len(track.events) - 1:
-                raise InvariantViolation(
-                    f"track {ti}: end-of-track not the last event")
+            last_tick = tick
+            cls = type(ev)
+            if cls is NoteOn:
+                if not (0 <= ev.pitch <= 127 and 0 < ev.velocity <= 127
+                        and 0 <= ev.channel <= 15):
+                    _check_event(ti, ev)
+            elif cls is NoteOff:
+                if not (0 <= ev.pitch <= 127 and 0 <= ev.velocity <= 127
+                        and 0 <= ev.channel <= 15):
+                    _check_event(ti, ev)
+            elif cls is ControlChange:
+                if not (0 <= ev.controller <= 127 and 0 <= ev.value <= 127
+                        and 0 <= ev.channel <= 15):
+                    _check_event(ti, ev)
+            elif cls not in (OtherChannel, OtherMeta, TrackName):
+                _check_event(ti, ev)
+                if isinstance(ev, EndOfTrack) and i != last_index:
+                    raise InvariantViolation(
+                        f"track {ti}: end-of-track not the last event")
 
 
-def _validate_event(ti: int, ev: Event) -> None:
-    def check7(value: int, what: str) -> None:
-        if not 0 <= value <= 127:
-            raise InvariantViolation(f"track {ti}: {what} out of range: {value}")
-
+def _check_event(ti: int, ev: Event) -> None:
+    """Raise InvariantViolation for the first range rule ``ev`` breaks."""
     if isinstance(ev, (NoteOn, NoteOff)):
-        check7(ev.pitch, "pitch")
-        check7(ev.velocity, "velocity")
-        _check_channel(ti, ev.channel)
-        if isinstance(ev, NoteOn) and ev.velocity == 0:
-            raise InvariantViolation(
-                f"track {ti}: NoteOn with velocity 0 (use NoteOff)")
+        checks = [("pitch", ev.pitch, 127), ("velocity", ev.velocity, 127),
+                  ("channel", ev.channel, 15)]
     elif isinstance(ev, ControlChange):
-        check7(ev.controller, "controller")
-        check7(ev.value, "value")
-        _check_channel(ti, ev.channel)
+        checks = [("controller", ev.controller, 127), ("value", ev.value, 127),
+                  ("channel", ev.channel, 15)]
     elif isinstance(ev, ProgramChange):
-        check7(ev.program, "program")
-        _check_channel(ti, ev.channel)
+        checks = [("program", ev.program, 127), ("channel", ev.channel, 15)]
     elif isinstance(ev, SetTempo):
         if not 1 <= ev.microseconds_per_quarter <= MAX_TEMPO_US:
             raise InvariantViolation(
                 f"track {ti}: tempo out of range: {ev.microseconds_per_quarter}")
-
-
-def _check_channel(ti: int, channel: int) -> None:
-    if not 0 <= channel <= 15:
-        raise InvariantViolation(f"track {ti}: channel out of range: {channel}")
+        return
+    else:
+        return
+    for what, value, top in checks:
+        if not 0 <= value <= top:
+            raise InvariantViolation(f"track {ti}: {what} out of range: {value}")
+    if isinstance(ev, NoteOn) and ev.velocity == 0:
+        raise InvariantViolation(
+            f"track {ti}: NoteOn with velocity 0 (use NoteOff)")
 
 
 def _encode_track(track: Track) -> bytes:
+    """The MTrk body of a validated track. Notes, controllers and delta
+    times below 2**14 are written inline; ``bytes`` range-checks every
+    value."""
     events = track.events
     if not events or not isinstance(events[-1], EndOfTrack):
         events = events + [EndOfTrack(track.end_tick())]
-    out = bytearray()
+    out: list[int] = []
+    append = out.append
+    extend = out.extend
     last_tick = 0
     for ev in events:
-        out += encode_vlq(ev.tick - last_tick)
-        last_tick = ev.tick
-        out += _encode_event(ev)
+        tick = ev.tick
+        delta = tick - last_tick
+        last_tick = tick
+        if 0 <= delta < 0x80:
+            append(delta)
+        elif 0x80 <= delta < 0x4000:
+            extend((0x80 | delta >> 7, delta & 0x7F))
+        else:
+            extend(encode_vlq(delta))
+        cls = type(ev)
+        if cls is NoteOn:
+            extend((0x90 | ev.channel, ev.pitch, ev.velocity))
+        elif cls is NoteOff:
+            extend((0x80 | ev.channel, ev.pitch, ev.velocity))
+        elif cls is ControlChange:
+            extend((0xB0 | ev.channel, ev.controller, ev.value))
+        else:
+            extend(_encode_event(ev))
     return bytes(out)
 
 
@@ -542,5 +587,5 @@ def track_notes(track: Track) -> list[Note]:
         for (channel, pitch), queue in open_notes.items():
             for on_tick, velocity in queue:
                 notes.append(Note(on_tick, max(close, on_tick), channel, pitch, velocity))
-    notes.sort(key=lambda n: (n.tick_on, n.pitch, n.tick_off))
+    notes.sort(key=attrgetter("tick_on", "pitch", "tick_off"))
     return notes

@@ -1,5 +1,6 @@
 """Command-line stages: exit codes, reports, determinism, failure isolation."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -46,6 +47,28 @@ STAGE_DIRS = {"fix": "10_fixed", "normalize": "20_normalized",
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over one "<relative path> <sha256 of the file>" line per file."""
+    digest = hashlib.sha256()
+    for path, data in tree_bytes(root).items():
+        digest.update(f"{path} {hashlib.sha256(data).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+# `pipeline` over the raw fixture: rejections, duplicates and MissingTable
+# drops, ending with "no pieces left after annotate". Changing these bytes
+# is an output change, to be made on purpose and named.
+RAW_PIPELINE_DIGESTS = {
+    "10_fixed": "42c8047928f6c42693639f76a0d88dfa864a1a6b20b17451ac6b08bf5fbd0cd6",
+    "20_normalized":
+        "6efd278c2a2d8f6701b5de6f954957f6f2590a3f70c8c58a6e15eff0532f97f5",
+    "30_annotated":
+        "8b0c85bd3ef18ce993b7cf8c12f150fe2c598c63c155674e953e7736b0f23678",
+}
+RAW_PIPELINE_STDERR = \
+    "bfde27cee6ee3590c6411b9f0ece478de2eb947d5bf15690780cb1fa23d72e1e"
 
 
 @pytest.fixture(scope="module")
@@ -674,6 +697,20 @@ class TestOneChain:
         for command in ("normalize", "annotate", "stats", "split", "manifest"):
             assert run_command([command, str(empty), "--out",
                                 str(tmp_path / command)]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_raw_pipeline_bytes_pinned(self, raw_corpus_dir, tmp_path, capsys,
+                                       jobs):
+        """Every file pipeline writes over the raw fixture, and its stderr,
+        are pinned by digest: a speedup of the chain must not move a byte."""
+        out = tmp_path / "run"
+        assert run_command(["pipeline", str(raw_corpus_dir), "--out", str(out),
+                            "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert {stage.name: tree_digest(stage) for stage in out.iterdir()} \
+            == RAW_PIPELINE_DIGESTS
+        assert err.count("\n") == 56
+        assert hashlib.sha256(err.encode()).hexdigest() == RAW_PIPELINE_STDERR
 
     def test_in_memory_steps_equal_round_trip(self, raw_corpus_files):
         """The chain hands each step's piece to the next without re-parsing,

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from scoreforge import evalkit
 from scoreforge.audio import Waveform
 from scoreforge.evalkit import (
     FRAME_SECONDS,
@@ -163,6 +165,32 @@ class TestFrameSdrArithmetic:
         for a, b in zip(got, want):
             if a is not SILENT:
                 assert abs(a - b) <= 1e-9
+
+    @pytest.mark.parametrize("block_frames", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seconds", [1.5, 2.0, 6.5, 7.0])
+    def test_residual_blocks_keep_the_bits(self, monkeypatch, block_frames,
+                                           seconds):
+        # one block over every frame is the unblocked computation
+        reference, estimate = noisy_pair(seconds)
+        monkeypatch.setattr(evalkit, "_RESIDUAL_BLOCK_SAMPLES", 1 << 40)
+        whole = frame_sdr(reference, estimate)
+        monkeypatch.setattr(evalkit, "_RESIDUAL_BLOCK_SAMPLES",
+                            block_frames * SR)
+        assert frame_sdr(reference, estimate) == whole
+
+    def test_residual_memory_bounded(self):
+        seconds = 60
+        t = np.arange(seconds * SR) / SR
+        reference = Waveform(0.5 * np.sin(2 * np.pi * 441.0 * t), SR)
+        estimate = Waveform(0.7 * reference.samples, SR)
+        tracemalloc.start()
+        try:
+            frame_sdr(reference, estimate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full-length s - s_hat would be 10.6 MB
+        assert peak < 2 * evalkit._RESIDUAL_BLOCK_SAMPLES * 8
 
     def test_independent_of_blas_threads(self):
         # threaded BLAS dot products split their sums by thread count

@@ -443,6 +443,78 @@ class TestAnnotateChain:
         write_smf(out)
 
 
+class TestAnnotateFailureOrder:
+    """annotate checks the span, then table coverage, before any draw."""
+
+    @pytest.fixture
+    def no_planning(self, monkeypatch):
+        import scoreforge.expressive as expressive
+
+        def planned(*args, **kwargs):
+            raise AssertionError("planned before the checks")
+
+        for name in ("plan_tempo_intervals", "plan_dynamic_intervals",
+                     "apply_tempo", "apply_dynamics"):
+            monkeypatch.setattr(expressive, name, planned)
+
+    def test_too_short_wins_over_uncovered(self, tables, no_planning):
+        piece = make_piece(quarters=2, instruments=("flute", "violin"))
+        with pytest.raises(PieceTooShort):
+            annotate(piece, tables, AnnotationParams())
+
+    @pytest.mark.parametrize("instruments, uncovered", [
+        (("violin", "flute", "oboe"), "flute"),
+        (("oboe", "flute"), "oboe"),
+        (("cello", "viola", "harp"), "harp"),
+    ])
+    def test_first_uncovered_track_named(self, tables, no_planning,
+                                         instruments, uncovered):
+        piece = make_piece(quarters=16, instruments=instruments)
+        # a note-free track needs no table, whatever its name
+        piece.tracks.insert(1, Track([TrackName(0, "Flute 2"), EndOfTrack(0)],
+                                     name="Flute 2"))
+        with pytest.raises(MissingTable) as info:
+            annotate(piece, tables, AnnotationParams(seed=4))
+        assert info.value.instrument == uncovered
+        assert str(info.value) == (
+            f"no articulation table for instrument {uncovered!r}")
+
+    @pytest.mark.parametrize("name, reported", [("Synth Lead", "Synth Lead"),
+                                                ("", "track 2")])
+    def test_unmappable_track_named_by_track(self, tables, no_planning,
+                                             name, reported):
+        piece = make_piece(quarters=16, instruments=("violin", "cello"))
+        track = piece.tracks[2]
+        # program 0 (piano) maps to no instrument, so the track's name is used
+        track.events = [TrackName(0, name) if isinstance(ev, TrackName) else
+                        ProgramChange(0, ev.channel, 0)
+                        if isinstance(ev, ProgramChange) else ev
+                        for ev in track.events]
+        track.name = name
+        with pytest.raises(MissingTable) as info:
+            annotate(piece, tables, AnnotationParams())
+        assert info.value.instrument == reported
+
+    def test_plan_articulations_names_the_same_track(self, tables):
+        piece = make_piece(quarters=16, instruments=("violin", "oboe", "flute"))
+        with pytest.raises(MissingTable) as info:
+            plan_articulations(piece, tables, AnnotationParams(),
+                               np.random.default_rng(0))
+        assert info.value.instrument == "oboe"
+
+    def test_conductor_ending_early_stays_writable(self, tables):
+        piece = make_piece(quarters=64, instruments=("violin", "cello"))
+        conductor = piece.tracks[0]
+        conductor.events = [ev if not isinstance(ev, EndOfTrack) else EndOfTrack(0)
+                            for ev in conductor.events]
+        out, plan = annotate(piece, tables, AnnotationParams(seed=5))
+        events = out.tracks[0].events
+        assert events[-1] == EndOfTrack(plan.tempo[-1].start_tick)
+        assert [ev.tick for ev in events if isinstance(ev, SetTempo)] == [
+            iv.start_tick for iv in plan.tempo]
+        write_smf(out)
+
+
 class TestFromDict:
     """The JSON codec the plan sidecars and the CLI config share."""
 

@@ -5,10 +5,27 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracle_smf
+from scoreforge.expressive import (
+    AnnotationParams,
+    MissingTable,
+    PieceTooShort,
+    annotate,
+    load_articulation_tables,
+)
+from scoreforge.gmfix import (
+    REGISTRY,
+    InstrumentDictionary,
+    PieceRejected,
+    admit_piece,
+    normalize,
+)
 from scoreforge.smf import (
+    MAX_VLQ_VALUE,
     ControlChange,
     EndOfTrack,
     IllegalVlq,
@@ -31,6 +48,7 @@ from scoreforge.smf import (
     encode_vlq,
     parse_smf,
     track_notes,
+    validate_piece,
     write_smf,
 )
 
@@ -191,7 +209,7 @@ class TestWrite:
         assert statuses == [0xFF, 0xC0, 0x90, 0x80, 0x90, 0x80, 0xFF]
 
     def test_byte_idempotence_on_corpus(self, raw_corpus_files):
-        for path in raw_corpus_files[:12]:
+        for path in raw_corpus_files:
             first = write_smf(parse_smf(path.read_bytes()))
             assert write_smf(parse_smf(first)) == first
 
@@ -231,6 +249,222 @@ class TestWrite:
         ])
         piece = MidiPiece(480, [track])
         assert parse_smf(write_smf(piece)).tracks[0].events == track.events
+
+
+def piece_of(*events, tpq=480, fmt=1):
+    """A one-track piece holding ``events`` as given (no end-of-track added)."""
+    return MidiPiece(tpq, [Track(events=list(events))], format=fmt)
+
+
+# one case per rule of validate_piece, with the exact message
+VALIDATION_RULES = {
+    "tpq zero": (MidiPiece(0, []), "ticks_per_quarter out of range: 0"),
+    "tpq too large": (MidiPiece(0x8000, []),
+                      "ticks_per_quarter out of range: 32768"),
+    "format": (MidiPiece(480, [], format=2), "format must be 0 or 1, got 2"),
+    "format-0 track count": (MidiPiece(480, [Track([EndOfTrack(0)]),
+                                              Track([EndOfTrack(0)])], format=0),
+                             "format 0 requires exactly one track"),
+    "negative tick": (piece_of(NoteOn(-1, 0, 60, 80)),
+                      "track 0: negative tick -1"),
+    "unsorted": (piece_of(NoteOn(10, 0, 60, 80), NoteOff(5, 0, 60, 0)),
+                 "track 0: events not sorted at index 1"),
+    "pitch": (piece_of(NoteOff(0, 0, 128, 0)), "track 0: pitch out of range: 128"),
+    "velocity": (piece_of(NoteOn(0, 0, 60, 200)),
+                 "track 0: velocity out of range: 200"),
+    "channel": (piece_of(NoteOff(0, 16, 60, 0)), "track 0: channel out of range: 16"),
+    "controller": (piece_of(ControlChange(0, 0, 128, 0)),
+                   "track 0: controller out of range: 128"),
+    "cc value": (piece_of(ControlChange(0, 0, 7, -1)),
+                 "track 0: value out of range: -1"),
+    "cc channel": (piece_of(ControlChange(0, 17, 7, 1)),
+                   "track 0: channel out of range: 17"),
+    "program": (piece_of(ProgramChange(0, 0, 128)),
+                "track 0: program out of range: 128"),
+    "program channel": (piece_of(ProgramChange(0, -1, 0)),
+                        "track 0: channel out of range: -1"),
+    "tempo zero": (piece_of(SetTempo(0, 0)), "track 0: tempo out of range: 0"),
+    "tempo too large": (piece_of(SetTempo(0, 0x1000000)),
+                        "track 0: tempo out of range: 16777216"),
+    "note-on velocity 0": (piece_of(NoteOn(0, 0, 60, 0)),
+                           "track 0: NoteOn with velocity 0 (use NoteOff)"),
+    "misplaced end-of-track": (piece_of(EndOfTrack(0), NoteOn(10, 0, 60, 75)),
+                               "track 0: end-of-track not the last event"),
+}
+
+# pieces that break two rules at once: the message names the first
+VALIDATION_PRECEDENCE = {
+    "tpq before format": (MidiPiece(0, [], format=2),
+                          "ticks_per_quarter out of range: 0"),
+    "negative before unsorted": (
+        piece_of(NoteOn(10, 0, 60, 80), NoteOn(-5, 0, 60, 80)),
+        "track 0: negative tick -5"),
+    "unsorted before range": (
+        piece_of(NoteOn(10, 0, 60, 80), NoteOn(5, 0, 200, 80)),
+        "track 0: events not sorted at index 1"),
+    "pitch before velocity": (piece_of(NoteOn(0, 0, 128, 128)),
+                              "track 0: pitch out of range: 128"),
+    "velocity before channel": (piece_of(NoteOff(0, 16, 60, 128)),
+                                "track 0: velocity out of range: 128"),
+    "channel before velocity 0": (piece_of(NoteOn(0, 16, 60, 0)),
+                                  "track 0: channel out of range: 16"),
+    "negative velocity is a range fault": (
+        piece_of(NoteOn(0, 0, 60, -1)), "track 0: velocity out of range: -1"),
+    "controller before value": (piece_of(ControlChange(0, 16, 128, 128)),
+                                "track 0: controller out of range: 128"),
+    "value before channel": (piece_of(ControlChange(0, 16, 7, 128)),
+                             "track 0: value out of range: 128"),
+    "program before channel": (piece_of(ProgramChange(0, 16, 128)),
+                               "track 0: program out of range: 128"),
+    "negative tick before misplaced end": (
+        piece_of(EndOfTrack(-1), NoteOn(10, 0, 60, 75)),
+        "track 0: negative tick -1"),
+    "first bad event wins": (
+        piece_of(NoteOn(0, 0, 60, 80), ControlChange(5, 0, 7, 300),
+                 NoteOn(6, 0, 300, 80)),
+        "track 0: value out of range: 300"),
+    "first bad track wins": (
+        MidiPiece(480, [Track([NoteOn(0, 0, 60, 80), EndOfTrack(5)]),
+                        Track([SetTempo(0, 0), EndOfTrack(0)]),
+                        Track([NoteOn(0, 99, 60, 80)])]),
+        "track 1: tempo out of range: 0"),
+}
+
+
+class TestValidatePiece:
+    @pytest.mark.parametrize("piece, message",
+                             list(VALIDATION_RULES.values()),
+                             ids=list(VALIDATION_RULES))
+    def test_rule_message(self, piece, message):
+        with pytest.raises(InvariantViolation) as info:
+            validate_piece(piece)
+        assert str(info.value) == message
+        with pytest.raises(InvariantViolation) as info:
+            write_smf(piece)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("piece, message",
+                             list(VALIDATION_PRECEDENCE.values()),
+                             ids=list(VALIDATION_PRECEDENCE))
+    def test_first_error_wins(self, piece, message):
+        with pytest.raises(InvariantViolation) as info:
+            validate_piece(piece)
+        assert str(info.value) == message
+
+    def test_bounds_accepted(self):
+        validate_piece(piece_of(
+            SetTempo(0, 1), SetTempo(0, 0xFFFFFF), ProgramChange(0, 15, 127),
+            ControlChange(0, 0, 0, 0), ControlChange(0, 15, 127, 127),
+            NoteOn(0, 0, 0, 1), NoteOn(0, 15, 127, 127), NoteOff(0, 0, 0, 0),
+            NoteOff(0, 15, 127, 127), TrackName(0, "x"), OtherMeta(0, 1, b""),
+            OtherChannel(0, 0xE0, b"\x00\x40"), EndOfTrack(0), tpq=0x7FFF))
+        validate_piece(MidiPiece(1, [Track([])], format=0))
+
+
+# names the bundled dictionary maps to distinct instruments
+ADMITTED_NAMES = ["Violin I", "Viola", "Cello", "Flute", "Oboe", "Tuba", "Harp"]
+
+
+@st.composite
+def valid_pieces(draw):
+    """A piece as parse_smf returns it from a well-formed file: a conductor
+    track of two tempo events, which may end before the notes do, then
+    named tracks of notes at any velocity with programs and controllers
+    (the ones normalize strips among them)."""
+    tpq = draw(st.sampled_from([96, 120, 480, 960]))
+    tracks = [Track([SetTempo(0, draw(st.integers(200_000, 1_500_000))),
+                     SetTempo(draw(st.integers(0, 8 * tpq)),
+                              draw(st.integers(200_000, 1_500_000)))])]
+    names = draw(st.lists(st.sampled_from(ADMITTED_NAMES), min_size=2,
+                          max_size=4, unique=True))
+    for index, name in enumerate(names):
+        channel = draw(st.sampled_from([index, (index + 3) % 9]))
+        events = [TrackName(0, name),
+                  ProgramChange(0, channel, draw(st.integers(0, 127)))]
+        for _ in range(draw(st.integers(1, 12))):
+            on = draw(st.integers(0, 16 * tpq))
+            pitch = draw(st.integers(0, 127))
+            events += [NoteOn(on, channel, pitch, draw(st.integers(1, 127))),
+                       NoteOff(on + draw(st.integers(1, 4 * tpq)), channel,
+                               pitch, draw(st.integers(0, 127)))]
+        for _ in range(draw(st.integers(0, 4))):
+            events.append(ControlChange(
+                draw(st.integers(0, 16 * tpq)), channel,
+                draw(st.sampled_from([1, 7, 11, 32, 64])),
+                draw(st.integers(0, 127))))
+        events.sort(key=lambda ev: ev.tick)
+        tracks.append(Track(events))
+    return parse_smf(write_smf(MidiPiece(tpq, tracks)))
+
+
+class TestTransformsKeepPiecesValid:
+    """fix, normalize and annotate each map a valid piece to a valid one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(piece=valid_pieces(), seed=st.integers(0, 2**32))
+    def test_chain(self, piece, seed):
+        strings = load_articulation_tables()
+        every_instrument = {name: strings["violin"] for name in REGISTRY}
+        validate_piece(piece)
+        try:
+            fixed, _ = admit_piece(piece, InstrumentDictionary.default())
+        except PieceRejected:
+            return  # two tracks on the percussion channel: one instrument
+        validate_piece(fixed)
+        normalized = normalize(fixed)
+        validate_piece(normalized)
+        for tables in (every_instrument, strings):
+            try:
+                final, _ = annotate(normalized, tables, AnnotationParams(seed=seed))
+            except (PieceTooShort, MissingTable):
+                continue
+            validate_piece(final)
+
+
+class TestEncoderBoundaries:
+    @pytest.mark.parametrize("delta", [0, 0x7F, 0x80, 0x3FFF, 0x4000,
+                                       0x1FFFFF, 0x200000, MAX_VLQ_VALUE])
+    def test_delta_time_round_trip(self, delta):
+        events = [NoteOn(5, 3, 60, 80), NoteOff(5 + delta, 3, 60, 64),
+                  ControlChange(5 + 2 * delta, 3, 7, 1), EndOfTrack(5 + 2 * delta)]
+        data = write_smf(piece_of(*events))
+        assert parse_smf(data).tracks[0].events == events
+        body = data[14 + 8:]
+        vlq = encode_vlq(delta)
+        assert body[4:4 + len(vlq) + 3] == vlq + bytes([0x80 | 3, 60, 64])
+        assert oracle_smf.read_events(data)[2][0][1] == ("off", 5 + delta, 3, 60, 64)
+
+    @pytest.mark.parametrize("length", [0, 127, 128, 0x3FFF, 0x4000])
+    def test_payload_lengths_round_trip(self, length):
+        payload = bytes(i % 128 for i in range(length))
+        events = [TrackName(0, payload.decode("latin-1")),
+                  OtherMeta(0, 0x7F, payload),
+                  OtherChannel(1, 0xF0, payload), OtherChannel(2, 0xF7, payload),
+                  EndOfTrack(2)]
+        data = write_smf(piece_of(*events))
+        assert parse_smf(data).tracks[0].events == events
+        vlq = encode_vlq(length)  # the track name's length, after 00 ff 03
+        assert data[14 + 8 + 3:14 + 8 + 3 + len(vlq)] == vlq
+
+    def test_delta_above_vlq_range(self):
+        piece = piece_of(NoteOn(0, 0, 60, 80),
+                         NoteOff(MAX_VLQ_VALUE + 1, 0, 60, 0))
+        validate_piece(piece)  # ticks have no upper bound; the encoder checks
+        with pytest.raises(InvariantViolation) as info:
+            write_smf(piece)
+        assert str(info.value) == f"VLQ value out of range: {MAX_VLQ_VALUE + 1}"
+
+    def test_channel_messages_inline_and_opaque(self):
+        events = [ProgramChange(0, 2, 41), ControlChange(0, 2, 32, 5),
+                  NoteOn(0, 2, 61, 1), OtherChannel(0, 0xE2, b"\x00\x40"),
+                  OtherChannel(0, 0xD2, b"\x10"), NoteOff(1, 2, 61, 0),
+                  OtherChannel(1, 0xF2, b"\x01\x02"), EndOfTrack(1)]
+        data = write_smf(piece_of(*events))
+        assert data[14 + 8:] == (b"\x00\xc2\x29" b"\x00\xb2\x20\x05"
+                                 b"\x00\x92\x3d\x01" b"\x00\xe2\x00\x40"
+                                 b"\x00\xd2\x10" b"\x01\x82\x3d\x00"
+                                 b"\x00\xf2\x01\x02" b"\x00\xff\x2f\x00")
+        assert parse_smf(data).tracks[0].events == events
 
 
 class TestTempoMap:
