@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
@@ -387,11 +388,13 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
 def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
     path = Path(path_str)
     piece_id = path.stem
+    piece_dir = Path(out_dir) / piece_id
+    created = False
     try:
         piece = parse_smf(path.read_bytes())
         manifest = emit_manifest(piece, None, StemGroupRules(),
                                  piece_id=piece_id, sample_rate=sample_rate)
-        piece_dir = Path(out_dir) / piece_id
+        created = not piece_dir.exists()
         piece_dir.mkdir(parents=True, exist_ok=True)
 
         def render(entry: StemEntry) -> Waveform:
@@ -411,6 +414,9 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
         return {"id": piece_id, "errors": {}, "stems": stems,
                 "peak": mix.peak}
     except Exception as exc:
+        # a failed piece leaves no directory for `eval` to find
+        if created:
+            shutil.rmtree(piece_dir, ignore_errors=True)
         return {"id": piece_id,
                 "errors": {"synth-test": f"{type(exc).__name__}: {exc}"}}
 

@@ -31,9 +31,11 @@ ATTACK_SECONDS = 0.010
 RELEASE_SECONDS = 0.010
 SYNTH_GAIN = 0.2
 MAX_HARMONICS = 32
-# Samples per pitch kept in the partials table (0.65 s at 22.05 kHz);
-# longer notes compute their tail directly.
-PARTIALS_CAP = 14_336
+# The partials table: blocks of PARTIALS_BLOCK samples, at most
+# PARTIALS_BUDGET samples over all pitches (128 pitches of 0.65 s at
+# 22.05 kHz, 14 MiB).
+PARTIALS_BLOCK = 1_024
+PARTIALS_BUDGET = 128 * 14_336
 
 DEFAULT_MERGES = {
     "piccolo": "flute",
@@ -175,11 +177,13 @@ def _pitch_to_hz(pitch: int) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
 
-# (pitch, sample rate) -> (buffer of PARTIALS_CAP samples, samples filled):
-# each pitch's summed partials from phase 0, filled on demand, per process.
-# Every note starts at phase 0, so a note of length L is the first L samples
-# of its pitch's partials: a prefix slice, bit-identical to rendering anew.
-_partials: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+# (pitch, sample rate) -> blocks of that pitch's summed partials from phase 0,
+# filled on demand, per process. Every note starts at phase 0, so a note of
+# length L is the first L samples of its pitch's partials, bit-identical to
+# rendering anew. A pitch grows to its longest note rendered so far while the
+# blocks of all pitches stay within PARTIALS_BUDGET samples; blocks are never
+# copied or freed.
+_partials: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
 def _sum_partials(frequency: float, harmonics: int, sample_rate: int,
@@ -193,23 +197,47 @@ def _sum_partials(frequency: float, harmonics: int, sample_rate: int,
     return wave
 
 
-def _note_wave(pitch: int, frequency: float, harmonics: int,
-               sample_rate: int, length: int) -> np.ndarray:
-    """The first `length` samples of a pitch's summed partials: a view of
-    the table up to PARTIALS_CAP, the rest computed directly. Callers must
-    not write to the result."""
-    key = (pitch, sample_rate)
-    table, filled = _partials.get(key) or (np.empty(PARTIALS_CAP), 0)
-    want = min(length, PARTIALS_CAP)
-    if filled < want:
-        table[filled:want] = _sum_partials(frequency, harmonics, sample_rate,
-                                           filled, want)
-        filled = want
-        _partials[key] = (table, filled)
-    if length <= filled:
-        return table[:length]
-    return np.concatenate((table, _sum_partials(
-        frequency, harmonics, sample_rate, PARTIALS_CAP, length)))
+def _scaled_partials(seg: np.ndarray, gain: float, pitch: int,
+                     frequency: float, harmonics: int,
+                     sample_rate: int) -> None:
+    """Write gain times the first len(seg) samples of the pitch's summed
+    partials into seg: from the table as far as the budget lets it grow,
+    the rest computed directly."""
+    length = len(seg)
+    blocks = _partials.setdefault((pitch, sample_rate), [])
+    have = len(blocks) * PARTIALS_BLOCK
+    if have < length:
+        held = sum(map(len, _partials.values())) * PARTIALS_BLOCK
+        room = (PARTIALS_BUDGET - held) // PARTIALS_BLOCK * PARTIALS_BLOCK
+        want = min(-(-length // PARTIALS_BLOCK) * PARTIALS_BLOCK, have + room)
+        if want > have:
+            # one call for every block the note lacks; the rows are views
+            # of that one fill
+            blocks.extend(_sum_partials(frequency, harmonics, sample_rate,
+                                        have, want).reshape(-1, PARTIALS_BLOCK))
+            have = want
+    for lo, block in zip(range(0, min(have, length), PARTIALS_BLOCK), blocks):
+        hi = min(lo + PARTIALS_BLOCK, length)
+        np.multiply(block[:hi - lo], gain, out=seg[lo:hi])
+    if have < length:
+        np.multiply(_sum_partials(frequency, harmonics, sample_rate,
+                                  have, length), gain, out=seg[have:])
+
+
+def _apply_envelope(seg: np.ndarray, attack: int, release: int) -> None:
+    """Multiply seg by the linear attack/release envelope. Past the first and
+    before the last max(attack, release) samples the envelope is exactly
+    1.0, so only those edges are multiplied."""
+    length = len(seg)
+    edge = max(attack, release)
+    spans = (((0, length),) if length <= 2 * edge
+             else ((0, edge), (length - edge, length)))
+    for lo, hi in spans:
+        seg[lo:hi] *= np.minimum(
+            np.minimum(np.arange(lo + 1, hi + 1, dtype=np.float64) / attack,
+                       np.arange(length - lo, length - hi, -1,
+                                 dtype=np.float64) / release),
+            1.0)
 
 
 def test_synthesize(piece: MidiPiece,
@@ -245,13 +273,11 @@ def test_synthesize(piece: MidiPiece,
             harmonics = min(int(nyquist / frequency), MAX_HARMONICS)
             if harmonics < 1:
                 continue
-            wave = _note_wave(note.pitch, frequency, harmonics, sample_rate,
-                              length)
-            envelope = np.minimum(
-                np.minimum(np.arange(1, length + 1, dtype=np.float64) / attack,
-                           np.arange(length, 0, -1, dtype=np.float64) / release),
-                1.0)
-            out[start:stop] += SYNTH_GAIN * (note.velocity / 127.0) * wave * envelope
+            seg = np.empty(length, dtype=np.float64)
+            _scaled_partials(seg, SYNTH_GAIN * (note.velocity / 127.0),
+                             note.pitch, frequency, harmonics, sample_rate)
+            _apply_envelope(seg, attack, release)
+            out[start:stop] += seg
     return Waveform(out, sample_rate)
 
 

@@ -36,7 +36,19 @@ from scoreforge.gmfix import (
     fix_piece,
     normalize,
 )
-from scoreforge.smf import NoteOn, SetTempo, parse_smf, write_smf
+from scoreforge.audio import read_wav
+from scoreforge.renderkit import emit_manifest
+from scoreforge.smf import (
+    EndOfTrack,
+    MidiPiece,
+    NoteOn,
+    SetTempo,
+    Track,
+    TrackName,
+    parse_smf,
+    write_smf,
+)
+from test_renderkit import reference_piece
 
 
 STAGE_DIRS = {"fix": "10_fixed", "normalize": "20_normalized",
@@ -566,6 +578,56 @@ class TestSynthAndEval:
         empty.mkdir()
         rc = run_command(["eval", str(empty), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_failed_piece_leaves_no_directory(self, strings_corpus_dir,
+                                              tmp_path, capsys):
+        source = tmp_path / "in"
+        source.mkdir()
+        good = sorted(strings_corpus_dir.glob("*.mid"))[0]
+        (source / good.name).write_bytes(good.read_bytes())
+        conductor_only = MidiPiece(480, [Track(
+            events=[TrackName(0, "conductor"), SetTempo(0, 500000),
+                    EndOfTrack(480)], name="conductor")])
+        (source / "silent.mid").write_bytes(write_smf(conductor_only))
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
+        assert capsys.readouterr().err.splitlines() == \
+            ["skip silent: AudioError: no stems to mix"]
+        assert not (audio / "silent").exists()
+        assert run_command(["eval", str(audio), "--out",
+                            str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+        assert set(report["pieces"]) == {good.stem}
+
+
+@pytest.fixture(scope="module")
+def reference_stems(pipeline_out):
+    """(piece id, stem) -> each stem of the annotated strings fixture rendered
+    by the test reference, at the float32 precision synth-test stores."""
+    stems = {}
+    for path in sorted((pipeline_out / "30_annotated").glob("*.mid")):
+        piece = parse_smf(path.read_bytes())
+        for entry in emit_manifest(piece, None).entries:
+            tracks = [tr.track_index for tr in entry.tracks]
+            stems[path.stem, entry.stem] = \
+                reference_piece(piece, tracks).astype(np.float32)
+    return stems
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_synth_stems_equal_reference(pipeline_out, reference_stems, tmp_path,
+                                     jobs):
+    # whatever the partials table holds from earlier renders in this process
+    audio = tmp_path / "audio"
+    assert run_command(["synth-test", str(pipeline_out / "30_annotated"),
+                        "--out", str(audio), "--jobs", jobs]) == 0
+    written = {(wav.parent.name, wav.stem): read_wav(wav).samples
+               for wav in sorted(audio.glob("*/*.wav"))
+               if wav.stem != "mixture"}
+    assert written.keys() == reference_stems.keys()
+    for key, samples in written.items():
+        assert np.array_equal(samples, reference_stems[key]), key
 
 
 class TestPipeline:

@@ -17,7 +17,8 @@ from scoreforge.renderkit import (
     ATTACK_SECONDS,
     DEFAULT_SAMPLE_RATE,
     MAX_HARMONICS,
-    PARTIALS_CAP,
+    PARTIALS_BLOCK,
+    PARTIALS_BUDGET,
     RELEASE_SECONDS,
     SYNTH_GAIN,
     RenderError,
@@ -168,14 +169,17 @@ class TestSynthesizer:
         assert np.array_equal(a, b)
 
 
-def reference_piece(piece, sample_rate=DEFAULT_SAMPLE_RATE):
-    """Every note of every track rendered by reference_note and summed in
-    the synthesizer's order."""
+def reference_piece(piece, track_selection=None,
+                    sample_rate=DEFAULT_SAMPLE_RATE):
+    """Every note of the selected tracks (all by default) rendered by
+    reference_note and summed in the synthesizer's order."""
     tempo_map = TempoMap.from_piece(piece)
     total_s = tempo_map.seconds_at(piece.end_tick())
     out = np.zeros(max(int(round(total_s * sample_rate)), 1))
-    for track in piece.tracks:
-        for note in track_notes(track):
+    indices = (range(len(piece.tracks)) if track_selection is None
+               else track_selection)
+    for index in indices:
+        for note in track_notes(piece.tracks[index]):
             out += reference_note(note.pitch, note.velocity,
                                   tempo_map.seconds_at(note.tick_on),
                                   tempo_map.seconds_at(note.tick_off),
@@ -185,8 +189,24 @@ def reference_piece(piece, sample_rate=DEFAULT_SAMPLE_RATE):
 
 @pytest.fixture
 def cold_table(monkeypatch):
-    """An empty partials table for the test, restored afterwards."""
+    """An empty partials table for the test, restored afterwards. The budget
+    is counted from the table itself, so this also resets what is spent."""
     monkeypatch.setattr(renderkit, "_partials", {})
+
+
+def table_blocks():
+    return [block for blocks in renderkit._partials.values()
+            for block in blocks]
+
+
+def blocks_for(length):
+    return -(-length // PARTIALS_BLOCK)
+
+
+# an edge is max(attack, release) samples; notes up to two edges long are
+# enveloped whole
+EDGE = max(int(round(ATTACK_SECONDS * DEFAULT_SAMPLE_RATE)),
+           int(round(RELEASE_SECONDS * DEFAULT_SAMPLE_RATE)))
 
 
 class TestPartialsTable:
@@ -204,10 +224,13 @@ class TestPartialsTable:
         return reference_note(pitch, 90, onset / sr, (onset + length) / sr,
                               sr, (onset + length + 50) / sr)
 
-    LENGTHS = (PARTIALS_CAP // 3, PARTIALS_CAP - 1, PARTIALS_CAP,
-               PARTIALS_CAP + 1, 2 * PARTIALS_CAP + 7)
+    # 14,336 samples (14 blocks) was the old per-pitch cap
+    LENGTHS = (14 * PARTIALS_BLOCK // 3, 14 * PARTIALS_BLOCK - 1,
+               14 * PARTIALS_BLOCK, 14 * PARTIALS_BLOCK + 1,
+               28 * PARTIALS_BLOCK + 7)
 
-    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("length", LENGTHS + (
+        1, 2 * EDGE, 2 * EDGE + 1, PARTIALS_BLOCK))
     def test_note_cold_then_warm(self, cold_table, length):
         piece, expected = self.one_note(45, length), self.expected(45, length)
         assert np.array_equal(synthesize(piece).samples, expected)   # cold
@@ -216,12 +239,35 @@ class TestPartialsTable:
     @pytest.mark.parametrize("order", [LENGTHS, LENGTHS[::-1]])
     def test_lengths_share_one_table(self, cold_table, order):
         # growing in steps and slicing a longer fill give the same bits
-        for pitch in (33, 57, 81):
+        pitches = (33, 57, 81)
+        for pitch in pitches:
             for length in order:
                 rendered = synthesize(self.one_note(pitch, length)).samples
                 assert np.array_equal(rendered, self.expected(pitch, length))
-        for table, filled in renderkit._partials.values():
-            assert filled == PARTIALS_CAP
+        # each pitch holds the blocks of its longest note, no more
+        longest = blocks_for(max(order))
+        assert {key[0]: len(blocks)
+                for key, blocks in renderkit._partials.items()} == \
+            {pitch: longest for pitch in pitches}
+        assert all(block.shape == (PARTIALS_BLOCK,) for block in table_blocks())
+
+    def test_budget_spent(self, cold_table, monkeypatch):
+        # room for 5 blocks and part of a sixth, which is never kept
+        monkeypatch.setattr(renderkit, "PARTIALS_BUDGET",
+                            5 * PARTIALS_BLOCK + 300)
+        steps = [  # (pitch, length, blocks held by the table afterwards)
+            (45, 2 * PARTIALS_BLOCK + 5, 3),   # three blocks kept
+            (57, 4 * PARTIALS_BLOCK, 5),       # two kept, two computed
+            (45, 6 * PARTIALS_BLOCK + 1, 5),   # tail past three blocks
+            (69, 100, 5),                      # nothing kept
+            (57, 2 * PARTIALS_BLOCK - 1, 5),   # inside the kept blocks
+        ]
+        for pitch, length, held in steps:
+            rendered = synthesize(self.one_note(pitch, length)).samples
+            assert np.array_equal(rendered, self.expected(pitch, length))
+            assert len(table_blocks()) == held
+        assert sum(block.nbytes for block in table_blocks()) \
+            <= renderkit.PARTIALS_BUDGET * 8
 
     def test_strings_corpus_in_either_order(self, strings_corpus_dir,
                                             monkeypatch):
@@ -233,16 +279,42 @@ class TestPartialsTable:
             return {i: synthesize(pieces[i]).samples for i in order}
 
         forward = render_all(range(len(pieces)))
-        tables = renderkit._partials
-        assert sum(table.nbytes for table, _ in tables.values()) \
-            <= 128 * PARTIALS_CAP * 8
-        assert all(filled <= PARTIALS_CAP for _, filled in tables.values())
+        assert PARTIALS_BUDGET == 128 * 14_336
+        assert sum(block.nbytes for block in table_blocks()) \
+            <= 128 * 14_336 * 8
+        # no pitch holds more blocks than its longest note needs
+        longest = {}
+        for piece in pieces:
+            seconds_at = TempoMap.from_piece(piece).seconds_at
+            for track in piece.tracks:
+                for note in track_notes(track):
+                    length = (
+                        round(seconds_at(note.tick_off) * DEFAULT_SAMPLE_RATE)
+                        - round(seconds_at(note.tick_on) * DEFAULT_SAMPLE_RATE))
+                    longest[note.pitch] = max(longest.get(note.pitch, 0),
+                                              length)
+        for (pitch, _), blocks in renderkit._partials.items():
+            assert len(blocks) <= blocks_for(longest[pitch])
         backward = render_all(reversed(range(len(pieces))))
         for i in range(len(pieces)):
             assert np.array_equal(forward[i], backward[i])
         # rendered last on a warm table, then first on a cold one
         last = len(pieces) - 1
         assert np.array_equal(forward[last], reference_piece(pieces[last]))
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("attack, release", [(3, 7), (7, 3), (5, 5)])
+    def test_edges_equal_whole_note(self, attack, release):
+        # the envelope is 1.0 between the edges, and x * 1.0 == x
+        rng = np.random.default_rng(attack)
+        for length in (1, 6, 13, 14, 15, 40):
+            seg = rng.standard_normal(length)
+            whole = seg * np.minimum(
+                np.minimum(np.arange(1, length + 1) / attack,
+                           np.arange(length, 0, -1) / release), 1.0)
+            renderkit._apply_envelope(seg, attack, release)
+            assert np.array_equal(seg, whole)
 
 
 class TestMixing:
