@@ -30,9 +30,9 @@ failures are reported and skipped; --strict turns them into a nonzero exit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
-import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
@@ -389,12 +389,17 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
     path = Path(path_str)
     piece_id = path.stem
     piece_dir = Path(out_dir) / piece_id
-    created = False
+
+    def clear() -> None:
+        for wav in piece_dir.glob("*.wav"):
+            wav.unlink()
+
     try:
+        # the directory holds this run's WAVs and no others
+        clear()
         piece = parse_smf(path.read_bytes())
         manifest = emit_manifest(piece, None, StemGroupRules(),
                                  piece_id=piece_id, sample_rate=sample_rate)
-        created = not piece_dir.exists()
         piece_dir.mkdir(parents=True, exist_ok=True)
 
         def render(entry: StemEntry) -> Waveform:
@@ -414,9 +419,11 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
         return {"id": piece_id, "errors": {}, "stems": stems,
                 "peak": mix.peak}
     except Exception as exc:
-        # a failed piece leaves no directory for `eval` to find
-        if created:
-            shutil.rmtree(piece_dir, ignore_errors=True)
+        # a failed piece leaves no WAV, and no directory left empty, for
+        # `eval` to find
+        clear()
+        with contextlib.suppress(OSError):
+            piece_dir.rmdir()
         return {"id": piece_id,
                 "errors": {"synth-test": f"{type(exc).__name__}: {exc}"}}
 

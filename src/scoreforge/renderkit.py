@@ -8,10 +8,11 @@ consume them (all violins into one stem, piccolo into flute, english horn
 into oboe).
 
 For end-to-end verification without third-party sound libraries there is a
-deliberately plain built-in synthesizer: band-limited sawtooths with linear
-attack/release, bit-exact deterministic. ``mix_stems`` is a plain sample sum
-with no normalization, because the whole premise of source separation data
-is that stems add up to the mixture.
+deliberately plain built-in synthesizer: band-limited sawtooths read from a
+one-period wavetable, with linear attack/release, deterministic to the bit
+whatever the render order. ``mix_stems`` is a plain sample sum with no
+normalization, because the whole premise of source separation data is that
+stems add up to the mixture.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ ATTACK_SECONDS = 0.010
 RELEASE_SECONDS = 0.010
 SYNTH_GAIN = 0.2
 MAX_HARMONICS = 32
-# The partials table: blocks of PARTIALS_BLOCK samples, at most
-# PARTIALS_BUDGET samples over all pitches (128 pitches of 0.65 s at
-# 22.05 kHz, 14 MiB).
-PARTIALS_BLOCK = 1_024
-PARTIALS_BUDGET = 128 * 14_336
+# entries in one period of a wavetable; a power of two, so a phase index
+# wraps with a mask
+WAVETABLE_SIZE = 2_048
 
 DEFAULT_MERGES = {
     "piccolo": "flute",
@@ -177,51 +176,42 @@ def _pitch_to_hz(pitch: int) -> float:
     return 440.0 * 2.0 ** ((pitch - 69) / 12.0)
 
 
-# (pitch, sample rate) -> blocks of that pitch's summed partials from phase 0,
-# filled on demand, per process. Every note starts at phase 0, so a note of
-# length L is the first L samples of its pitch's partials, bit-identical to
-# rendering anew. A pitch grows to its longest note rendered so far while the
-# blocks of all pitches stay within PARTIALS_BUDGET samples; blocks are never
-# copied or freed.
-_partials: dict[tuple[int, int], list[np.ndarray]] = {}
+# harmonic count -> one period of the summed partials and its first
+# difference, built on first use, per process: at most MAX_HARMONICS pairs of
+# WAVETABLE_SIZE float64 values (1 MiB)
+_wavetables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _sum_partials(frequency: float, harmonics: int, sample_rate: int,
-                  lo: int, hi: int) -> np.ndarray:
-    """Samples lo..hi-1 of the summed partials; each sample is the same
-    whatever range it is computed in."""
-    t = np.arange(lo, hi, dtype=np.float64) / sample_rate
-    wave = np.zeros(hi - lo, dtype=np.float64)
-    for k in range(1, harmonics + 1):
-        wave += np.sin(2.0 * np.pi * k * frequency * t) / k
-    return wave
+def _wavetable(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
+    """One period of sum sin(2 pi k j / N) / k over k = 1..harmonics, with
+    N = WAVETABLE_SIZE, and its first difference around the period."""
+    table = _wavetables.get(harmonics)
+    if table is None:
+        j = np.arange(WAVETABLE_SIZE)
+        wave = np.zeros(WAVETABLE_SIZE)
+        for k in range(1, harmonics + 1):
+            # the integer phase k*j mod N keeps every partial on the period
+            wave += np.sin(2.0 * np.pi / WAVETABLE_SIZE
+                           * (k * j % WAVETABLE_SIZE)) / k
+        table = _wavetables[harmonics] = (wave, np.roll(wave, -1) - wave)
+    return table
 
 
-def _scaled_partials(seg: np.ndarray, gain: float, pitch: int,
-                     frequency: float, harmonics: int,
-                     sample_rate: int) -> None:
-    """Write gain times the first len(seg) samples of the pitch's summed
-    partials into seg: from the table as far as the budget lets it grow,
-    the rest computed directly."""
-    length = len(seg)
-    blocks = _partials.setdefault((pitch, sample_rate), [])
-    have = len(blocks) * PARTIALS_BLOCK
-    if have < length:
-        held = sum(map(len, _partials.values())) * PARTIALS_BLOCK
-        room = (PARTIALS_BUDGET - held) // PARTIALS_BLOCK * PARTIALS_BLOCK
-        want = min(-(-length // PARTIALS_BLOCK) * PARTIALS_BLOCK, have + room)
-        if want > have:
-            # one call for every block the note lacks; the rows are views
-            # of that one fill
-            blocks.extend(_sum_partials(frequency, harmonics, sample_rate,
-                                        have, want).reshape(-1, PARTIALS_BLOCK))
-            have = want
-    for lo, block in zip(range(0, min(have, length), PARTIALS_BLOCK), blocks):
-        hi = min(lo + PARTIALS_BLOCK, length)
-        np.multiply(block[:hi - lo], gain, out=seg[lo:hi])
-    if have < length:
-        np.multiply(_sum_partials(frequency, harmonics, sample_rate,
-                                  have, length), gain, out=seg[have:])
+def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
+               sample_rate: int) -> np.ndarray:
+    """gain times the first length samples of the summed partials from
+    phase 0, read from the wavetable with linear interpolation."""
+    wave, slope = _wavetable(harmonics)
+    phase = np.arange(length, dtype=np.float64)
+    phase *= frequency * WAVETABLE_SIZE / sample_rate
+    index = phase.astype(np.intp)
+    phase -= index  # the fraction between two entries
+    index &= WAVETABLE_SIZE - 1
+    seg = slope.take(index)
+    seg *= phase
+    seg += wave.take(index)
+    seg *= gain
+    return seg
 
 
 def _apply_envelope(seg: np.ndarray, attack: int, release: int) -> None:
@@ -243,13 +233,14 @@ def _apply_envelope(seg: np.ndarray, attack: int, release: int) -> None:
 def test_synthesize(piece: MidiPiece,
                     track_selection: Sequence[int] | None = None,
                     sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Render selected tracks with additive band-limited sawtooths.
+    """Render selected tracks with band-limited sawtooths.
 
     Each note plays its equal-tempered frequency with harmonics up to the
     Nyquist limit (at most 32 partials), amplitude proportional to
-    velocity/127, and a 10 ms linear attack and release. Deliberately crude,
-    but deterministic and bit-exact, which is what the downstream SDR checks
-    need.
+    velocity/127, and a 10 ms linear attack and release. The partials are
+    read from a one-period wavetable per harmonic count, with at least 60 dB
+    SNR against summing them sample by sample. Deliberately crude, but
+    deterministic, which is what the downstream SDR checks need.
     """
     tempo_map = TempoMap.from_piece(piece)
     total_seconds = tempo_map.seconds_at(piece.end_tick())
@@ -273,9 +264,8 @@ def test_synthesize(piece: MidiPiece,
             harmonics = min(int(nyquist / frequency), MAX_HARMONICS)
             if harmonics < 1:
                 continue
-            seg = np.empty(length, dtype=np.float64)
-            _scaled_partials(seg, SYNTH_GAIN * (note.velocity / 127.0),
-                             note.pitch, frequency, harmonics, sample_rate)
+            seg = _oscillate(length, SYNTH_GAIN * (note.velocity / 127.0),
+                             frequency, harmonics, sample_rate)
             _apply_envelope(seg, attack, release)
             out[start:stop] += seg
     return Waveform(out, sample_rate)

@@ -48,7 +48,7 @@ from scoreforge.smf import (
     parse_smf,
     write_smf,
 )
-from test_renderkit import reference_piece
+from test_renderkit import assert_snr, reference_piece
 
 
 STAGE_DIRS = {"fix": "10_fixed", "normalize": "20_normalized",
@@ -600,6 +600,55 @@ class TestSynthAndEval:
         report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
         assert set(report["pieces"]) == {good.stem}
 
+    @staticmethod
+    def synth_twice(pipeline_out, tmp_path, second_b):
+        """synth-test over two annotated pieces, a and b, into one --out,
+        then again after b.mid is replaced by second_b(b); returns the audio
+        tree and b."""
+        source = tmp_path / "in"
+        source.mkdir()
+        a, b = sorted((pipeline_out / "30_annotated").glob("*.mid"))[:2]
+        (source / "a.mid").write_bytes(a.read_bytes())
+        (source / "b.mid").write_bytes(b.read_bytes())
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
+        piece = parse_smf(b.read_bytes())
+        (source / "b.mid").write_bytes(second_b(piece))
+        run_command(["synth-test", str(source), "--out", str(audio)])
+        return audio, piece
+
+    def test_rerun_failed_piece_leaves_no_stale_wavs(self, pipeline_out,
+                                                     tmp_path, capsys):
+        conductor_only = write_smf(MidiPiece(480, [Track(
+            events=[TrackName(0, "conductor"), SetTempo(0, 500000),
+                    EndOfTrack(480)], name="conductor")]))
+        audio, _ = self.synth_twice(pipeline_out, tmp_path,
+                                    lambda piece: conductor_only)
+        assert capsys.readouterr().err.splitlines() == \
+            ["skip b: AudioError: no stems to mix"]
+        assert not (audio / "b").exists()
+        assert run_command(["eval", str(audio), "--out",
+                            str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+        assert set(report["pieces"]) == {"a"}
+
+    def test_rerun_drops_a_lost_stem(self, pipeline_out, tmp_path):
+        def without_last_stem(piece):
+            lost = emit_manifest(piece, None).entries[-1]
+            dropped = {tr.track_index for tr in lost.tracks}
+            return write_smf(MidiPiece(piece.ticks_per_quarter, [
+                track for index, track in enumerate(piece.tracks)
+                if index not in dropped]))
+
+        audio, b = self.synth_twice(pipeline_out, tmp_path,
+                                    without_last_stem)
+        kept = [entry.stem for entry in emit_manifest(b, None).entries][:-1]
+        assert kept
+        report = json.loads((audio / "synth_report.json").read_text())
+        assert report["pieces"]["b"]["stems"] == kept
+        assert sorted(wav.stem for wav in (audio / "b").glob("*.wav")) == \
+            sorted([*kept, "mixture"])
+
 
 @pytest.fixture(scope="module")
 def reference_stems(pipeline_out):
@@ -618,7 +667,7 @@ def reference_stems(pipeline_out):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_synth_stems_equal_reference(pipeline_out, reference_stems, tmp_path,
                                      jobs):
-    # whatever the partials table holds from earlier renders in this process
+    # whatever the wavetables hold from earlier renders in this process
     audio = tmp_path / "audio"
     assert run_command(["synth-test", str(pipeline_out / "30_annotated"),
                         "--out", str(audio), "--jobs", jobs]) == 0
@@ -627,7 +676,7 @@ def test_synth_stems_equal_reference(pipeline_out, reference_stems, tmp_path,
                if wav.stem != "mixture"}
     assert written.keys() == reference_stems.keys()
     for key, samples in written.items():
-        assert np.array_equal(samples, reference_stems[key]), key
+        assert_snr(samples, reference_stems[key], key)
 
 
 class TestPipeline:

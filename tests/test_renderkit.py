@@ -1,6 +1,8 @@
 """Render manifests, the built-in test synthesizer, and stem mixing."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +19,9 @@ from scoreforge.renderkit import (
     ATTACK_SECONDS,
     DEFAULT_SAMPLE_RATE,
     MAX_HARMONICS,
-    PARTIALS_BLOCK,
-    PARTIALS_BUDGET,
     RELEASE_SECONDS,
     SYNTH_GAIN,
+    WAVETABLE_SIZE,
     RenderError,
     SampleRateMismatch,
     StemGroupRules,
@@ -92,6 +93,22 @@ def reference_note(pitch, velocity, start_s, stop_s, sample_rate, total_s):
     return out
 
 
+# the synthesizer reads its partials from a wavetable; every rendering keeps
+# at least this signal-to-noise ratio against the additive formula
+SNR_GATE_DB = 60.0
+
+
+def assert_snr(rendered, reference, label=None):
+    """rendered has at least SNR_GATE_DB SNR against reference: the error's
+    energy is at most the reference's times 10^(-SNR_GATE_DB / 10), so a
+    silent reference admits only silence."""
+    assert rendered.shape == reference.shape, label
+    error = np.sum((rendered.astype(np.float64) - reference) ** 2)
+    signal = np.sum(np.square(reference, dtype=np.float64))
+    assert error <= signal * 10.0 ** (-SNR_GATE_DB / 10.0), \
+        (label, 10.0 * np.log10(signal / error))
+
+
 class TestSynthesizer:
     def test_single_note_matches_reference(self):
         piece = MidiPiece(480, [
@@ -102,7 +119,7 @@ class TestSynthesizer:
         expected = reference_note(69, 96, 0.5, 1.0, DEFAULT_SAMPLE_RATE, 1.0)
         assert rendered.sample_rate == DEFAULT_SAMPLE_RATE
         assert len(rendered) == 22050
-        assert np.array_equal(rendered.samples, expected)
+        assert_snr(rendered.samples, expected)
         assert not rendered.samples[:11025].any()   # silent before onset
         assert np.abs(rendered.samples[11500:21500]).max() > 0.01
 
@@ -127,7 +144,7 @@ class TestSynthesizer:
             rendered = synthesize(piece).samples
             expected = reference_note(pitch, 100, 0.0, 1.0,
                                       DEFAULT_SAMPLE_RATE, 1.0)
-            assert np.array_equal(rendered, expected)
+            assert_snr(rendered, expected, pitch)
 
     def test_above_nyquist_is_silent(self):
         piece = MidiPiece(480, [
@@ -188,28 +205,32 @@ def reference_piece(piece, track_selection=None,
 
 
 @pytest.fixture
-def cold_table(monkeypatch):
-    """An empty partials table for the test, restored afterwards. The budget
-    is counted from the table itself, so this also resets what is spent."""
-    monkeypatch.setattr(renderkit, "_partials", {})
+def fresh_tables(monkeypatch):
+    """No wavetables for the test, those of the process restored after."""
+    monkeypatch.setattr(renderkit, "_wavetables", {})
 
 
-def table_blocks():
-    return [block for blocks in renderkit._partials.values()
-            for block in blocks]
+def table_values():
+    return sum(wave.size + slope.size
+               for wave, slope in renderkit._wavetables.values())
 
 
-def blocks_for(length):
-    return -(-length // PARTIALS_BLOCK)
+def harmonic_count(pitch, sample_rate=DEFAULT_SAMPLE_RATE):
+    frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+    return min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
 
 
 # an edge is max(attack, release) samples; notes up to two edges long are
 # enveloped whole
 EDGE = max(int(round(ATTACK_SECONDS * DEFAULT_SAMPLE_RATE)),
            int(round(RELEASE_SECONDS * DEFAULT_SAMPLE_RATE)))
+TABLE_BOUND = MAX_HARMONICS * 2 * WAVETABLE_SIZE  # float64 values, 1 MiB
 
 
 class TestPartialsTable:
+    """The wavetables: one period of the summed partials per harmonic
+    count, built on first use."""
+
     # tpq 441 at 20 ms per quarter makes one tick one sample at 22.05 kHz
     TPQ, TEMPO_US = 441, 20_000
 
@@ -224,50 +245,53 @@ class TestPartialsTable:
         return reference_note(pitch, 90, onset / sr, (onset + length) / sr,
                               sr, (onset + length + 50) / sr)
 
-    # 14,336 samples (14 blocks) was the old per-pitch cap
-    LENGTHS = (14 * PARTIALS_BLOCK // 3, 14 * PARTIALS_BLOCK - 1,
-               14 * PARTIALS_BLOCK, 14 * PARTIALS_BLOCK + 1,
-               28 * PARTIALS_BLOCK + 7)
+    LENGTHS = (4_778, 14_335, 14_336, 14_337, 28_679)
 
     @pytest.mark.parametrize("length", LENGTHS + (
-        1, 2 * EDGE, 2 * EDGE + 1, PARTIALS_BLOCK))
-    def test_note_cold_then_warm(self, cold_table, length):
-        piece, expected = self.one_note(45, length), self.expected(45, length)
-        assert np.array_equal(synthesize(piece).samples, expected)   # cold
-        assert np.array_equal(synthesize(piece).samples, expected)   # warm
+        1, 2 * EDGE, 2 * EDGE + 1, 1_024))
+    def test_note_cold_then_warm(self, fresh_tables, length):
+        cold = synthesize(self.one_note(45, length)).samples
+        assert_snr(cold, self.expected(45, length))
+        assert not cold[:100].any() and not cold[100 + length:].any()
+        assert np.array_equal(synthesize(self.one_note(45, length)).samples,
+                              cold)
+        assert list(renderkit._wavetables) == [harmonic_count(45)]
 
     @pytest.mark.parametrize("order", [LENGTHS, LENGTHS[::-1]])
-    def test_lengths_share_one_table(self, cold_table, order):
-        # growing in steps and slicing a longer fill give the same bits
-        pitches = (33, 57, 81)
+    def test_lengths_share_one_table(self, fresh_tables, monkeypatch, order):
+        pitches = (33, 57, 81, 117)
+        shared = {}
         for pitch in pitches:
             for length in order:
-                rendered = synthesize(self.one_note(pitch, length)).samples
-                assert np.array_equal(rendered, self.expected(pitch, length))
-        # each pitch holds the blocks of its longest note, no more
-        longest = blocks_for(max(order))
-        assert {key[0]: len(blocks)
-                for key, blocks in renderkit._partials.items()} == \
-            {pitch: longest for pitch in pitches}
-        assert all(block.shape == (PARTIALS_BLOCK,) for block in table_blocks())
+                shared[pitch, length] = synthesize(
+                    self.one_note(pitch, length)).samples
+        # one table per harmonic count, however many notes read it
+        assert sorted(renderkit._wavetables) == \
+            sorted({harmonic_count(pitch) for pitch in pitches})
+        for wave, slope in renderkit._wavetables.values():
+            assert wave.shape == slope.shape == (WAVETABLE_SIZE,)
+        # a note reads the same bits from a table built for it alone
+        for (pitch, length), rendered in shared.items():
+            monkeypatch.setattr(renderkit, "_wavetables", {})
+            assert np.array_equal(
+                synthesize(self.one_note(pitch, length)).samples, rendered)
+            assert_snr(rendered, self.expected(pitch, length), (pitch, length))
 
-    def test_budget_spent(self, cold_table, monkeypatch):
-        # room for 5 blocks and part of a sixth, which is never kept
-        monkeypatch.setattr(renderkit, "PARTIALS_BUDGET",
-                            5 * PARTIALS_BLOCK + 300)
-        steps = [  # (pitch, length, blocks held by the table afterwards)
-            (45, 2 * PARTIALS_BLOCK + 5, 3),   # three blocks kept
-            (57, 4 * PARTIALS_BLOCK, 5),       # two kept, two computed
-            (45, 6 * PARTIALS_BLOCK + 1, 5),   # tail past three blocks
-            (69, 100, 5),                      # nothing kept
-            (57, 2 * PARTIALS_BLOCK - 1, 5),   # inside the kept blocks
-        ]
-        for pitch, length, held in steps:
-            rendered = synthesize(self.one_note(pitch, length)).samples
-            assert np.array_equal(rendered, self.expected(pitch, length))
-            assert len(table_blocks()) == held
-        assert sum(block.nbytes for block in table_blocks()) \
-            <= renderkit.PARTIALS_BUDGET * 8
+    def test_budget_spent(self, fresh_tables):
+        # every pitch once: each harmonic count a pitch has gets one table
+        # pair, and all of them fit in MAX_HARMONICS pairs
+        for pitch in range(128):
+            rendered = synthesize(self.one_note(pitch, 600)).samples
+            assert_snr(rendered, self.expected(pitch, 600), pitch)
+        counts = {harmonic_count(pitch) for pitch in range(128)} - {0}
+        assert set(renderkit._wavetables) == counts
+        assert table_values() == 2 * WAVETABLE_SIZE * len(counts) \
+            <= TABLE_BOUND
+
+    def test_import_builds_no_table(self):
+        code = ("import scoreforge.renderkit as r, sys; "
+                "sys.exit(len(r._wavetables))")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_strings_corpus_in_either_order(self, strings_corpus_dir,
                                             monkeypatch):
@@ -275,32 +299,15 @@ class TestPartialsTable:
                   for path in sorted(strings_corpus_dir.glob("*.mid"))]
 
         def render_all(order):
-            monkeypatch.setattr(renderkit, "_partials", {})
+            monkeypatch.setattr(renderkit, "_wavetables", {})
             return {i: synthesize(pieces[i]).samples for i in order}
 
         forward = render_all(range(len(pieces)))
-        assert PARTIALS_BUDGET == 128 * 14_336
-        assert sum(block.nbytes for block in table_blocks()) \
-            <= 128 * 14_336 * 8
-        # no pitch holds more blocks than its longest note needs
-        longest = {}
-        for piece in pieces:
-            seconds_at = TempoMap.from_piece(piece).seconds_at
-            for track in piece.tracks:
-                for note in track_notes(track):
-                    length = (
-                        round(seconds_at(note.tick_off) * DEFAULT_SAMPLE_RATE)
-                        - round(seconds_at(note.tick_on) * DEFAULT_SAMPLE_RATE))
-                    longest[note.pitch] = max(longest.get(note.pitch, 0),
-                                              length)
-        for (pitch, _), blocks in renderkit._partials.items():
-            assert len(blocks) <= blocks_for(longest[pitch])
+        assert table_values() <= TABLE_BOUND
         backward = render_all(reversed(range(len(pieces))))
         for i in range(len(pieces)):
             assert np.array_equal(forward[i], backward[i])
-        # rendered last on a warm table, then first on a cold one
-        last = len(pieces) - 1
-        assert np.array_equal(forward[last], reference_piece(pieces[last]))
+            assert_snr(forward[i], reference_piece(pieces[i]), i)
 
 
 class TestEnvelope:
