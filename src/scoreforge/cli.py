@@ -165,11 +165,13 @@ def _midi_files(directory: Path) -> list[Path]:
 
 
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply fn over items, preserving order; jobs > 1 uses processes."""
+    """Apply fn over items, preserving order; jobs > 1 uses processes, each
+    sent about 16 chunks of items (one item each for small inputs)."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items,
+                             chunksize=max(1, len(items) // (16 * jobs))))
 
 
 class _Failures:
@@ -437,6 +439,8 @@ def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
     def failed(message: str) -> dict:
         return {"id": piece_id, "errors": {"eval": message}}
 
+    if not piece_dir.is_dir():
+        return failed("no piece directory")
     try:
         references: dict[str, Waveform] = {}
         for wav in sorted(piece_dir.glob("*.wav")):
@@ -475,6 +479,22 @@ def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
     return failures.exit_code()
 
 
+def _rendered_pieces(audio_dir: Path) -> list[Path]:
+    """The piece directories to score: exactly the pieces the tree's
+    ``synth_report.json`` lists, whether or not their directory exists, so
+    that a directory a later ``synth-test`` no longer renders is not scored;
+    every subdirectory of a tree without a report."""
+    report = audio_dir / "synth_report.json"
+    if not report.is_file():
+        return sorted(p for p in audio_dir.iterdir() if p.is_dir())
+    try:
+        pieces = sorted(json.loads(report.read_text(encoding="utf-8"))["pieces"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read {report}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return [audio_dir / piece_id for piece_id in pieces]
+
+
 def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
               jobs: int, failures: _Failures,
               estimates_dir: Path | None) -> int:
@@ -482,7 +502,7 @@ def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
         raise ConfigError(f"not a directory: {audio_dir}")
     if estimates_dir is not None and not estimates_dir.is_dir():
         raise ConfigError(f"--estimates is not a directory: {estimates_dir}")
-    piece_dirs = sorted(p for p in audio_dir.iterdir() if p.is_dir())
+    piece_dirs = _rendered_pieces(audio_dir)
     if not piece_dirs:
         raise ConfigError(f"no piece directories in {audio_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ from .smf import (
     ProgramChange,
     SetTempo,
     Track,
-    track_notes,
+    note_pairs,
     validate_piece,
 )
 
@@ -275,12 +275,12 @@ def normalize(piece: MidiPiece) -> MidiPiece:
     for index, track in enumerate(piece.tracks):
         events = []
         for ev in track.events:
-            if isinstance(ev, NoteOn):
+            cls = type(ev)
+            if cls is NoteOn:
                 if ev.velocity != NORMALIZED_VELOCITY:
                     ev = NoteOn(ev.tick, ev.channel, ev.pitch, NORMALIZED_VELOCITY)
-            elif isinstance(ev, SetTempo) or (
-                    isinstance(ev, ControlChange)
-                    and ev.controller in STRIPPED_CONTROLLERS):
+            elif cls is SetTempo or (cls is ControlChange
+                                     and ev.controller in STRIPPED_CONTROLLERS):
                 continue
             events.append(ev)
         if index == 0:
@@ -305,14 +305,11 @@ def note_fingerprint(piece: MidiPiece) -> str:
             label = "?"
         else:
             label = iid.name
-        for note in track_notes(track):
-            rows.append((note.tick_on, note.tick_off - note.tick_on,
-                         note.pitch, label))
+        rows += [(on, off - on, pitch, label)
+                 for on, off, _, pitch, _ in note_pairs(track)]
     rows.sort()
-    digest = hashlib.sha256()
-    for row in rows:
-        digest.update(repr(row).encode("ascii"))
-    return digest.hexdigest()
+    # one update over the concatenation hashes the same as one per row
+    return hashlib.sha256("".join(map(repr, rows)).encode("ascii")).hexdigest()
 
 
 def admit_piece(piece: MidiPiece,

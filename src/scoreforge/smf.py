@@ -6,6 +6,11 @@ canonical byte form (no running status, minimal-length VLQs, explicit
 end-of-track), so ``write(parse(write(p)))`` is byte-identical to
 ``write(p)``.
 
+Events and paired notes are immutable records: tuples with named fields, so
+they are cheap to build, but compared like dataclasses. A record equals only
+a record of the same type with equal fields, never a plain tuple; it hashes
+like its fields; its fields cannot be assigned; and records have no order.
+
 SMPTE time divisions and SMF format 2 are rejected.
 """
 
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -52,74 +57,70 @@ class InvariantViolation(SmfError):
 # Events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class NoteOn:
-    tick: int
-    channel: int
-    pitch: int
-    velocity: int
+class _Record(tuple):
+    """Base of the event records: an immutable tuple with dataclass-style
+    comparison. A record equals only a record of its own type with equal
+    fields (never a plain tuple), hashes like its fields, and has no order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} records have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-@dataclass(frozen=True, slots=True)
-class NoteOff:
-    tick: int
-    channel: int
-    pitch: int
-    velocity: int
+class NoteOn(_Record, namedtuple("NoteOn", "tick channel pitch velocity")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ControlChange:
-    tick: int
-    channel: int
-    controller: int
-    value: int
+class NoteOff(_Record, namedtuple("NoteOff", "tick channel pitch velocity")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ProgramChange:
-    tick: int
-    channel: int
-    program: int
+class ControlChange(_Record, namedtuple("ControlChange",
+                                        "tick channel controller value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SetTempo:
-    tick: int
-    microseconds_per_quarter: int
+class ProgramChange(_Record, namedtuple("ProgramChange", "tick channel program")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TrackName:
-    tick: int
-    text: str
+class SetTempo(_Record, namedtuple("SetTempo", "tick microseconds_per_quarter")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class EndOfTrack:
-    tick: int
+class TrackName(_Record, namedtuple("TrackName", "tick text")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class OtherMeta:
+class EndOfTrack(_Record, namedtuple("EndOfTrack", "tick")):
+    __slots__ = ()
+
+
+class OtherMeta(_Record, namedtuple("OtherMeta", "tick meta_type data")):
     """Any meta event we do not interpret, preserved verbatim."""
 
-    tick: int
-    meta_type: int
-    data: bytes
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class OtherChannel:
+class OtherChannel(_Record, namedtuple("OtherChannel", "tick status data")):
     """Channel/system message we do not interpret (pitch bend, sysex, ...).
 
     ``status`` is the full status byte including the channel nibble; ``data``
     holds the raw payload (for sysex, the bytes after the VLQ length).
     """
 
-    tick: int
-    status: int
-    data: bytes
+    __slots__ = ()
 
 
 Event = Union[
@@ -152,15 +153,10 @@ class MidiPiece:
         return max((t.end_tick() for t in self.tracks), default=0)
 
 
-@dataclass(frozen=True, slots=True)
-class Note:
+class Note(_Record, namedtuple("Note", "tick_on tick_off channel pitch velocity")):
     """A paired note-on/note-off within one track."""
 
-    tick_on: int
-    tick_off: int
-    channel: int
-    pitch: int
-    velocity: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +240,7 @@ def parse_smf(data: bytes) -> MidiPiece:
 def _parse_track(chunk: bytes) -> Track:
     events: list[Event] = []
     append = events.append
+    new = tuple.__new__  # notes and controllers skip the records' __new__
     end = len(chunk)
     tick = 0
     pos = 0
@@ -285,13 +282,13 @@ def _parse_track(chunk: bytes) -> Track:
             if kind == 0x90:
                 d1 = chunk[pos + 1]
                 if d1 == 0:
-                    append(NoteOff(tick, channel, d0, 0))
+                    append(new(NoteOff, (tick, channel, d0, 0)))
                 else:
-                    append(NoteOn(tick, channel, d0, d1))
+                    append(new(NoteOn, (tick, channel, d0, d1)))
             elif kind == 0x80:
-                append(NoteOff(tick, channel, d0, chunk[pos + 1]))
+                append(new(NoteOff, (tick, channel, d0, chunk[pos + 1])))
             elif kind == 0xB0:
-                append(ControlChange(tick, channel, d0, chunk[pos + 1]))
+                append(new(ControlChange, (tick, channel, d0, chunk[pos + 1])))
             elif kind == 0xC0:
                 append(ProgramChange(tick, channel, d0))
                 if track.program is None:
@@ -565,27 +562,39 @@ class TempoMap:
 # Note pairing
 # ---------------------------------------------------------------------------
 
-def track_notes(track: Track) -> list[Note]:
-    """Pair note-ons with note-offs (FIFO per channel/pitch).
-
-    Unterminated notes are closed at the track's end so malformed corpus
-    files still yield usable intervals.
-    """
-    notes: list[Note] = []
+def note_pairs(track: Track) -> list[tuple[int, int, int, int, int]]:
+    """``(tick_on, tick_off, channel, pitch, velocity)`` for every note of
+    ``track``, unsorted: note-ons pair with note-offs FIFO per
+    (channel, pitch), and notes still open at the end are closed at the
+    track's end so malformed corpus files still yield usable intervals."""
+    pairs = []
     open_notes: dict[tuple[int, int], deque[tuple[int, int]]] = {}
     for ev in track.events:
-        if isinstance(ev, NoteOn):
-            open_notes.setdefault((ev.channel, ev.pitch), deque()).append(
-                (ev.tick, ev.velocity))
-        elif isinstance(ev, NoteOff):
-            queue = open_notes.get((ev.channel, ev.pitch))
+        cls = type(ev)
+        if cls is NoteOn:
+            tick, channel, pitch, velocity = ev
+            queue = open_notes.get((channel, pitch))
+            if queue is None:
+                queue = open_notes[channel, pitch] = deque()
+            queue.append((tick, velocity))
+        elif cls is NoteOff:
+            tick, channel, pitch, _ = ev
+            queue = open_notes.get((channel, pitch))
             if queue:
                 on_tick, velocity = queue.popleft()
-                notes.append(Note(on_tick, ev.tick, ev.channel, ev.pitch, velocity))
+                pairs.append((on_tick, tick, channel, pitch, velocity))
     if any(open_notes.values()):
         close = track.end_tick()
         for (channel, pitch), queue in open_notes.items():
             for on_tick, velocity in queue:
-                notes.append(Note(on_tick, max(close, on_tick), channel, pitch, velocity))
+                pairs.append((on_tick, max(close, on_tick), channel, pitch, velocity))
+    return pairs
+
+
+def track_notes(track: Track) -> list[Note]:
+    """The notes of ``track`` (see ``note_pairs``), ordered by onset, pitch
+    and release."""
+    new = tuple.__new__
+    notes = [new(Note, pair) for pair in note_pairs(track)]
     notes.sort(key=attrgetter("tick_on", "pitch", "tick_off"))
     return notes

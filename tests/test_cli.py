@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpus
+import scoreforge.cli
 import scoreforge.smf
 from scoreforge.cli import ConfigError, PipelineConfig, run_command
 from scoreforge.expressive import (
@@ -632,6 +634,39 @@ class TestSynthAndEval:
         report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
         assert set(report["pieces"]) == {"a"}
 
+    def test_eval_skips_pieces_no_longer_rendered(self, pipeline_out,
+                                                  tmp_path, capsys):
+        source = tmp_path / "in"
+        source.mkdir()
+        for name, path in zip("ab", sorted(
+                (pipeline_out / "30_annotated").glob("*.mid"))):
+            (source / f"{name}.mid").write_bytes(path.read_bytes())
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
+        (source / "b.mid").unlink()
+        assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
+        assert (audio / "b" / "mixture.wav").exists()  # stale, not rendered
+        assert run_command(["eval", str(audio), "--out",
+                            str(tmp_path / "eval")]) == 0
+        report = json.loads((tmp_path / "eval" / "eval_report.json").read_text())
+        assert set(report["pieces"]) == {"a"}
+        # a listed piece whose directory is gone is a per-piece failure
+        shutil.rmtree(audio / "a")
+        capsys.readouterr()
+        assert run_command(["eval", str(audio), "--out", str(tmp_path / "e2"),
+                            "--strict"]) == 1
+        assert capsys.readouterr().err == "skip a: no piece directory\n"
+        # an unreadable report is a usage error
+        (audio / "synth_report.json").write_text("[]")
+        assert run_command(["eval", str(audio), "--out",
+                            str(tmp_path / "e3")]) == 2
+        # a tree with no synth_report.json is scored directory by directory
+        (audio / "synth_report.json").unlink()
+        assert run_command(["eval", str(audio), "--out",
+                            str(tmp_path / "e4")]) == 0
+        report = json.loads((tmp_path / "e4" / "eval_report.json").read_text())
+        assert set(report["pieces"]) == {"b"}
+
     def test_rerun_drops_a_lost_stem(self, pipeline_out, tmp_path):
         def without_last_stem(piece):
             lost = emit_manifest(piece, None).entries[-1]
@@ -822,6 +857,32 @@ class TestOneChain:
             == RAW_PIPELINE_DIGESTS
         assert err.count("\n") == 56
         assert hashlib.sha256(err.encode()).hexdigest() == RAW_PIPELINE_STDERR
+
+    def test_chunked_pool_output_identical(self, tmp_path, monkeypatch,
+                                           capsys):
+        """Large inputs go to the workers in chunks of several pieces; the
+        trees and the reports stay those of --jobs 1."""
+        chunksizes = []
+
+        class Recording(scoreforge.cli.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize,
+                                   **kwargs)
+
+        monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor", Recording)
+        in_dir = tmp_path / "raw"
+        corpus.make_raw_corpus(in_dir, count=64)
+        trees, errs = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert run_command(["pipeline", str(in_dir), "--out", str(out),
+                                "--jobs", jobs]) == 1
+            trees[jobs], errs[jobs] = tree_bytes(out), capsys.readouterr().err
+        assert chunksizes == [2]
+        assert Path("10_fixed/fix_report.json") in trees["1"]
+        assert trees["1"] == trees["2"]
+        assert errs["1"] == errs["2"]
 
     def test_in_memory_steps_equal_round_trip(self, raw_corpus_files):
         """The chain hands each step's piece to the next without re-parsing,

@@ -1,5 +1,7 @@
 """Instrument mapping, normalization, filtering, and deduplication."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +313,55 @@ class TestFingerprint:
         a, _ = fix_piece(parse_smf(data), dictionary)
         b, _ = fix_piece(parse_smf(dup), dictionary)
         assert note_fingerprint(a) == note_fingerprint(b)
+
+
+def reference_fingerprint(piece):
+    """note_fingerprint's formula spelled out: Note objects from track_notes,
+    then one sha256 update per sorted row."""
+    rows = []
+    for track, iid in zip(piece.tracks, track_instruments(piece)):
+        if iid is None and not any(isinstance(ev, NoteOn) for ev in track.events):
+            continue
+        label = "?" if iid is None else iid.name
+        rows += [(n.tick_on, n.tick_off - n.tick_on, n.pitch, label)
+                 for n in track_notes(track)]
+    digest = hashlib.sha256()
+    for row in sorted(rows):
+        digest.update(repr(row).encode("ascii"))
+    return digest.hexdigest()
+
+
+class TestFingerprintGolden:
+    def test_raw_corpus(self, raw_corpus_files, dictionary):
+        fixed_count = 0
+        for path in raw_corpus_files:
+            piece = parse_smf(path.read_bytes())
+            # unfixed, most note-bearing tracks are labelled "?"
+            assert note_fingerprint(piece) == reference_fingerprint(piece), path
+            try:
+                fixed, _ = fix_piece(piece, dictionary)
+            except UnknownInstrument:
+                continue
+            fixed_count += 1
+            assert note_fingerprint(fixed) == reference_fingerprint(fixed), path
+        assert fixed_count > 0
+
+    def test_unterminated_note_and_unknown_instrument(self, dictionary):
+        violin, cello = named_track("Violin I"), named_track("Cello", channel=1)
+        fixed, _ = fix_piece(MidiPiece(480, [violin, cello]), dictionary)
+        # a note-on with no note-off, closed at the track's end tick, and a
+        # track whose program maps to no instrument
+        fixed.tracks[0].events[-1:-1] = [NoteOn(240, 0, 64, 80),
+                                         NoteOn(240, 0, 64, 70)]
+        unknown = Track(events=[ProgramChange(0, 2, 0), NoteOn(10, 2, 50, 60),
+                                NoteOff(90, 2, 50, 0), NoteOn(100, 2, 52, 60),
+                                EndOfTrack(700)])
+        piece = MidiPiece(480, [*fixed.tracks, unknown])
+        assert track_instruments(piece)[2] is None
+        assert [n.tick_off for n in track_notes(piece.tracks[0])
+                if n.pitch == 64] == [480, 480]
+        assert note_fingerprint(piece) == reference_fingerprint(piece)
+        assert note_fingerprint(piece) != note_fingerprint(fixed)
 
 
 def admit_all(pieces, dictionary, targets=None):

@@ -1,5 +1,7 @@
 """MIDI file reading, writing, and timing."""
 
+import operator
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -503,6 +505,75 @@ class TestTempoMap:
         piece = simple_piece()
         piece.tracks[0].events.insert(0, SetTempo(0, 1_000_000))
         assert TempoMap.from_piece(piece).seconds_at(480) == pytest.approx(1.0)
+
+
+# one record of each type, with distinct field values
+RECORDS = [
+    NoteOn(1, 2, 3, 4), NoteOff(1, 2, 3, 4), ControlChange(1, 2, 3, 4),
+    ProgramChange(1, 2, 3), SetTempo(1, 500000), TrackName(1, "Violin"),
+    EndOfTrack(1), OtherMeta(1, 0x7F, b"\x00\x01"),
+    OtherChannel(1, 0xE0, b"\x00\x40"), Note(1, 2, 3, 4, 5),
+]
+each_record = pytest.mark.parametrize("record", RECORDS,
+                                      ids=lambda r: type(r).__name__)
+
+
+class TestRecords:
+    """The event records keep the contract of the frozen dataclasses they
+    replaced."""
+
+    def test_equality_needs_same_type(self):
+        assert NoteOn(0, 0, 60, 1) == NoteOn(0, 0, 60, 1)
+        assert NoteOn(0, 0, 60, 1) != NoteOn(0, 0, 60, 2)
+        assert NoteOn(0, 0, 60, 1) != NoteOff(0, 0, 60, 1)
+        assert not NoteOn(0, 0, 60, 1) == NoteOff(0, 0, 60, 1)
+        assert ControlChange(0, 0, 60, 1) != NoteOn(0, 0, 60, 1)
+
+    @each_record
+    def test_never_equals_plain_tuple(self, record):
+        plain = tuple(record)
+        assert record != plain and plain != record
+        assert not (record == plain or plain == record)
+
+    @each_record
+    def test_hash_consistent_with_eq(self, record):
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+
+    @each_record
+    def test_fields_cannot_be_assigned(self, record):
+        with pytest.raises(AttributeError):
+            record.tick = 0
+
+    def test_no_ordering(self):
+        a, b = NoteOn(0, 0, 60, 1), NoteOn(1, 0, 60, 1)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(a, b)
+            with pytest.raises(TypeError):
+                op((0,), a)
+        with pytest.raises(TypeError):
+            sorted([b, a])
+
+    def test_repr_text(self):
+        assert [repr(r) for r in RECORDS] == [
+            "NoteOn(tick=1, channel=2, pitch=3, velocity=4)",
+            "NoteOff(tick=1, channel=2, pitch=3, velocity=4)",
+            "ControlChange(tick=1, channel=2, controller=3, value=4)",
+            "ProgramChange(tick=1, channel=2, program=3)",
+            "SetTempo(tick=1, microseconds_per_quarter=500000)",
+            "TrackName(tick=1, text='Violin')",
+            "EndOfTrack(tick=1)",
+            "OtherMeta(tick=1, meta_type=127, data=b'\\x00\\x01')",
+            "OtherChannel(tick=1, status=224, data=b'\\x00@')",
+            "Note(tick_on=1, tick_off=2, channel=3, pitch=4, velocity=5)",
+        ]
+
+    @each_record
+    def test_pickle_round_trip(self, record):
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is type(record) and again == record
 
 
 class TestTrackNotes:
