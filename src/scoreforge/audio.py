@@ -125,7 +125,9 @@ def read_wav(path: str | Path) -> Waveform:
     return Waveform(samples.mean(axis=1) if channels > 1 else samples[:, 0], rate)
 
 
-def write_wav(path: str | Path, waveform: Waveform) -> None:
+def write_wav(path: str | Path, waveform: Waveform) -> np.ndarray:
+    """Write ``waveform`` as mono 32-bit IEEE float and return the samples
+    written, rounded to little-endian float32."""
     frames = len(waveform)
     nbytes = 4 * frames
     riff_size = _FLOAT_HEADER.size - 8 + nbytes
@@ -140,3 +142,4 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
     with open(path, "wb") as f:
         f.write(header)
         f.write(memoryview(samples))
+    return samples

@@ -155,12 +155,22 @@ def _write_provenance(out_dir: Path, stage: str, config: PipelineConfig) -> None
 
 
 def _midi_files(directory: Path) -> list[Path]:
+    """The MIDI files of ``directory``, sorted. Files whose names differ only
+    in the extension (``x.mid``, ``x.MIDI``) would be one piece id, and
+    their outputs one file, so they are a ConfigError."""
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {directory}")
     files = sorted(p for p in directory.iterdir()
                    if p.suffix.lower() in (".mid", ".midi"))
     if not files:
         raise ConfigError(f"no MIDI files in {directory}")
+    by_id: dict[str, list[str]] = {}
+    for path in files:
+        by_id.setdefault(path.stem, []).append(path.name)
+    clashes = [", ".join(names) for names in by_id.values() if len(names) > 1]
+    if clashes:
+        raise ConfigError(f"inputs in {directory} share a piece id: "
+                          + "; ".join(clashes))
     return files
 
 
@@ -407,11 +417,10 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
         def render(entry: StemEntry) -> Waveform:
             stem = test_synthesize(
                 piece, [tr.track_index for tr in entry.tracks], sample_rate)
-            # storage precision is float32; round in place and mix in that
-            # precision so the written stems sum exactly to the written
+            # storage precision is float32; the stem takes the values
+            # written, so the written stems sum exactly to the written
             # mixture
-            stem.samples[:] = stem.samples.astype(np.float32)
-            write_wav(piece_dir / f"{entry.stem}.wav", stem)
+            stem.samples[:] = write_wav(piece_dir / f"{entry.stem}.wav", stem)
             return stem
 
         # entries are sorted by stem name, which is the mix order

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from functools import cache
@@ -591,8 +592,10 @@ def from_dict(cls: type, data: Mapping, where: str = ""):
     """Build dataclass ``cls`` from its JSON form (``asdict`` after a JSON
     round trip): lists become tuples, objects nested dataclasses. Raises
     TypeError on an unknown key or a value of the wrong JSON type; a bool is
-    no int, and an int where a float is declared is kept as given. Messages
-    name the field by its path from ``where`` (default: the class name)."""
+    no int, and an int where a float is declared is kept as given. Raises
+    ValueError on a non-finite float (``json`` reads NaN and Infinity, and
+    1e400 as inf). Messages name the field by its path from ``where``
+    (default: the class name)."""
     where = where or cls.__name__
     if not isinstance(data, Mapping):
         raise TypeError(f"{where}: expected an object, got {data!r}")
@@ -623,6 +626,8 @@ def _decode(tp, value, where: str):
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if tp is float else tp):
         raise TypeError(f"{where}: expected {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
     return value
 
 

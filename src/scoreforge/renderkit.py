@@ -25,7 +25,7 @@ import numpy as np
 from .audio import AudioError, Waveform
 from .expressive import AnnotationPlan
 from .gmfix import REGISTRY, InstrumentId, track_instruments
-from .smf import MidiPiece, TempoMap, track_notes
+from .smf import ControlChange, MidiPiece, NoteOn, TempoMap, track_notes
 
 DEFAULT_SAMPLE_RATE = 22_050
 ATTACK_SECONDS = 0.010
@@ -139,7 +139,6 @@ def emit_manifest(piece: MidiPiece, plan: AnnotationPlan | None,
             by_index.setdefault(iv.track_index, []).append(
                 (iv.start_tick, iv.cc32_value, iv.articulation))
     else:
-        from .smf import ControlChange
         for index, track in enumerate(piece.tracks):
             for ev in track.events:
                 if isinstance(ev, ControlChange) and ev.controller == 32:
@@ -147,7 +146,8 @@ def emit_manifest(piece: MidiPiece, plan: AnnotationPlan | None,
 
     stems: dict[str, StemEntry] = {}
     for index, (track, iid) in enumerate(zip(piece.tracks, instruments)):
-        if not track_notes(track):
+        # track_notes gives one note per note-on, so this is its truth value
+        if not any(type(ev) is NoteOn for ev in track.events):
             continue
         if iid is None:
             raise UngroupableTrack(
@@ -184,15 +184,22 @@ _wavetables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _wavetable(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
     """One period of sum sin(2 pi k j / N) / k over k = 1..harmonics, with
-    N = WAVETABLE_SIZE, and its first difference around the period."""
+    N = WAVETABLE_SIZE, and its first difference around the period.
+
+    The sum is accumulated in the order k = 1, 2, ..., so the table of the
+    most harmonics below this count already holds its first terms, to the
+    bit: it is continued from there rather than summed again from zero."""
     table = _wavetables.get(harmonics)
     if table is None:
+        below = max((h for h in _wavetables if h < harmonics), default=0)
+        wave = (_wavetables[below][0].copy() if below
+                else np.zeros(WAVETABLE_SIZE))
         j = np.arange(WAVETABLE_SIZE)
-        wave = np.zeros(WAVETABLE_SIZE)
-        for k in range(1, harmonics + 1):
-            # the integer phase k*j mod N keeps every partial on the period
-            wave += np.sin(2.0 * np.pi / WAVETABLE_SIZE
-                           * (k * j % WAVETABLE_SIZE)) / k
+        sine = np.sin(2.0 * np.pi / WAVETABLE_SIZE * j)
+        for k in range(below + 1, harmonics + 1):
+            # the integer phase k*j mod N keeps every partial on the period,
+            # so partial k reads the one-harmonic period at that phase
+            wave += sine[k * j % WAVETABLE_SIZE] / k
         table = _wavetables[harmonics] = (wave, np.roll(wave, -1) - wave)
     return table
 
@@ -205,7 +212,9 @@ def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
     phase = np.arange(length, dtype=np.float64)
     phase *= frequency * WAVETABLE_SIZE / sample_rate
     index = phase.astype(np.intp)
-    phase -= index  # the fraction between two entries
+    # the fraction between two entries; trunc(phase) equals float(index) and
+    # is cheaper to subtract than the integers
+    phase -= np.trunc(phase)
     index &= WAVETABLE_SIZE - 1
     seg = slope.take(index)
     seg *= phase
@@ -214,19 +223,33 @@ def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
     return seg
 
 
-def _apply_envelope(seg: np.ndarray, attack: int, release: int) -> None:
-    """Multiply seg by the linear attack/release envelope. Past the first and
-    before the last max(attack, release) samples the envelope is exactly
-    1.0, so only those edges are multiplied."""
-    length = len(seg)
+def _envelope_ramps(attack: int, release: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last max(attack, release) envelope factors of any
+    note longer than twice that: there the release cannot reach the head nor
+    the attack the tail, so the ramps do not depend on the note's length."""
     edge = max(attack, release)
-    spans = (((0, length),) if length <= 2 * edge
-             else ((0, edge), (length - edge, length)))
-    for lo, hi in spans:
-        seg[lo:hi] *= np.minimum(
-            np.minimum(np.arange(lo + 1, hi + 1, dtype=np.float64) / attack,
-                       np.arange(length - lo, length - hi, -1,
-                                 dtype=np.float64) / release),
+    head = np.minimum(np.arange(1, edge + 1, dtype=np.float64) / attack, 1.0)
+    tail = np.minimum(np.arange(edge, 0, -1, dtype=np.float64) / release, 1.0)
+    return head, tail
+
+
+def _apply_envelope(seg: np.ndarray, attack: int, release: int,
+                    ramps: tuple[np.ndarray, np.ndarray]) -> None:
+    """Multiply seg by the linear attack/release envelope,
+    min((n + 1) / attack, (length - n) / release, 1.0) at sample n. Past the
+    first and before the last max(attack, release) samples it is exactly
+    1.0, so a note longer than twice that has only its edges multiplied, by
+    ``ramps``, which is ``_envelope_ramps(attack, release)``."""
+    length = len(seg)
+    head, tail = ramps
+    edge = len(head)
+    if length > 2 * edge:
+        seg[:edge] *= head
+        seg[length - edge:] *= tail
+    else:
+        seg *= np.minimum(
+            np.minimum(np.arange(1, length + 1, dtype=np.float64) / attack,
+                       np.arange(length, 0, -1, dtype=np.float64) / release),
             1.0)
 
 
@@ -250,6 +273,7 @@ def test_synthesize(piece: MidiPiece,
                else track_selection)
     attack = max(int(round(ATTACK_SECONDS * sample_rate)), 1)
     release = max(int(round(RELEASE_SECONDS * sample_rate)), 1)
+    ramps = _envelope_ramps(attack, release)
     nyquist = sample_rate / 2.0
 
     for index in indices:
@@ -266,7 +290,7 @@ def test_synthesize(piece: MidiPiece,
                 continue
             seg = _oscillate(length, SYNTH_GAIN * (note.velocity / 127.0),
                              frequency, harmonics, sample_rate)
-            _apply_envelope(seg, attack, release)
+            _apply_envelope(seg, attack, release, ramps)
             out[start:stop] += seg
     return Waveform(out, sample_rate)
 

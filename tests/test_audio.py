@@ -87,11 +87,14 @@ class TestWrite:
         path = tmp_path_factory.mktemp("round_trip") / "x.wav"
         x = np.array(values, dtype=np.float64)
         with np.errstate(over="ignore"):
-            write_wav(path, Waveform(x, rate))
+            written = write_wav(path, Waveform(x, rate))
             expected = x.astype(np.float32).astype(np.float64)
         back = read_wav(path)
         assert back.sample_rate == rate
         assert_bits_equal(back.samples, expected)
+        # the samples returned are the samples written
+        assert written.dtype == np.dtype("<f4")
+        assert_bits_equal(written.astype(np.float64), expected)
 
 
 class TestReadAgainstScipy:

@@ -229,6 +229,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"projection": "vector"})
 
+    @pytest.mark.parametrize("raw", [
+        {"frame_len_s": float("inf")}, {"silence_threshold_dbfs": float("nan")},
+        {"annotation": {"tempo_std": float("nan")}},
+        {"annotation": {"tempo_clamp": [40.0, float("inf")]}},
+        {"split_ratios": [0.7, 0.1, float("-inf")]},
+    ])
+    def test_non_finite_floats_are_config_errors(self, raw):
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("text", ['{"frame_len_s": Infinity}',
+                                      '{"frame_len_s": 1e400}',
+                                      '{"annotation": {"tempo_std": NaN}}'])
+    def test_non_finite_json_tokens_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig.from_file(path)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 99}))
@@ -303,6 +322,34 @@ class TestConfigErrorsExitBeforeOutput:
         if make_input:
             source.mkdir()
         self.run(tmp_path, [command, str(source)])
+
+    # each of these failed every piece, or scored pieces with no silent
+    # frame, and still exited 0 before non-finite floats were rejected
+    def test_eval_infinite_frame_length(self, audio_tree, tmp_path):
+        self.run(tmp_path, ["eval", str(audio_tree)],
+                 {"frame_len_s": float("inf")})
+
+    def test_eval_nan_silence_threshold(self, audio_tree, tmp_path):
+        self.run(tmp_path, ["eval", str(audio_tree)],
+                 {"silence_threshold_dbfs": float("nan")})
+
+    def test_annotate_nan_tempo_std(self, pipeline_out, tmp_path):
+        self.run(tmp_path, ["annotate", str(pipeline_out / "20_normalized")],
+                 {"annotation": {"tempo_std": float("nan")}})
+
+    @pytest.mark.parametrize("command", [*STAGE_DIRS, "pipeline", "synth-test"])
+    def test_inputs_sharing_a_piece_id(self, strings_corpus_dir, tmp_path,
+                                       capsys, command):
+        # x.mid and x.MIDI would both be piece x, one output overwriting the
+        # other's
+        source = tmp_path / "input"
+        source.mkdir()
+        first, second = sorted(strings_corpus_dir.glob("*.mid"))[:2]
+        shutil.copy(first, source / "x.mid")
+        shutil.copy(second, source / "x.MIDI")
+        shutil.copy(second, source / "y.mid")
+        self.run(tmp_path, [command, str(source)])
+        assert "share a piece id: x.MIDI, x.mid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_manifest_plans_not_a_directory(self, pipeline_out, tmp_path, capsys,

@@ -277,6 +277,47 @@ class TestPartialsTable:
                 synthesize(self.one_note(pitch, length)).samples, rendered)
             assert_snr(rendered, self.expected(pitch, length), (pitch, length))
 
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_tables_equal_sums_from_zero(self, fresh_tables, order):
+        # a table continued from one with fewer harmonics holds the same
+        # bits as the sum of all its partials from zero
+        counts = list(range(1, MAX_HARMONICS + 1))
+        if order == "descending":
+            counts.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(5).shuffle(counts)
+        for harmonics in counts:
+            renderkit._wavetable(harmonics)
+        j = np.arange(WAVETABLE_SIZE)
+        for harmonics, (wave, slope) in renderkit._wavetables.items():
+            expected = np.zeros(WAVETABLE_SIZE)
+            for k in range(1, harmonics + 1):
+                expected += np.sin(2.0 * np.pi / WAVETABLE_SIZE
+                                   * (k * j % WAVETABLE_SIZE)) / k
+            assert np.array_equal(wave, expected), harmonics
+            assert np.array_equal(slope, np.roll(expected, -1) - expected)
+
+    @pytest.mark.parametrize("sample_rate", [8_000, 22_050, 48_000])
+    def test_oscillator_equals_integer_fraction(self, sample_rate):
+        # the reference: the phase is arange(length) times the step, and
+        # the fraction between entries the phase minus it as an intp
+        for pitch in range(0, 128, 7):
+            frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+            harmonics = min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
+            if harmonics < 1:
+                continue
+            wave, slope = renderkit._wavetable(harmonics)
+            for length in (1, 2 * EDGE + 1, 28_679):
+                phase = np.arange(length, dtype=np.float64)
+                phase *= frequency * WAVETABLE_SIZE / sample_rate
+                index = phase.astype(np.intp)
+                phase -= index
+                index &= WAVETABLE_SIZE - 1
+                expected = (slope[index] * phase + wave[index]) * 0.125
+                assert np.array_equal(
+                    renderkit._oscillate(length, 0.125, frequency, harmonics,
+                                         sample_rate), expected), (pitch, length)
+
     def test_budget_spent(self, fresh_tables):
         # every pitch once: each harmonic count a pitch has gets one table
         # pair, and all of them fit in MAX_HARMONICS pairs
@@ -310,7 +351,48 @@ class TestPartialsTable:
             assert_snr(forward[i], reference_piece(pieces[i]), i)
 
 
+def reference_envelope(seg, attack, release, ramps):
+    """The envelope as the synthesizer applied it before the ramps: the
+    whole note when at most two edges long, else each edge computed from
+    the note's length."""
+    length = len(seg)
+    edge = max(attack, release)
+    spans = (((0, length),) if length <= 2 * edge
+             else ((0, edge), (length - edge, length)))
+    for lo, hi in spans:
+        seg[lo:hi] *= np.minimum(
+            np.minimum(np.arange(lo + 1, hi + 1, dtype=np.float64) / attack,
+                       np.arange(length - lo, length - hi, -1,
+                                 dtype=np.float64) / release),
+            1.0)
+
+
 class TestEnvelope:
+    @pytest.mark.parametrize("sample_rate", [8_000, 22_050, 44_100, 48_000])
+    def test_ramps_equal_reference(self, sample_rate):
+        attack = max(int(round(ATTACK_SECONDS * sample_rate)), 1)
+        release = max(int(round(RELEASE_SECONDS * sample_rate)), 1)
+        edge = max(attack, release)
+        ramps = renderkit._envelope_ramps(attack, release)
+        rng = np.random.default_rng(sample_rate)
+        for length in (1, edge, 2 * edge - 1, 2 * edge, 2 * edge + 1, 40_000):
+            seg = rng.standard_normal(length)
+            expected = seg.copy()
+            reference_envelope(expected, attack, release, ramps)
+            renderkit._apply_envelope(seg, attack, release, ramps)
+            assert np.array_equal(seg, expected), length
+
+    def test_strings_corpus_renders_as_reference(self, strings_corpus_dir,
+                                                 monkeypatch):
+        pieces = [parse_smf(path.read_bytes())
+                  for path in sorted(strings_corpus_dir.glob("*.mid"))]
+        stems = [(piece, index) for piece in pieces
+                 for index in range(len(piece.tracks))]
+        ramped = [synthesize(piece, [index]).samples for piece, index in stems]
+        monkeypatch.setattr(renderkit, "_apply_envelope", reference_envelope)
+        for samples, (piece, index) in zip(ramped, stems):
+            assert np.array_equal(samples, synthesize(piece, [index]).samples)
+
     @pytest.mark.parametrize("attack, release", [(3, 7), (7, 3), (5, 5)])
     def test_edges_equal_whole_note(self, attack, release):
         # the envelope is 1.0 between the edges, and x * 1.0 == x
@@ -320,7 +402,8 @@ class TestEnvelope:
             whole = seg * np.minimum(
                 np.minimum(np.arange(1, length + 1) / attack,
                            np.arange(length, 0, -1) / release), 1.0)
-            renderkit._apply_envelope(seg, attack, release)
+            renderkit._apply_envelope(seg, attack, release,
+                                      renderkit._envelope_ramps(attack, release))
             assert np.array_equal(seg, whole)
 
 
@@ -441,6 +524,22 @@ class TestManifest:
         piece = MidiPiece(480, [conductor(480), bare])
         with pytest.raises(UngroupableTrack):
             emit_manifest(piece, None)
+
+    def test_stems_only_for_tracks_with_a_note_on(self):
+        piece = self.build_piece()
+        # a track of only note-offs has no note; one note-on left open to
+        # the end of the track is one note
+        offs = fixed_track("cello", 3, [(0, 480, 48, 75)])
+        offs.events = [ev for ev in offs.events if not isinstance(ev, NoteOn)]
+        opened = fixed_track("viola", 4, [(0, 480, 60, 75)])
+        opened.events = [ev for ev in opened.events
+                         if not isinstance(ev, NoteOff)]
+        piece.tracks += [offs, opened]
+        assert [len(track_notes(t)) for t in piece.tracks[-2:]] == [0, 1]
+        manifest = emit_manifest(piece, None)
+        assert [e.stem for e in manifest.entries] == ["flute", "viola", "violin"]
+        viola = manifest.entries[1]
+        assert [tr.track_index for tr in viola.tracks] == [5]
 
     def test_to_dict_json_ready(self):
         manifest = emit_manifest(self.build_piece(), None, piece_id="demo")
