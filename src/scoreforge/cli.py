@@ -17,8 +17,11 @@ The MIDI subcommands from fix to manifest are ranges of one per-piece chain,
     parse -> fix -> normalize -> annotate -> stats | split | manifest
 
 run in the workers on each file, parsed once and kept in memory between
-steps; the parent reduces over the corpus (dedupe after fix, stats totals,
-the split) and writes each step's directory. `pipeline` is the whole range.
+steps. The parent takes the pieces' results in piece-id order: it dedupes
+each piece as it arrives and writes its fix, normalize and annotate files,
+so at --jobs N it writes while the pool still works. At the end it reports
+the failures and runs the corpus reducers (fix report, stats totals, the
+split, the manifests). `pipeline` is the whole range.
 
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
@@ -37,7 +40,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,10 +67,10 @@ from .expressive import (
     plan_to_dict,
 )
 from .gmfix import (
+    Deduper,
     InstrumentDictionary,
     PieceRejected,
     admit_piece,
-    dedupe,
     normalize,
     note_fingerprint,
 )
@@ -155,13 +158,16 @@ def _write_provenance(out_dir: Path, stage: str, config: PipelineConfig) -> None
 
 
 def _midi_files(directory: Path) -> list[Path]:
-    """The MIDI files of ``directory``, sorted. Files whose names differ only
-    in the extension (``x.mid``, ``x.MIDI``) would be one piece id, and
-    their outputs one file, so they are a ConfigError."""
+    """The MIDI files of ``directory``, in piece-id order (the name without
+    its extension; ``a.mid`` before ``a-b.mid``), the order in which dedupe
+    keeps the first of a pair. Files whose names differ only in the
+    extension (``x.mid``, ``x.MIDI``) would be one piece id, and their
+    outputs one file, so they are a ConfigError."""
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {directory}")
-    files = sorted(p for p in directory.iterdir()
-                   if p.suffix.lower() in (".mid", ".midi"))
+    files = sorted((p for p in directory.iterdir()
+                    if p.suffix.lower() in (".mid", ".midi")),
+                   key=lambda p: (p.stem, p.name))
     if not files:
         raise ConfigError(f"no MIDI files in {directory}")
     by_id: dict[str, list[str]] = {}
@@ -174,14 +180,19 @@ def _midi_files(directory: Path) -> list[Path]:
     return files
 
 
-def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply fn over items, preserving order; jobs > 1 uses processes, each
-    sent about 16 chunks of items (one item each for small inputs)."""
+def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """The results of fn over items, in order. jobs > 1 uses processes, each
+    sent about 16 chunks of items (one item each for small inputs), and
+    yields each result as the pool delivers it, the pool open until the
+    last. Otherwise every result is computed before the first is yielded:
+    interleaving the caller's writes with the compute is slower in one
+    process."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from [fn(item) for item in items]
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items,
-                             chunksize=max(1, len(items) // (16 * jobs))))
+        yield from pool.map(fn, items,
+                            chunksize=max(1, len(items) // (16 * jobs)))
 
 
 class _Failures:
@@ -197,7 +208,8 @@ class _Failures:
         return 1 if (self.strict and self.items) else 0
 
 
-def _collect(results: list[dict], step: str, failures: _Failures) -> list[dict]:
+def _collect(results: Iterable[dict], step: str,
+             failures: _Failures) -> list[dict]:
     """Report the results that failed at ``step``; return the rest, in order."""
     ok = []
     for result in results:
@@ -331,35 +343,47 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                jobs: int, failures: _Failures, plans_dir: Path | None = None,
                ) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
-    ``out_dirs`` (a range of STEPS), then run the corpus reducers (dedupe,
-    stats totals, split) and write each step's directory. Stops with exit
-    code 1 when a chain step leaves no piece for the steps after it."""
+    ``out_dirs`` (a range of STEPS). Each piece's result is deduped (after
+    fix) and its chain files written as it arrives, its SMF bytes then
+    dropped; after the map, each step in order reports its failures and
+    runs its corpus reducer (fix report, stats totals, split, manifests).
+    Stops with exit code 1 when a chain step leaves no piece for the steps
+    after it, whose directories then do not exist: a piece writes to one
+    only after passing the steps before it."""
     steps = tuple(out_dirs)
     _load_config_files(steps, config)
+    files = [str(p) for p in _midi_files(in_dir)]
     worker = partial(_chain_worker, steps=steps, config=config,
                      plans_dir=str(plans_dir) if plans_dir else None)
-    alive = _map_jobs(worker, [str(p) for p in _midi_files(in_dir)], jobs)
+    deduper = Deduper()
+    made: set[Path] = set()
+    alive = []  # every result but the duplicates', in piece-id order
+    for r in _map_jobs(worker, files, jobs):
+        if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
+            continue
+        alive.append(r)
+        for step in CHAIN_STEPS:
+            if step in r:
+                out_dir = out_dirs[step]
+                if out_dir not in made:
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    made.add(out_dir)
+                (out_dir / f"{r['id']}.mid").write_bytes(r.pop(step))
+                if step == "annotate":
+                    _write_json(out_dir / f"{r['id']}.plan.json", r.pop("plan"))
     for step in steps:
         out_dir = out_dirs[step]
         out_dir.mkdir(parents=True, exist_ok=True)
         ok = _collect(alive, step, failures)
         if step == "fix":  # always the first step, so failures are its own
-            kept_ids, duplicates = dedupe({r["id"]: r["fingerprint"] for r in
-                                           sorted(ok, key=lambda r: r["id"])})
-            kept = set(kept_ids)
-            ok = [r for r in ok if r["id"] in kept]
             _write_json(out_dir / "fix_report.json", {
                 "kept": {r["id"]: r["instruments"] for r in ok},
                 "rejected": dict(failures.items),
                 "duplicates": [{"kept": d.kept_id, "dropped": d.dropped_id,
                                 "fingerprint": d.fingerprint}
-                               for d in duplicates],
+                               for d in deduper.duplicates],
             })
         if step in CHAIN_STEPS:
-            for r in ok:
-                (out_dir / f"{r['id']}.mid").write_bytes(r[step])
-                if step == "annotate":
-                    _write_json(out_dir / f"{r['id']}.plan.json", r["plan"])
             alive = ok
         elif step == "stats":
             totals: dict[str, dict] = {"activity_seconds": {},

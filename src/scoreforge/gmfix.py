@@ -27,7 +27,6 @@ from .smf import (
     SetTempo,
     Track,
     note_pairs,
-    validate_piece,
 )
 
 NORMALIZED_VELOCITY = 75
@@ -134,17 +133,21 @@ class InstrumentDictionary:
 
     @classmethod
     def _from_rows(cls, rows, source: str) -> "InstrumentDictionary":
+        """Rows may repeat a name (after normalize_name) only with the same
+        instrument; a name mapped to two is a GmFixError."""
         entries: dict[str, InstrumentId | _Excluded] = {}
         for row in rows:
             key = normalize_name(row["name"])
             target = row["instrument"].strip()
-            if target == "excluded":
-                entries[key] = EXCLUDED
-            elif target in REGISTRY:
-                entries[key] = REGISTRY[target]
-            else:
+            value = EXCLUDED if target == "excluded" else REGISTRY.get(target)
+            if value is None:
                 raise GmFixError(
                     f"{source}: unknown instrument {target!r} for name {row['name']!r}")
+            first = entries.setdefault(key, value)
+            if first is not value:
+                was = "excluded" if first is EXCLUDED else first.name
+                raise GmFixError(
+                    f"{source}: name {key!r} maps to both {was} and {target}")
         return cls(entries)
 
     def lookup(self, raw_name: str) -> InstrumentId | _Excluded | None:
@@ -268,9 +271,9 @@ def normalize(piece: MidiPiece) -> MidiPiece:
     """Flatten expressive state: every note-on at velocity 75, one 120 BPM
     tempo at tick 0, and no modulation/expression/articulation controllers.
 
-    Idempotent: normalize(normalize(p)) == normalize(p).
+    Idempotent: normalize(normalize(p)) == normalize(p). The piece must be
+    valid, as every piece ``parse_smf`` returns is; ``write_smf`` checks.
     """
-    validate_piece(piece)
     new_tracks: list[Track] = []
     for index, track in enumerate(piece.tracks):
         events = []
@@ -308,8 +311,10 @@ def note_fingerprint(piece: MidiPiece) -> str:
         rows += [(on, off - on, pitch, label)
                  for on, off, _, pitch, _ in note_pairs(track)]
     rows.sort()
-    # one update over the concatenation hashes the same as one per row
-    return hashlib.sha256("".join(map(repr, rows)).encode("ascii")).hexdigest()
+    # each row as its repr, from one template; one update over the
+    # concatenation hashes the same as one per row
+    text = "".join(map("(%d, %d, %d, %r)".__mod__, rows))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def admit_piece(piece: MidiPiece,
@@ -339,17 +344,17 @@ class DuplicatePair:
     fingerprint: str
 
 
-def dedupe(fingerprints: dict[str, str]) -> tuple[list[str], list[DuplicatePair]]:
-    """Drop pieces whose note_fingerprint was already seen, given piece id ->
-    fingerprint. The first piece in iteration order (insertion order of the
-    dict) wins. Returns (kept ids, duplicate pairs)."""
-    kept: list[str] = []
-    seen: dict[str, str] = {}
-    duplicates: list[DuplicatePair] = []
-    for piece_id, fp in fingerprints.items():
-        if fp in seen:
-            duplicates.append(DuplicatePair(seen[fp], piece_id, fp))
-            continue
-        seen[fp] = piece_id
-        kept.append(piece_id)
-    return kept, duplicates
+class Deduper:
+    """Drops pieces whose note_fingerprint was already seen, one piece at a
+    time: the first piece offered wins, and ``duplicates`` lists the pairs."""
+
+    def __init__(self) -> None:
+        self._kept: dict[str, str] = {}  # fingerprint -> the piece kept
+        self.duplicates: list[DuplicatePair] = []
+
+    def admit(self, piece_id: str, fingerprint: str) -> bool:
+        """Whether the piece is kept: no piece before it had its fingerprint."""
+        kept_id = self._kept.setdefault(fingerprint, piece_id)
+        if kept_id != piece_id:
+            self.duplicates.append(DuplicatePair(kept_id, piece_id, fingerprint))
+        return kept_id == piece_id

@@ -53,6 +53,11 @@ class InvariantViolation(SmfError):
     pass
 
 
+class IllegalData(SmfError):
+    """A value no writable piece holds: a channel data byte of 0x80 or more,
+    or a tempo of 0."""
+
+
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
@@ -202,7 +207,9 @@ def parse_smf(data: bytes) -> MidiPiece:
 
     Note-on events with velocity 0 are normalized to NoteOff. Unknown meta
     and sysex payloads are preserved verbatim. Chunks other than MTrk are
-    skipped.
+    skipped. What ``validate_piece`` would reject is an SmfError here: a
+    channel data byte of 0x80 or more, a tempo of 0 and a format-0 file
+    declaring other than one track. So every parsed piece can be written.
     """
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedHeader("missing MThd chunk")
@@ -216,6 +223,8 @@ def parse_smf(data: bytes) -> MidiPiece:
         raise UnsupportedFormat("SMPTE time divisions not supported")
     if division == 0:
         raise MalformedHeader("zero ticks per quarter note")
+    if fmt == 0 and n_tracks != 1:
+        raise MalformedHeader(f"format 0 declares {n_tracks} tracks, not 1")
 
     offset = 8 + header_len
     tracks: list[Track] = []
@@ -233,11 +242,13 @@ def parse_smf(data: bytes) -> MidiPiece:
         offset += length
         if chunk_id != b"MTrk":
             continue  # alien chunk, skipped as the SMF standard allows
-        tracks.append(_parse_track(chunk))
+        tracks.append(_parse_track(chunk, len(tracks), offset - length))
     return MidiPiece(ticks_per_quarter=division, tracks=tracks, format=fmt)
 
 
-def _parse_track(chunk: bytes) -> Track:
+def _parse_track(chunk: bytes, index: int, base: int) -> Track:
+    """Track ``index`` of its file, from the MTrk body ``chunk`` that starts
+    at byte ``base`` of the file (for the byte offsets errors name)."""
     events: list[Event] = []
     append = events.append
     new = tuple.__new__  # notes and controllers skip the records' __new__
@@ -245,7 +256,8 @@ def _parse_track(chunk: bytes) -> Track:
     tick = 0
     pos = 0
     running: int | None = None
-    track = Track(events=events)
+    name = ""
+    hint = program = None
     saw_eot = False
 
     while pos < end:
@@ -273,29 +285,40 @@ def _parse_track(chunk: bytes) -> Track:
             running = status
             kind = status & 0xF0
             channel = status & 0x0F
-            if track.channel_hint is None:
-                track.channel_hint = channel
-            size = 1 if kind in (0xC0, 0xD0) else 2
-            if pos + size > end:
-                raise TruncatedTrack("channel message truncated")
-            d0 = chunk[pos]
-            if kind == 0x90:
+            if hint is None:
+                hint = channel
+            if kind != 0xC0 and kind != 0xD0:  # two data bytes
+                if pos + 2 > end:
+                    raise TruncatedTrack("channel message truncated")
+                d0 = chunk[pos]
                 d1 = chunk[pos + 1]
-                if d1 == 0:
-                    append(new(NoteOff, (tick, channel, d0, 0)))
+                if (d0 | d1) & 0x80:
+                    raise _data_byte_error(chunk, pos, index, base)
+                if kind == 0x90:
+                    if d1 == 0:
+                        append(new(NoteOff, (tick, channel, d0, 0)))
+                    else:
+                        append(new(NoteOn, (tick, channel, d0, d1)))
+                elif kind == 0x80:
+                    append(new(NoteOff, (tick, channel, d0, d1)))
+                elif kind == 0xB0:
+                    append(new(ControlChange, (tick, channel, d0, d1)))
                 else:
-                    append(new(NoteOn, (tick, channel, d0, d1)))
-            elif kind == 0x80:
-                append(new(NoteOff, (tick, channel, d0, chunk[pos + 1])))
-            elif kind == 0xB0:
-                append(new(ControlChange, (tick, channel, d0, chunk[pos + 1])))
-            elif kind == 0xC0:
-                append(ProgramChange(tick, channel, d0))
-                if track.program is None:
-                    track.program = d0
+                    append(OtherChannel(tick, status, bytes(chunk[pos:pos + 2])))
+                pos += 2
             else:
-                append(OtherChannel(tick, status, bytes(chunk[pos:pos + size])))
-            pos += size
+                if pos >= end:
+                    raise TruncatedTrack("channel message truncated")
+                d0 = chunk[pos]
+                if d0 & 0x80:
+                    raise _data_byte_error(chunk, pos, index, base)
+                if kind == 0xC0:
+                    append(ProgramChange(tick, channel, d0))
+                    if program is None:
+                        program = d0
+                else:
+                    append(OtherChannel(tick, status, bytes(chunk[pos:pos + 1])))
+                pos += 1
         elif status == 0xFF:
             running = None
             if pos >= end:
@@ -312,12 +335,16 @@ def _parse_track(chunk: bytes) -> Track:
                 saw_eot = True
                 break
             if meta_type == 0x51 and length == 3:
-                append(SetTempo(tick, int.from_bytes(payload, "big")))
+                tempo = int.from_bytes(payload, "big")
+                if not tempo:
+                    raise IllegalData(f"track {index}: tempo of 0 at byte "
+                                      f"{base + pos - length}")
+                append(SetTempo(tick, tempo))
             elif meta_type == 0x03:
                 text = payload.decode("latin-1")
                 append(TrackName(tick, text))
-                if not track.name:
-                    track.name = text
+                if not name:
+                    name = text
             else:
                 append(OtherMeta(tick, meta_type, payload))
         elif status in (0xF0, 0xF7):
@@ -335,9 +362,18 @@ def _parse_track(chunk: bytes) -> Track:
             append(OtherChannel(tick, status, chunk[pos:pos + size]))
             pos += size
 
+    track = Track(events, name, hint, program)
     if not saw_eot:
         events.append(EndOfTrack(track.end_tick()))
     return track
+
+
+def _data_byte_error(chunk: bytes, pos: int, index: int, base: int) -> IllegalData:
+    """The error for the first data byte of 0x80 or more from ``pos``."""
+    while chunk[pos] < 0x80:
+        pos += 1
+    return IllegalData(f"track {index}: data byte {chunk[pos]:#04x} "
+                       f"at byte {base + pos}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +385,22 @@ def write_smf(piece: MidiPiece) -> bytes:
 
     Canonical means: no running status, minimal VLQ delta times, an explicit
     end-of-track on every track (appended at the maximal tick if missing).
+    The encoder checks each event as it writes it; when a check or the
+    encoder fails, the piece goes through ``validate_piece``, so an invalid
+    piece raises the InvariantViolation naming its first fault.
     """
-    validate_piece(piece)
-    out = bytearray()
-    out += b"MThd" + struct.pack(
-        ">IHHH", 6, piece.format, len(piece.tracks), piece.ticks_per_quarter)
-    for track in piece.tracks:
-        body = _encode_track(track)
-        out += b"MTrk" + struct.pack(">I", len(body)) + body
+    tpq, fmt, tracks = piece.ticks_per_quarter, piece.format, piece.tracks
+    if not (0 < tpq <= 0x7FFF and fmt in (0, 1)
+            and (fmt == 1 or len(tracks) == 1)):
+        validate_piece(piece)
+    out = bytearray(b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), tpq))
+    try:
+        for track in tracks:
+            body = _encode_track(track)
+            out += b"MTrk" + struct.pack(">I", len(body)) + body
+    except (InvariantViolation, ValueError, OverflowError):
+        validate_piece(piece)
+        raise  # valid, but not encodable (a delta time beyond the VLQ range)
     return bytes(out)
 
 
@@ -430,10 +474,16 @@ def _check_event(ti: int, ev: Event) -> None:
             f"track {ti}: NoteOn with velocity 0 (use NoteOff)")
 
 
+_INLINE_STATUS = {NoteOn: 0x90, NoteOff: 0x80, ControlChange: 0xB0}
+
+
 def _encode_track(track: Track) -> bytes:
-    """The MTrk body of a validated track. Notes, controllers and delta
-    times below 2**14 are written inline; ``bytes`` range-checks every
-    value."""
+    """The MTrk body of a track. Notes, controllers and delta times below
+    2**14 are written inline. Each event is checked as it is encoded, and a
+    fault raises InvariantViolation: a negative delta time (an unsorted or
+    negative tick), a note or controller outside its range (one mask test),
+    a rarer event that ``_check_event`` rejects, an end-of-track before the
+    last event."""
     events = track.events
     if not events or not isinstance(events[-1], EndOfTrack):
         events = events + [EndOfTrack(track.end_tick())]
@@ -441,8 +491,21 @@ def _encode_track(track: Track) -> bytes:
     append = out.append
     extend = out.extend
     last_tick = 0
+    ends = 0
     for ev in events:
-        tick = ev.tick
+        cls = type(ev)
+        if cls is NoteOn or cls is NoteOff or cls is ControlChange:
+            tick, channel, d0, d1 = ev
+            # data bytes in 0..127 and channels in 0..15 (channel << 3 stays
+            # below 0x80) leave no bit of -0x80 set; negatives set them all
+            if (d0 | d1 | channel << 3) & -0x80 or (cls is NoteOn and not d1):
+                raise InvariantViolation(f"unwritable event {ev!r}")
+            event = (_INLINE_STATUS[cls] | channel, d0, d1)
+        else:
+            tick = ev.tick
+            _check_event(0, ev)  # write_smf names the track if this raises
+            ends += isinstance(ev, EndOfTrack)
+            event = _encode_event(ev)
         delta = tick - last_tick
         last_tick = tick
         if 0 <= delta < 0x80:
@@ -451,15 +514,9 @@ def _encode_track(track: Track) -> bytes:
             extend((0x80 | delta >> 7, delta & 0x7F))
         else:
             extend(encode_vlq(delta))
-        cls = type(ev)
-        if cls is NoteOn:
-            extend((0x90 | ev.channel, ev.pitch, ev.velocity))
-        elif cls is NoteOff:
-            extend((0x80 | ev.channel, ev.pitch, ev.velocity))
-        elif cls is ControlChange:
-            extend((0xB0 | ev.channel, ev.controller, ev.value))
-        else:
-            extend(_encode_event(ev))
+        extend(event)
+    if ends != 1:
+        raise InvariantViolation("end-of-track not the last event")
     return bytes(out)
 
 

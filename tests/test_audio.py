@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from fuzz import mutations
 from scoreforge import audio
 from scoreforge.audio import AudioError, Waveform, read_wav, write_wav
 
@@ -194,6 +195,31 @@ class TestMalformed:
         path.write_bytes(MALFORMED[case])
         with pytest.raises(AudioError, match="broken.wav"):
             read_wav(path)
+
+
+# small files of every layout read_wav accepts, so most mutations hit a header
+FUZZ_SOURCES = [
+    riff(FLOAT_FMT, chunk(b"fact", struct.pack("<I", 8)), DATA),
+    riff(chunk(b"LIST", b"INFOISFT\x05\0\0\0abcde"), fmt(1, 2, 8000, 2, 16),
+         chunk(b"data", np.arange(-8, 8, dtype="<i2").tobytes())),
+    riff(fmt(1, 1, 8000, 1, 8), chunk(b"data", bytes(range(0, 250, 25)))),
+    riff(fmt(1, 1, 8000, 3, 24), chunk(b"data", bytes(range(12)))),
+    riff(fmt(0xFFFE, 1, 8000, 8, 64, subformat=3),
+         chunk(b"data", np.linspace(-1, 1, 4).astype("<f8").tobytes())),
+]
+
+
+class TestMutatedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_read_raises_only_audio_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "mutant.wav"
+        path.write_bytes(data.draw(mutations(FUZZ_SOURCES)))
+        try:
+            wave = read_wav(path)
+        except AudioError:
+            return
+        assert wave.samples.dtype == np.float64 and wave.sample_rate > 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -41,8 +41,11 @@ from scoreforge.gmfix import (
 from scoreforge.audio import read_wav
 from scoreforge.renderkit import emit_manifest
 from scoreforge.smf import (
+    MAX_VLQ_VALUE,
+    ControlChange,
     EndOfTrack,
     MidiPiece,
+    NoteOff,
     NoteOn,
     SetTempo,
     Track,
@@ -293,6 +296,17 @@ class TestConfigErrorsExitBeforeOutput:
         names.write_text("name,instrument\nViolin I,fiddle\n")
         self.run(tmp_path, ["pipeline", str(strings_corpus_dir)],
                  {"dictionary": str(names)})
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_conflicting_dictionary_rows(self, raw_corpus_dir, tmp_path,
+                                         capsys, jobs):
+        names = tmp_path / "names.csv"
+        names.write_text("name,instrument\nViolin I,violin\nviolin  i,viola\n")
+        self.run(tmp_path, ["fix", str(raw_corpus_dir), "--jobs", jobs,
+                            "--dictionary", str(names)])
+        assert capsys.readouterr().err == (
+            f"config error: cannot load {names}: GmFixError: {names}: name "
+            "'violin i' maps to both violin and viola\n")
 
     def test_tables_out_of_range(self, pipeline_out, tmp_path):
         tables = tmp_path / "tables.csv"
@@ -950,3 +964,93 @@ class TestOneChain:
                 assert parse_smf(write_smf(piece)) == piece, path.name
             annotated += 1
         assert annotated >= 30
+
+
+def two_part_piece(first: str, second: str, first_events=()) -> bytes:
+    """A piece of two named one-note parts on channels 0 and 1; the first
+    part gets ``first_events`` too."""
+    tracks = []
+    for channel, (name, extra) in enumerate([(first, list(first_events)),
+                                             (second, [])]):
+        events = [TrackName(0, name), NoteOn(0, channel, 60, 80),
+                  NoteOff(16 * 480, channel, 60, 0), *extra]
+        events.sort(key=lambda ev: ev.tick)
+        tracks.append(Track(events))
+    return write_smf(MidiPiece(480, tracks))
+
+
+class TestStreamedWrites:
+    """At --jobs N the parent writes each piece's chain files as the pool
+    delivers it, in piece-id order; the output and stderr are those of
+    --jobs 1."""
+
+    @pytest.fixture(scope="class")
+    def mixed_corpus(self, tmp_path_factory):
+        source = tmp_path_factory.mktemp("mixed")
+        strings = [corpus.build_string_piece(seed=4000 + i) for i in range(3)]
+        files = {
+            "0-flute": two_part_piece("Flute", "Violin I"),  # annotate fails
+            "a": strings[0],
+            "a-b": strings[0],  # a duplicate; before a by path, after by id
+            "b": strings[1],
+            "c": strings[2],
+            # normalize fails: stripping CC#1 leaves a delta past the VLQ range
+            "m-vlq": two_part_piece("Violin I", "Viola", [
+                ControlChange(MAX_VLQ_VALUE, 0, 1, 64),
+                NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)]),
+            # fix fails
+            "unknown": corpus.build_raw_file(seed=1004, force_unknown=True),
+            "z-garbage": b"not a MIDI file",
+        }
+        for piece_id, data in files.items():
+            (source / f"{piece_id}.mid").write_bytes(data)
+        return source
+
+    def run_jobs(self, source, tmp_path, capsys, expected_rc):
+        trees, errs = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_command(["pipeline", str(source), "--out", str(out),
+                                "--jobs", jobs]) == expected_rc
+            trees[jobs], errs[jobs] = tree_bytes(out), capsys.readouterr().err
+        assert trees["1"] == trees["2"]
+        assert errs["1"] == errs["2"]
+        return tmp_path / "jobs1", errs["1"]
+
+    def test_mixed_corpus(self, mixed_corpus, tmp_path, capsys):
+        out, err = self.run_jobs(mixed_corpus, tmp_path, capsys, 0)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            STAGE_DIRS.values())
+        report = json.loads((out / "10_fixed" / "fix_report.json").read_text())
+        assert sorted(report["kept"]) == ["0-flute", "a", "b", "c", "m-vlq"]
+        assert sorted(report["rejected"]) == ["unknown", "z-garbage"]
+        assert [(d["kept"], d["dropped"]) for d in report["duplicates"]] == [
+            ("a", "a-b")]
+        written = {"10_fixed": ["0-flute", "a", "b", "c", "m-vlq"],
+                   "20_normalized": ["0-flute", "a", "b", "c"],
+                   "30_annotated": ["a", "b", "c"]}
+        for directory, ids in written.items():
+            assert sorted(p.stem for p in (out / directory).glob("*.mid")) \
+                == ids
+        assert sorted(p.name for p in (out / "60_manifests").iterdir()) == [
+            "a.manifest.json", "b.manifest.json", "c.manifest.json",
+            "provenance.json"]
+        # failures are reported step by step, each step's in piece-id order
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "skip unknown", "skip z-garbage", "skip m-vlq", "skip 0-flute"]
+        assert "skip m-vlq: VLQ value out of range" in err
+        assert "skip 0-flute: MissingTable" in err
+
+    @pytest.mark.parametrize("kept, last_step", [
+        (["0-flute"], "annotate"), ([], "fix")])
+    def test_chain_keeps_nothing(self, mixed_corpus, tmp_path, capsys, kept,
+                                 last_step):
+        source = tmp_path / "source"
+        source.mkdir()
+        for piece_id in [*kept, "unknown", "z-garbage"]:
+            shutil.copy(mixed_corpus / f"{piece_id}.mid", source)
+        out, err = self.run_jobs(source, tmp_path, capsys, 1)
+        steps = list(STAGE_DIRS)[:list(STAGE_DIRS).index(last_step) + 1]
+        assert sorted(p.name for p in out.iterdir()) == [
+            STAGE_DIRS[step] for step in steps]
+        assert err.endswith(f"no pieces left after {last_step}\n")

@@ -12,11 +12,12 @@ from scoreforge.gmfix import (
     NORMALIZED_TEMPO_US,
     NORMALIZED_VELOCITY,
     REGISTRY,
+    Deduper,
+    GmFixError,
     InstrumentDictionary,
     PieceRejected,
     UnknownInstrument,
     admit_piece,
-    dedupe,
     fix_piece,
     identify_track,
     normalize,
@@ -76,6 +77,28 @@ class TestNames:
         assert dictionary.lookup("Piano") is EXCLUDED
         assert dictionary.lookup("Soprano") is EXCLUDED
         assert dictionary.lookup("Theremin Solo") is None
+
+    @pytest.mark.parametrize("rows, message", [
+        ("Violin I,violin\nviolin  i,viola\n",
+         "name 'violin i' maps to both violin and viola"),
+        ("Piano,excluded\nPIANO,harp\n",
+         "name 'piano' maps to both excluded and harp"),
+    ])
+    def test_conflicting_rows_rejected(self, tmp_path, rows, message):
+        # the last row used to win silently
+        path = tmp_path / "names.csv"
+        path.write_text("name,instrument\n" + rows)
+        with pytest.raises(GmFixError) as info:
+            InstrumentDictionary.from_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_repeated_row_with_one_instrument_allowed(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text("name,instrument\nViolin I,violin\nVIOLIN  I,violin\n"
+                        "Viola,viola\n")
+        names = InstrumentDictionary.from_csv(path)
+        assert len(names) == 2
+        assert names.lookup("Violin I") is REGISTRY["violin"]
 
     def test_registry_families(self):
         assert REGISTRY["violin"].gm_program == 40
@@ -407,8 +430,10 @@ class TestCorpusOps:
         fixed, _ = fix_piece(base, dictionary)
         other = MidiPiece(480, [named_track("Oboe", pitch=61)])
         other_fixed, _ = fix_piece(other, dictionary)
-        kept, pairs = dedupe({"a": note_fingerprint(fixed),
-                              "b": note_fingerprint(other_fixed),
-                              "c": note_fingerprint(fixed)})
+        deduper = Deduper()
+        kept = [piece_id for piece_id, fixed_piece
+                in [("a", fixed), ("b", other_fixed), ("c", fixed)]
+                if deduper.admit(piece_id, note_fingerprint(fixed_piece))]
         assert kept == ["a", "b"]
-        assert [(p.kept_id, p.dropped_id) for p in pairs] == [("a", "c")]
+        assert [(p.kept_id, p.dropped_id) for p in deduper.duplicates] == [
+            ("a", "c")]

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import corpus
 import oracle_smf
+from fuzz import mutations
 from scoreforge.expressive import (
     AnnotationParams,
+    ExpressiveError,
     MissingTable,
     PieceTooShort,
     annotate,
@@ -30,6 +32,7 @@ from scoreforge.smf import (
     MAX_VLQ_VALUE,
     ControlChange,
     EndOfTrack,
+    IllegalData,
     IllegalVlq,
     InvariantViolation,
     MalformedHeader,
@@ -41,6 +44,7 @@ from scoreforge.smf import (
     OtherMeta,
     ProgramChange,
     SetTempo,
+    SmfError,
     TempoMap,
     Track,
     TrackName,
@@ -184,6 +188,37 @@ class TestParse:
         piece = parse_smf(raw_file(body=body))
         assert piece.tracks[0].events[0] == OtherChannel(
             0, 0xF0, b"\x7e\x7f\x09\x01\xf7")
+
+    # the track body starts at byte 22 of a one-track file
+    @pytest.mark.parametrize("body, message", [
+        (b"\x00\x90\x3c\x90", "track 0: data byte 0x90 at byte 25"),
+        (b"\x00\x80\x85\x00", "track 0: data byte 0x85 at byte 24"),
+        (b"\x00\xb0\x07\xff", "track 0: data byte 0xff at byte 25"),
+        (b"\x00\xc0\x80", "track 0: data byte 0x80 at byte 24"),
+        (b"\x00\xe0\x00\xc0", "track 0: data byte 0xc0 at byte 25"),
+        (b"\x00\xd0\xa0", "track 0: data byte 0xa0 at byte 24"),
+        (b"\x00\x90\x3c\x50\x10\x3e\xc8",  # under running status
+         "track 0: data byte 0xc8 at byte 28"),
+        (b"\x00\xff\x51\x03\x00\x00\x00", "track 0: tempo of 0 at byte 26"),
+    ], ids=["velocity", "pitch", "cc value", "program", "pitch bend",
+            "channel pressure", "running status", "tempo 0"])
+    def test_unwritable_values_rejected(self, body, message):
+        with pytest.raises(IllegalData) as info:
+            parse_smf(raw_file(body=body + b"\x00\xff\x2f\x00"))
+        assert str(info.value) == message
+        assert isinstance(info.value, SmfError)
+
+    def test_illegal_data_names_the_track(self):
+        data = raw_file(tracks=2)[:-4] + b"\x00\x90\x3c\x90"
+        with pytest.raises(IllegalData,
+                           match=r"^track 1: data byte 0x90 at byte 37$"):
+            parse_smf(data)
+
+    @pytest.mark.parametrize("tracks", [0, 2])
+    def test_format_0_needs_one_track(self, tracks):
+        with pytest.raises(MalformedHeader,
+                           match=f"format 0 declares {tracks} tracks, not 1"):
+            parse_smf(raw_file(fmt=0, tracks=tracks))
 
 
 class TestWrite:
@@ -601,6 +636,41 @@ class TestTrackNotes:
         ])
         notes = track_notes(track)
         assert {(n.channel, n.tick_off) for n in notes} == {(0, 30), (1, 10)}
+
+
+@pytest.fixture(scope="module")
+def raw_corpus_bytes(raw_corpus_files):
+    return [path.read_bytes() for path in raw_corpus_files]
+
+
+class TestMutatedFiles:
+    """A piece that parses is a piece that writes: a mutated raw file either
+    raises SmfError at parse or parses to a valid piece whose canonical bytes
+    are a fixed point, and the chain steps raise only their declared
+    errors on it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_parse_write_and_chain(self, raw_corpus_bytes, data):
+        blob = data.draw(mutations(raw_corpus_bytes))
+        try:
+            piece = parse_smf(blob)
+        except SmfError:
+            return
+        validate_piece(piece)
+        once = write_smf(piece)
+        assert write_smf(parse_smf(once)) == once
+        try:
+            fixed, _ = admit_piece(piece, InstrumentDictionary.default())
+        except PieceRejected:
+            return
+        normalized = normalize(fixed)
+        strings = load_articulation_tables()
+        every_instrument = {name: strings["violin"] for name in REGISTRY}
+        try:
+            annotate(normalized, every_instrument, AnnotationParams(seed=1))
+        except ExpressiveError:
+            pass
 
 
 def test_corpus_semantic_round_trip(raw_corpus_files):
