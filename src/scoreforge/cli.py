@@ -19,9 +19,11 @@ The MIDI subcommands from fix to manifest are ranges of one per-piece chain,
 run in the workers on each file, parsed once and kept in memory between
 steps. The parent takes the pieces' results in piece-id order: it dedupes
 each piece as it arrives and writes its fix, normalize and annotate files,
-so at --jobs N it writes while the pool still works. At the end it reports
-the failures and runs the corpus reducers (fix report, stats totals, the
-split, the manifests). `pipeline` is the whole range.
+so at --jobs N it writes while the pool still works; at --jobs 1 it computes
+the chain and a forked writer process creates the files. At the end it
+drops the files an earlier run left for pieces that no longer reach a step,
+reports the failures and runs the corpus reducers (fix report, stats
+totals, the split, the manifests). `pipeline` is the whole range.
 
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
@@ -36,9 +38,12 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -143,9 +148,12 @@ class PipelineConfig:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_bytes(_json_bytes(payload))
 
 
 def _write_provenance(out_dir: Path, stage: str, config: PipelineConfig) -> None:
@@ -181,18 +189,81 @@ def _midi_files(directory: Path) -> list[Path]:
 
 
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
-    """The results of fn over items, in order. jobs > 1 uses processes, each
-    sent about 16 chunks of items (one item each for small inputs), and
-    yields each result as the pool delivers it, the pool open until the
-    last. Otherwise every result is computed before the first is yielded:
-    interleaving the caller's writes with the compute is slower in one
-    process."""
+    """The results of fn over items, in order, each yielded as it is made.
+    jobs > 1 uses processes, each sent about 16 chunks of items (one item
+    each for small inputs), the pool open until the last result. Otherwise
+    fn runs in this process, on each item as the caller asks for it."""
     if jobs <= 1 or len(items) <= 1:
-        yield from [fn(item) for item in items]
+        yield from map(fn, items)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(fn, items,
                             chunksize=max(1, len(items) // (16 * jobs)))
+
+
+def _write_file(made: set[Path], path: Path, data: bytes) -> None:
+    """Write ``path``, first making its directory unless it is in ``made``."""
+    if path.parent not in made:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        made.add(path.parent)
+    path.write_bytes(data)
+
+
+def _write_loop(conn: Connection, parent_end: Connection) -> None:
+    """The forked writer: write each (path, bytes) sent, up to the first
+    OSError, and answer the end marker None with that error or None. With
+    the parent's end closed here, a parent that dies is an EOF."""
+    parent_end.close()
+    # Keep off the core the parent runs on (field 39 of its stat): woken by
+    # each send, the writer can otherwise be placed there and preempt the
+    # parent, as seen on a 2-vCPU KVM guest. A no-op where that fails.
+    with contextlib.suppress(OSError, AttributeError, ValueError, IndexError):
+        stat = Path(f"/proc/{os.getppid()}/stat").read_text()
+        parent_cpu = int(stat.rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
+    made: set[Path] = set()
+    error = None
+    with contextlib.suppress(EOFError):
+        while (item := conn.recv()) is not None:
+            if error is None:
+                try:
+                    _write_file(made, Path(item[0]), item[1])
+                except OSError as exc:
+                    error = exc
+        conn.send(error)
+
+
+@contextlib.contextmanager
+def _chain_writer(fork: bool) -> Iterator[Callable[[Path, bytes], None]]:
+    """A function that writes (path, bytes). With ``fork`` it sends them to
+    a writer process, started on the first file, so the kernel creates the
+    files on another core while the caller computes; the writer's OSError
+    is raised on leaving the block, and the writer never outlives it."""
+    if not fork:
+        yield partial(_write_file, set())
+        return
+    conn = writer = None
+
+    def send(path: Path, data: bytes) -> None:
+        nonlocal conn, writer
+        if writer is None:
+            conn, child_end = Pipe()
+            process = Process(target=_write_loop, args=(child_end, conn))
+            process.start()
+            writer = process
+            child_end.close()
+        conn.send((str(path), data))
+
+    try:
+        yield send
+        if writer is not None:
+            conn.send(None)
+            if (error := conn.recv()) is not None:
+                raise error
+    finally:
+        if writer is not None:
+            conn.close()
+            writer.join()
 
 
 class _Failures:
@@ -254,6 +325,9 @@ STEPS = ("fix", "normalize", "annotate", "stats", "split", "manifest")
 CHAIN_STEPS = STEPS[:3]
 STAGE_DIRS = dict(zip(STEPS, ("10_fixed", "20_normalized", "30_annotated",
                               "40_stats", "50_split", "60_manifests")))
+# the suffixes of the files each step writes under a piece's id
+PIECE_FILES = {"fix": (".mid",), "normalize": (".mid",),
+               "annotate": (".mid", ".plan.json"), "manifest": (".manifest.json",)}
 # what each step reports as a per-piece failure (anything else aborts the
 # command), and whether the message names the exception type
 _STEP_ERRORS = {
@@ -339,38 +413,58 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
     return out
 
 
+def _remove_stale(in_dir: Path, inputs: list[Path],
+                  out_dirs: dict[str, Path],
+                  reached: dict[str, set[str]]) -> None:
+    """Remove the files an earlier run left for the input pieces that did
+    not reach a step in this run (failed or deduped); never an input."""
+    ids = {path.stem for path in inputs}
+    for step, suffixes in PIECE_FILES.items():
+        out_dir = out_dirs.get(step)
+        if out_dir is None or not out_dir.is_dir():
+            continue
+        stale = {piece_id + suffix for piece_id in ids - reached[step]
+                 for suffix in suffixes}
+        if out_dir.resolve() == in_dir.resolve():
+            stale -= {path.name for path in inputs}
+        for name in sorted(stale.intersection(os.listdir(out_dir))):
+            (out_dir / name).unlink()
+
+
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                jobs: int, failures: _Failures, plans_dir: Path | None = None,
                ) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
     ``out_dirs`` (a range of STEPS). Each piece's result is deduped (after
     fix) and its chain files written as it arrives, its SMF bytes then
-    dropped; after the map, each step in order reports its failures and
-    runs its corpus reducer (fix report, stats totals, split, manifests).
-    Stops with exit code 1 when a chain step leaves no piece for the steps
-    after it, whose directories then do not exist: a piece writes to one
-    only after passing the steps before it."""
+    dropped; after the map, stale files go and each step in order reports
+    its failures and runs its corpus reducer (fix report, stats totals,
+    split, manifests). Stops with exit code 1 when a chain step leaves no
+    piece for the steps after it, whose directories then do not exist: a
+    piece writes to one only after passing the steps before it."""
     steps = tuple(out_dirs)
     _load_config_files(steps, config)
-    files = [str(p) for p in _midi_files(in_dir)]
+    inputs = _midi_files(in_dir)
+    files = [str(p) for p in inputs]
     worker = partial(_chain_worker, steps=steps, config=config,
                      plans_dir=str(plans_dir) if plans_dir else None)
     deduper = Deduper()
-    made: set[Path] = set()
+    reached: dict[str, set[str]] = {step: set() for step in PIECE_FILES}
     alive = []  # every result but the duplicates', in piece-id order
-    for r in _map_jobs(worker, files, jobs):
-        if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
-            continue
-        alive.append(r)
-        for step in CHAIN_STEPS:
-            if step in r:
-                out_dir = out_dirs[step]
-                if out_dir not in made:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    made.add(out_dir)
-                (out_dir / f"{r['id']}.mid").write_bytes(r.pop(step))
-                if step == "annotate":
-                    _write_json(out_dir / f"{r['id']}.plan.json", r.pop("plan"))
+    with _chain_writer(jobs <= 1 and len(files) > 1) as write:
+        for r in _map_jobs(worker, files, jobs):
+            if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
+                continue
+            alive.append(r)
+            for step in PIECE_FILES:
+                if step in r:
+                    reached[step].add(r["id"])
+                    if step in CHAIN_STEPS:
+                        write(out_dirs[step] / f"{r['id']}.mid", r.pop(step))
+                    if step == "annotate":
+                        write(out_dirs[step] / f"{r['id']}.plan.json",
+                              _json_bytes(r.pop("plan")))
+    _remove_stale(in_dir, inputs, out_dirs, reached)
     for step in steps:
         out_dir = out_dirs[step]
         out_dir.mkdir(parents=True, exist_ok=True)

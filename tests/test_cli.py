@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 import subprocess
 import sys
@@ -979,6 +980,18 @@ def two_part_piece(first: str, second: str, first_events=()) -> bytes:
     return write_smf(MidiPiece(480, tracks))
 
 
+def rejected_piece() -> bytes:
+    return corpus.build_raw_file(seed=1004, force_unknown=True)
+
+
+def vlq_piece() -> bytes:
+    """A piece that passes fix and fails normalize: stripping its CC#1
+    leaves a delta past the VLQ range."""
+    return two_part_piece("Violin I", "Viola", [
+        ControlChange(MAX_VLQ_VALUE, 0, 1, 64),
+        NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)])
+
+
 class TestStreamedWrites:
     """At --jobs N the parent writes each piece's chain files as the pool
     delivers it, in piece-id order; the output and stderr are those of
@@ -994,12 +1007,8 @@ class TestStreamedWrites:
             "a-b": strings[0],  # a duplicate; before a by path, after by id
             "b": strings[1],
             "c": strings[2],
-            # normalize fails: stripping CC#1 leaves a delta past the VLQ range
-            "m-vlq": two_part_piece("Violin I", "Viola", [
-                ControlChange(MAX_VLQ_VALUE, 0, 1, 64),
-                NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)]),
-            # fix fails
-            "unknown": corpus.build_raw_file(seed=1004, force_unknown=True),
+            "m-vlq": vlq_piece(),  # normalize fails
+            "unknown": rejected_piece(),  # fix fails
             "z-garbage": b"not a MIDI file",
         }
         for piece_id, data in files.items():
@@ -1054,3 +1063,160 @@ class TestStreamedWrites:
         assert sorted(p.name for p in out.iterdir()) == [
             STAGE_DIRS[step] for step in steps]
         assert err.endswith(f"no pieces left after {last_step}\n")
+
+
+@pytest.fixture
+def six_strings(strings_corpus_dir, tmp_path):
+    source = tmp_path / "source"
+    source.mkdir()
+    for path in sorted(strings_corpus_dir.glob("*.mid"))[:6]:
+        shutil.copy(path, source)
+    return source
+
+
+class TestStaleFiles:
+    """A run into an existing output directory leaves no file of a piece
+    that no longer reaches the step: the tree is that of a fresh run."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rerun_drops_stale_chain_files(self, six_strings, tmp_path,
+                                           capsys, jobs):
+        out = tmp_path / "run"
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        ids = sorted(p.stem for p in six_strings.glob("*.mid"))
+        assert all((out / "60_manifests" / f"{i}.manifest.json").exists()
+                   for i in ids)
+        (six_strings / f"{ids[0]}.mid").write_bytes(rejected_piece())
+        shutil.copy(six_strings / f"{ids[1]}.mid",
+                    six_strings / f"{ids[2]}.mid")  # deduped after ids[1]
+        (six_strings / f"{ids[3]}.mid").write_bytes(vlq_piece())
+        fresh = tmp_path / "fresh"
+        for target in (out, fresh):
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(target), "--jobs", jobs]) == 0
+        assert tree_bytes(out) == tree_bytes(fresh)
+        assert (out / "10_fixed" / f"{ids[3]}.mid").exists()
+        assert not (out / "20_normalized" / f"{ids[3]}.mid").exists()
+        assert not (out / "30_annotated" / f"{ids[0]}.plan.json").exists()
+        err = capsys.readouterr().err
+        assert err.count(f"skip {ids[3]}: VLQ value out of range") == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_output_into_the_input_keeps_the_inputs(self, six_strings,
+                                                    jobs):
+        ids = sorted(p.stem for p in six_strings.glob("*.mid"))
+        (six_strings / f"{ids[0]}.mid").write_bytes(rejected_piece())
+        shutil.copy(six_strings / f"{ids[1]}.mid",
+                    six_strings / f"{ids[2]}.mid")
+        kept = {i: (six_strings / f"{i}.mid").read_bytes() for i in ids[:3]}
+        assert run_command(["fix", str(six_strings), "--out",
+                            str(six_strings), "--jobs", jobs]) == 0
+        report = json.loads((six_strings / "fix_report.json").read_text())
+        assert list(report["rejected"]) == [ids[0]]
+        assert report["duplicates"][0]["dropped"] == ids[2]
+        assert sorted(p.stem for p in six_strings.glob("*.mid")) == ids
+        for piece_id in (ids[0], ids[2]):
+            assert (six_strings / f"{piece_id}.mid").read_bytes() \
+                == kept[piece_id]
+
+
+class TestChainWriter:
+    """At --jobs 1 the parent computes the chain and a forked writer process
+    creates the chain's files; what it leaves, whatever happens, is what
+    --jobs N leaves, and it never outlives the command."""
+
+    def test_jobs_1_streams(self):
+        calls = []
+        results = scoreforge.cli._map_jobs(calls.append, [1, 2, 3], 1)
+        next(results)
+        assert calls == [1]
+
+    @pytest.fixture
+    def writers(self, monkeypatch):
+        started = []
+
+        class Recording(scoreforge.cli.Process):
+            def start(self):
+                super().start()
+                started.append(self)
+
+        monkeypatch.setattr(scoreforge.cli, "Process", Recording)
+        return started
+
+    @pytest.mark.parametrize("case, rc, forks", [
+        ("whole chain", 0, True),
+        ("no pieces left after fix", 1, False),
+        ("no pieces left after annotate", 1, True),
+        ("no usable pieces", 2, True),
+        ("write fails", 1, True),
+        ("map raises", None, True),
+    ])
+    def test_no_writer_outlives_the_command(self, six_strings, tmp_path,
+                                            monkeypatch, capsys, writers,
+                                            case, rc, forks):
+        out = tmp_path / "run"
+        if case.startswith("no pieces left"):
+            for path in six_strings.iterdir():
+                path.write_bytes(rejected_piece() if case.endswith("fix")
+                                 else two_part_piece("Flute", "Violin I"))
+        elif case == "no usable pieces":
+            monkeypatch.setattr(scoreforge.cli, "piece_labels",
+                                lambda piece: set())
+        elif case == "write fails":
+            first = sorted(six_strings.glob("*.mid"))[0].name
+            (out / "20_normalized" / first).mkdir(parents=True)
+        elif case == "map raises":
+            calls = []
+
+            def normalize_twice(piece):
+                calls.append(piece)
+                if len(calls) == 2:
+                    raise RuntimeError("normalize broke")
+                return normalize(piece)
+
+            monkeypatch.setattr(scoreforge.cli, "normalize", normalize_twice)
+        argv = ["pipeline", str(six_strings), "--out", str(out)]
+        if rc is None:
+            with pytest.raises(RuntimeError, match="normalize broke"):
+                run_command(argv)
+        else:
+            assert run_command(argv) == rc
+        err = capsys.readouterr().err
+        if case.startswith("no"):
+            assert case in err
+        assert len(writers) == forks
+        assert all(writer.exitcode == 0 for writer in writers)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write(self, six_strings, tmp_path, capsys):
+        """A chain write that fails stops the command with exit code 1
+        before any report: the files of the pieces before it in id order are
+        written, nothing after it, at any --jobs."""
+        ids = sorted(p.stem for p in six_strings.glob("*.mid"))
+        clean = tmp_path / "clean"
+        assert run_command(["pipeline", str(six_strings), "--out",
+                            str(clean)]) == 0
+        capsys.readouterr()
+        expected = {Path("10_fixed", f"{ids[2]}.mid")} | {
+            Path(directory, f"{piece_id}{suffix}") for piece_id in ids[:2]
+            for directory, suffix in [
+                ("10_fixed", ".mid"), ("20_normalized", ".mid"),
+                ("30_annotated", ".mid"), ("30_annotated", ".plan.json")]}
+        trees = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            blocked = out / "20_normalized" / f"{ids[2]}.mid"
+            blocked.mkdir(parents=True)
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(out), "--jobs", jobs]) == 1
+            assert capsys.readouterr().err \
+                == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+            trees[jobs] = tree_bytes(out)
+            assert sorted(p.name for p in out.iterdir()) == [
+                "10_fixed", "20_normalized", "30_annotated"]
+        assert trees["1"] == trees["2"]
+        assert set(trees["1"]) == expected
+        clean_files = tree_bytes(clean)
+        assert all(data == clean_files[path]
+                   for path, data in trees["1"].items())
