@@ -20,10 +20,10 @@ run in the workers on each file, parsed once and kept in memory between
 steps. The parent takes the pieces' results in piece-id order: it dedupes
 each piece as it arrives and writes its fix, normalize and annotate files,
 so at --jobs N it writes while the pool still works; at --jobs 1 it computes
-the chain and a forked writer process creates the files. At the end it
-drops the files an earlier run left for pieces that no longer reach a step,
-reports the failures and runs the corpus reducers (fix report, stats
-totals, the split, the manifests). `pipeline` is the whole range.
+the chain and hands the files to a writer process. At the end it drops the
+files an earlier run left for pieces that no longer reach a step, reports
+the failures and runs the corpus reducers (fix report, stats totals, the
+split, the manifests). `pipeline` is the whole range.
 
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
@@ -210,36 +210,36 @@ def _write_file(made: set[Path], path: Path, data: bytes) -> None:
 
 
 def _write_loop(conn: Connection, parent_end: Connection) -> None:
-    """The forked writer: write each (path, bytes) sent, up to the first
-    OSError, and answer the end marker None with that error or None. With
-    the parent's end closed here, a parent that dies is an EOF."""
+    """The writer process: write each (path, bytes) sent, up to the first
+    OSError, which it sends back at once; the end marker None is answered
+    with None if every write succeeded. With the parent's end closed here,
+    a parent that dies is an EOF."""
     parent_end.close()
-    # Keep off the core the parent runs on (field 39 of its stat): woken by
-    # each send, the writer can otherwise be placed there and preempt the
-    # parent, as seen on a 2-vCPU KVM guest. A no-op where that fails.
-    with contextlib.suppress(OSError, AttributeError, ValueError, IndexError):
-        stat = Path(f"/proc/{os.getppid()}/stat").read_text()
-        parent_cpu = int(stat.rsplit(")", 1)[1].split()[36])
-        os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
     made: set[Path] = set()
-    error = None
-    with contextlib.suppress(EOFError):
+    failed = False
+    with contextlib.suppress(EOFError, BrokenPipeError):
         while (item := conn.recv()) is not None:
-            if error is None:
+            if not failed:
                 try:
                     _write_file(made, Path(item[0]), item[1])
                 except OSError as exc:
-                    error = exc
-        conn.send(error)
+                    failed = True
+                    conn.send(exc)
+        if not failed:
+            conn.send(None)
 
 
 @contextlib.contextmanager
-def _chain_writer(fork: bool) -> Iterator[Callable[[Path, bytes], None]]:
-    """A function that writes (path, bytes). With ``fork`` it sends them to
-    a writer process, started on the first file, so the kernel creates the
-    files on another core while the caller computes; the writer's OSError
-    is raised on leaving the block, and the writer never outlives it."""
-    if not fork:
+def _chain_writer(jobs: int) -> Iterator[Callable[[Path, bytes], None]]:
+    """A function that writes (path, bytes). At jobs 1 it sends them to a
+    writer process, started on the first file with the default start method,
+    so the kernel creates the files on another core while the caller
+    computes; the writer's OSError is raised by the next call or on leaving
+    the block, with nothing written after it, and the writer never outlives
+    the block. At jobs > 1 the caller only waits on its pool and writes the
+    files itself: a writer forked there would copy a process that runs the
+    pool's thread, and it measured no faster."""
+    if jobs > 1:
         yield partial(_write_file, set())
         return
     conn = writer = None
@@ -252,6 +252,8 @@ def _chain_writer(fork: bool) -> Iterator[Callable[[Path, bytes], None]]:
             process.start()
             writer = process
             child_end.close()
+        elif conn.poll():
+            raise conn.recv()
         conn.send((str(path), data))
 
     try:
@@ -325,9 +327,11 @@ STEPS = ("fix", "normalize", "annotate", "stats", "split", "manifest")
 CHAIN_STEPS = STEPS[:3]
 STAGE_DIRS = dict(zip(STEPS, ("10_fixed", "20_normalized", "30_annotated",
                               "40_stats", "50_split", "60_manifests")))
-# the suffixes of the files each step writes under a piece's id
-PIECE_FILES = {"fix": (".mid",), "normalize": (".mid",),
-               "annotate": (".mid", ".plan.json"), "manifest": (".manifest.json",)}
+# the files each step writes under a piece's id: suffix -> the key of the
+# chain result that holds the file's bytes
+PIECE_FILES = {"fix": {".mid": "fix"}, "normalize": {".mid": "normalize"},
+               "annotate": {".mid": "annotate", ".plan.json": "plan"},
+               "manifest": {".manifest.json": "manifest"}}
 # what each step reports as a per-piece failure (anything else aborts the
 # command), and whether the message names the exception type
 _STEP_ERRORS = {
@@ -358,9 +362,10 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
     """Parse one file and run ``steps`` (a range of STEPS) on it in memory.
 
     Returns the piece id, each step's artefact under the step's name (SMF
-    bytes, the stats and label set, the manifest dict), the fixed piece's
-    note fingerprint, instruments and the annotation sidecar, and
-    ``errors``: step -> message for every step that failed.
+    bytes, the stats and label set, the manifest's JSON bytes), the fixed
+    piece's note fingerprint and instruments, the annotation sidecar's JSON
+    bytes under ``plan``, and ``errors``: step -> message for every step
+    that failed.
     """
     path = Path(path_str)
     piece_id = path.stem
@@ -380,13 +385,14 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
                 out["normalize"] = write_smf(piece)
             elif step == "annotate":
                 seed = piece_seed(config.master_seed, piece_id)
-                out["plan"] = {"mode": config.annotate_mode, "seed": seed}
+                sidecar = {"mode": config.annotate_mode, "seed": seed}
                 if config.annotate_mode == "proposed":
                     piece, plan = annotate(
                         piece, _tables(config.articulation_tables),
                         dataclasses.replace(config.annotation, seed=seed))
-                    out["plan"]["plan"] = plan_to_dict(plan)
+                    sidecar["plan"] = plan_to_dict(plan)
                 out["annotate"] = write_smf(piece)
+                out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
                 out["stats"] = {
                     "activity_seconds": {iid.name: seconds for iid, seconds
@@ -403,9 +409,9 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
             else:
                 if "annotate" not in steps:
                     plan = _read_plan(plans_dir, piece_id)
-                out["manifest"] = emit_manifest(
+                out["manifest"] = _json_bytes(emit_manifest(
                     piece, plan, StemGroupRules(), piece_id=piece_id,
-                    sample_rate=config.sample_rate).to_dict()
+                    sample_rate=config.sample_rate).to_dict())
         except _STEP_ERRORS[step][0] as exc:
             out["errors"][step] = _message(step, exc)
             if step in CHAIN_STEPS:
@@ -419,16 +425,24 @@ def _remove_stale(in_dir: Path, inputs: list[Path],
     """Remove the files an earlier run left for the input pieces that did
     not reach a step in this run (failed or deduped); never an input."""
     ids = {path.stem for path in inputs}
-    for step, suffixes in PIECE_FILES.items():
+    for step, files in PIECE_FILES.items():
         out_dir = out_dirs.get(step)
         if out_dir is None or not out_dir.is_dir():
             continue
         stale = {piece_id + suffix for piece_id in ids - reached[step]
-                 for suffix in suffixes}
+                 for suffix in files}
         if out_dir.resolve() == in_dir.resolve():
             stale -= {path.name for path in inputs}
         for name in sorted(stale.intersection(os.listdir(out_dir))):
             (out_dir / name).unlink()
+
+
+def _write_piece(write: Callable[[Path, bytes], None], out_dir: Path,
+                 step: str, result: dict) -> None:
+    """Write the files ``step`` made for ``result``'s piece into ``out_dir``,
+    named as PIECE_FILES says, and drop their bytes from ``result``."""
+    for suffix, key in PIECE_FILES[step].items():
+        write(out_dir / (result["id"] + suffix), result.pop(key))
 
 
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
@@ -436,10 +450,10 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                ) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
     ``out_dirs`` (a range of STEPS). Each piece's result is deduped (after
-    fix) and its chain files written as it arrives, its SMF bytes then
-    dropped; after the map, stale files go and each step in order reports
-    its failures and runs its corpus reducer (fix report, stats totals,
-    split, manifests). Stops with exit code 1 when a chain step leaves no
+    fix) and its chain files written as it arrives, their bytes then
+    dropped; after the map, stale files go and each step in
+    order reports its failures and runs its corpus reducer (fix report,
+    stats totals, split, manifests). Stops with exit code 1 when a chain step leaves no
     piece for the steps after it, whose directories then do not exist: a
     piece writes to one only after passing the steps before it."""
     steps = tuple(out_dirs)
@@ -451,7 +465,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     deduper = Deduper()
     reached: dict[str, set[str]] = {step: set() for step in PIECE_FILES}
     alive = []  # every result but the duplicates', in piece-id order
-    with _chain_writer(jobs <= 1 and len(files) > 1) as write:
+    with _chain_writer(jobs) as write:
         for r in _map_jobs(worker, files, jobs):
             if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
                 continue
@@ -460,10 +474,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                 if step in r:
                     reached[step].add(r["id"])
                     if step in CHAIN_STEPS:
-                        write(out_dirs[step] / f"{r['id']}.mid", r.pop(step))
-                    if step == "annotate":
-                        write(out_dirs[step] / f"{r['id']}.plan.json",
-                              _json_bytes(r.pop("plan")))
+                        _write_piece(write, out_dirs[step], step, r)
     _remove_stale(in_dir, inputs, out_dirs, reached)
     for step in steps:
         out_dir = out_dirs[step]
@@ -503,7 +514,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
             })
         else:
             for r in ok:
-                _write_json(out_dir / f"{r['id']}.manifest.json", r["manifest"])
+                _write_piece(Path.write_bytes, out_dir, step, r)
         _write_provenance(out_dir, step, config)
         if not alive and step != steps[-1]:
             print(f"no pieces left after {step}", file=sys.stderr)

@@ -6,6 +6,7 @@ import multiprocessing
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -1122,7 +1123,7 @@ class TestStaleFiles:
 
 
 class TestChainWriter:
-    """At --jobs 1 the parent computes the chain and a forked writer process
+    """At --jobs 1 the parent computes the chain and a writer process
     creates the chain's files; what it leaves, whatever happens, is what
     --jobs N leaves, and it never outlives the command."""
 
@@ -1135,16 +1136,16 @@ class TestChainWriter:
     @pytest.fixture
     def writers(self, monkeypatch):
         started = []
+        start = scoreforge.cli.Process.start
 
-        class Recording(scoreforge.cli.Process):
-            def start(self):
-                super().start()
-                started.append(self)
+        def recording_start(process):
+            start(process)
+            started.append(process)
 
-        monkeypatch.setattr(scoreforge.cli, "Process", Recording)
+        monkeypatch.setattr(scoreforge.cli.Process, "start", recording_start)
         return started
 
-    @pytest.mark.parametrize("case, rc, forks", [
+    @pytest.mark.parametrize("case, rc, starts_writer", [
         ("whole chain", 0, True),
         ("no pieces left after fix", 1, False),
         ("no pieces left after annotate", 1, True),
@@ -1154,7 +1155,7 @@ class TestChainWriter:
     ])
     def test_no_writer_outlives_the_command(self, six_strings, tmp_path,
                                             monkeypatch, capsys, writers,
-                                            case, rc, forks):
+                                            case, rc, starts_writer):
         out = tmp_path / "run"
         if case.startswith("no pieces left"):
             for path in six_strings.iterdir():
@@ -1185,7 +1186,7 @@ class TestChainWriter:
         err = capsys.readouterr().err
         if case.startswith("no"):
             assert case in err
-        assert len(writers) == forks
+        assert len(writers) == starts_writer
         assert all(writer.exitcode == 0 for writer in writers)
         assert multiprocessing.active_children() == []
 
@@ -1220,3 +1221,21 @@ class TestChainWriter:
         clean_files = tree_bytes(clean)
         assert all(data == clean_files[path]
                    for path, data in trees["1"].items())
+
+    def test_failed_write_is_raised_by_a_later_write(self, tmp_path):
+        """The writer's error comes back while the caller still sends, not
+        only at the end, and nothing after the failed file is written."""
+        blocked = tmp_path / "a" / "blocked.mid"
+        blocked.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            with scoreforge.cli._chain_writer(1) as write:
+                write(tmp_path / "a" / "first.mid", b"1")
+                write(blocked, b"2")
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    write(tmp_path / "b" / "later.mid", b"3")
+                    time.sleep(0.01)
+                pytest.fail("no write raised the writer's error")
+        assert (tmp_path / "a" / "first.mid").read_bytes() == b"1"
+        assert not (tmp_path / "b").exists()
+        assert multiprocessing.active_children() == []
