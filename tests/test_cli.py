@@ -88,6 +88,18 @@ RAW_PIPELINE_DIGESTS = {
 }
 RAW_PIPELINE_STDERR = \
     "bfde27cee6ee3590c6411b9f0ece478de2eb947d5bf15690780cb1fa23d72e1e"
+# `pipeline` over the strings fixture (the `pipeline_out` run) and `eval`
+# of the `audio_tree` synthesized from it: the reducers' JSON, shaped by
+# the stats, split, manifest and report records. Changing these bytes is an
+# output change, to be made on purpose and named.
+STRINGS_PIPELINE_DIGESTS = {
+    "40_stats": "b7f0f7acf9dcab27df756f5ccc55430ba6a2d74f49a3477a5a68d55fe1c2d5c9",
+    "50_split": "3ab5dfdaa6c130447c8dc1f8b1e5f919a08faf7985ed615dbdce83faac58ea12",
+    "60_manifests":
+        "e2f3ee8244f77185823625f288b2234284644f3905311cc6d6747848988fb8f5",
+}
+EVAL_REPORT_DIGEST = \
+    "7dd441e6733d407eff218aa1a9cc3f584da2643931266581e064f3fc20512296"
 
 
 @pytest.fixture(scope="module")
@@ -621,6 +633,13 @@ class TestSynthAndEval:
         for value in report["corpus_medians"].values():
             assert value < 30.0  # the raw mixture is a poor estimate
 
+    def test_eval_report_bytes_pinned(self, audio_tree, tmp_path):
+        out = tmp_path / "eval"
+        assert run_command(["eval", str(audio_tree), "--out", str(out)]) == 0
+        data = (out / "eval_report.json").read_bytes()
+        assert b"null" in data  # a silent frame is pinned too
+        assert hashlib.sha256(data).hexdigest() == EVAL_REPORT_DIGEST
+
     def test_eval_missing_estimate_fails_piece(self, audio_tree, tmp_path,
                                                capsys):
         estimates = tmp_path / "estimates"
@@ -803,6 +822,11 @@ class TestPipeline:
             assert text.endswith("\n")
             data = json.loads(text)
             assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    def test_reducer_bytes_pinned(self, pipeline_out):
+        assert {name: tree_digest(pipeline_out / name)
+                for name in STRINGS_PIPELINE_DIGESTS} \
+            == STRINGS_PIPELINE_DIGESTS
 
     def test_missing_corpus_dir(self, tmp_path):
         rc = run_command(["pipeline", str(tmp_path / "nope"), "--out",
