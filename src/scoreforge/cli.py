@@ -60,7 +60,13 @@ from .datasetkit import (
     polyphony_histogram,
     stratified_split,
 )
-from .evalkit import FRAME_SECONDS, SILENCE_DBFS, SdrReport, evaluate_piece
+from .evalkit import (
+    FRAME_SECONDS,
+    SILENCE_DBFS,
+    SdrParameters,
+    SdrReport,
+    evaluate_piece,
+)
 from .expressive import (
     AnnotationParams,
     AnnotationPlan,
@@ -395,9 +401,10 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
                 out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
                 out["stats"] = {
-                    "activity_seconds": {iid.name: seconds for iid, seconds
+                    "activity_seconds": {iid.name: float(seconds) for iid, seconds
                                          in activity_time(piece).items()},
-                    "polyphony_seconds": {str(level): seconds for level, seconds
+                    "polyphony_seconds": {str(level): float(seconds)
+                                          for level, seconds
                                           in polyphony_histogram(piece).items()},
                 }
             elif step == "split":
@@ -409,9 +416,9 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
             else:
                 if "annotate" not in steps:
                     plan = _read_plan(plans_dir, piece_id)
-                out["manifest"] = _json_bytes(emit_manifest(
+                out["manifest"] = _json_bytes(dataclasses.asdict(emit_manifest(
                     piece, plan, StemGroupRules(), piece_id=piece_id,
-                    sample_rate=config.sample_rate).to_dict())
+                    sample_rate=config.sample_rate)))
         except _STEP_ERRORS[step][0] as exc:
             out["errors"][step] = _message(step, exc)
             if step in CHAIN_STEPS:
@@ -552,10 +559,10 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
             stem.samples[:] = write_wav(piece_dir / f"{entry.stem}.wav", stem)
             return stem
 
-        # entries are sorted by stem name, which is the mix order
-        mix = mix_stems(render(entry) for entry in manifest.entries)
+        # stems are sorted by name, which is the mix order
+        mix = mix_stems(render(entry) for entry in manifest.stems)
         write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mix.waveform)
-        stems = [entry.stem for entry in manifest.entries]
+        stems = [entry.stem for entry in manifest.stems]
         return {"id": piece_id, "errors": {}, "stems": stems,
                 "peak": mix.peak}
     except Exception as exc:
@@ -650,13 +657,13 @@ def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
                      silence_threshold_dbfs=config.silence_threshold_dbfs,
                      projection=config.projection)
     results = _map_jobs(worker, [str(p) for p in piece_dirs], jobs)
-    report = SdrReport(frame_len_s=config.frame_len_s,
-                       silence_threshold_dbfs=config.silence_threshold_dbfs,
-                       projection=config.projection)
+    report = SdrReport(SdrParameters(config.frame_len_s,
+                                     config.silence_threshold_dbfs,
+                                     config.projection))
     for result in _collect(results, "eval", failures):
         report.add_piece(result["id"], result["frames"])
     report.finalize()
-    _write_json(out_dir / "eval_report.json", report.to_dict())
+    _write_json(out_dir / "eval_report.json", dataclasses.asdict(report))
     _write_provenance(out_dir, "eval", config)
     return failures.exit_code()
 

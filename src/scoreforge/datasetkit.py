@@ -6,8 +6,9 @@ to seconds as exact rationals under the tempo map, so identities such as
 
     sum over levels of level * time(level) == sum of per-instrument activity
 
-hold exactly, not merely to rounding. Public functions return floats; the
-``*_exact`` variants expose the underlying rationals.
+hold exactly, not merely to rounding. ``activity_time`` and
+``polyphony_histogram`` return these rationals (``Fraction`` seconds); a
+caller that writes JSON converts them with ``float``.
 
 Splitting uses iterative stratification over instrument-presence labels:
 the rarest label is processed first, and each of its examples goes to the
@@ -71,9 +72,9 @@ def _instrument_intervals(piece: MidiPiece,
     return merged
 
 
-def activity_time_exact(piece: MidiPiece,
-                        instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                        ) -> dict[InstrumentId, Fraction]:
+def activity_time(piece: MidiPiece,
+                  instrument_of_track: Sequence[InstrumentId | None] | None = None,
+                  ) -> dict[InstrumentId, Fraction]:
     """Seconds each instrument actually sounds (union of its note intervals,
     overlaps counted once), as exact rationals."""
     tempo_map = TempoMap.from_piece(piece)
@@ -87,16 +88,9 @@ def activity_time_exact(piece: MidiPiece,
     }
 
 
-def activity_time(piece: MidiPiece,
-                  instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                  ) -> dict[InstrumentId, float]:
-    return {iid: float(seconds)
-            for iid, seconds in activity_time_exact(piece, instrument_of_track).items()}
-
-
-def polyphony_histogram_exact(piece: MidiPiece,
-                              instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                              ) -> dict[int, Fraction]:
+def polyphony_histogram(piece: MidiPiece,
+                        instrument_of_track: Sequence[InstrumentId | None] | None = None,
+                        ) -> dict[int, Fraction]:
     """Seconds spent at each polyphony level >= 1, where the level counts
     distinct instruments with at least one sounding note."""
     tempo_map = TempoMap.from_piece(piece)
@@ -119,14 +113,6 @@ def polyphony_histogram_exact(piece: MidiPiece,
         level += deltas[tick]
         previous_tick = tick
     return histogram
-
-
-def polyphony_histogram(piece: MidiPiece,
-                        instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                        ) -> dict[int, float]:
-    return {level: float(seconds)
-            for level, seconds in
-            polyphony_histogram_exact(piece, instrument_of_track).items()}
 
 
 # ---------------------------------------------------------------------------

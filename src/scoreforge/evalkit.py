@@ -148,55 +148,41 @@ def corpus_sdr(piece_values: Mapping[str, Sequence[float | None]],
 
 
 @dataclass
-class SdrReport:
+class SdrParameters:
     frame_len_s: float
     silence_threshold_dbfs: float
     projection: str
-    # piece_id -> stem -> frame values (None = silent frame)
-    frames: dict[str, dict[str, list[float | None]]] = field(default_factory=dict)
-    # piece_id -> stem -> piece median (None = all frames silent)
-    piece_medians: dict[str, dict[str, float | None]] = field(default_factory=dict)
+
+
+@dataclass
+class PieceSdr:
+    frames: dict[str, list[float | None]]  # stem -> frame values (None = silent)
+    medians: dict[str, float | None]  # stem -> median (None = all silent)
+
+
+@dataclass
+class SdrReport:
+    """Frame SDRs and their medians; the JSON form is ``dataclasses.asdict``."""
+
+    parameters: SdrParameters
+    pieces: dict[str, PieceSdr] = field(default_factory=dict)
     corpus_medians: dict[str, float] = field(default_factory=dict)
 
     def add_piece(self, piece_id: str,
                   stem_frames: Mapping[str, Sequence[float | None]]) -> None:
-        self.frames[piece_id] = {s: list(v) for s, v in stem_frames.items()}
-        self.piece_medians[piece_id] = {
-            s: piece_sdr(v) for s, v in stem_frames.items()
-        }
+        self.pieces[piece_id] = PieceSdr(
+            frames={s: list(v) for s, v in stem_frames.items()},
+            medians={s: piece_sdr(v) for s, v in stem_frames.items()})
 
     def finalize(self) -> None:
         per_stem: dict[str, list[float | None]] = {}
-        for medians in self.piece_medians.values():
-            for stem, value in medians.items():
+        for piece in self.pieces.values():
+            for stem, value in piece.medians.items():
                 per_stem.setdefault(stem, []).append(value)
         self.corpus_medians = {
             stem: corpus_sdr({stem: values})[stem]
             for stem, values in sorted(per_stem.items())
             if any(v is not SILENT for v in values)
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "parameters": {
-                "frame_len_s": self.frame_len_s,
-                "silence_threshold_dbfs": self.silence_threshold_dbfs,
-                "projection": self.projection,
-            },
-            "pieces": {
-                piece_id: {
-                    "frames": {
-                        stem: [v for v in values]
-                        for stem, values in sorted(self.frames[piece_id].items())
-                    },
-                    "medians": {
-                        stem: value
-                        for stem, value in sorted(medians.items())
-                    },
-                }
-                for piece_id, medians in sorted(self.piece_medians.items())
-            },
-            "corpus_medians": dict(sorted(self.corpus_medians.items())),
         }
 
 

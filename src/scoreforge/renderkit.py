@@ -72,7 +72,8 @@ class StemGroupRules:
 @dataclass
 class TrackRender:
     track_index: int
-    instrument: InstrumentId
+    instrument: str  # the registry name
+    gm_program: int
     # articulation schedule: (tick, cc32 value, articulation name)
     schedule: list[tuple[int, int, str]]
 
@@ -86,37 +87,14 @@ class StemEntry:
 
 @dataclass
 class RenderManifest:
+    """A piece's render session; its JSON form is ``dataclasses.asdict``."""
+
     piece_id: str
     sample_rate: int
     channel_layout: str
     tempo: list[tuple[int, int]]  # (tick, microseconds per quarter)
-    rules: StemGroupRules
-    entries: list[StemEntry]
-
-    def to_dict(self) -> dict:
-        return {
-            "piece_id": self.piece_id,
-            "sample_rate": self.sample_rate,
-            "channel_layout": self.channel_layout,
-            "tempo": [list(change) for change in self.tempo],
-            "merge_rules": dict(self.rules.merge),
-            "stems": [
-                {
-                    "stem": entry.stem,
-                    "path": entry.path,
-                    "tracks": [
-                        {
-                            "track_index": tr.track_index,
-                            "instrument": tr.instrument.name,
-                            "gm_program": tr.instrument.gm_program,
-                            "schedule": [list(step) for step in tr.schedule],
-                        }
-                        for tr in entry.tracks
-                    ],
-                }
-                for entry in self.entries
-            ],
-        }
+    merge_rules: dict[str, str]
+    stems: list[StemEntry]
 
 
 def emit_manifest(piece: MidiPiece, plan: AnnotationPlan | None,
@@ -158,14 +136,14 @@ def emit_manifest(piece: MidiPiece, plan: AnnotationPlan | None,
             entry = StemEntry(stem=stem, path=f"{piece_id}/{stem}.wav", tracks=[])
             stems[stem] = entry
         entry.tracks.append(TrackRender(
-            track_index=index, instrument=iid,
+            track_index=index, instrument=iid.name, gm_program=iid.gm_program,
             schedule=sorted(by_index.get(index, []))))
 
-    tempo = TempoMap.from_piece(piece).changes()
-    entries = [stems[name] for name in sorted(stems)]
     return RenderManifest(piece_id=piece_id, sample_rate=sample_rate,
-                          channel_layout="mono", tempo=tempo, rules=rules,
-                          entries=entries)
+                          channel_layout="mono",
+                          tempo=TempoMap.from_piece(piece).changes(),
+                          merge_rules=dict(rules.merge),
+                          stems=[stems[name] for name in sorted(stems)])
 
 
 # ---------------------------------------------------------------------------

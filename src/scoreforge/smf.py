@@ -408,9 +408,9 @@ def validate_piece(piece: MidiPiece) -> None:
     """Raise InvariantViolation unless the piece is serializable: sorted
     ticks, 7-bit data ranges, valid channels, end-of-track only last.
 
-    Each event gets one range test for its exact type; only an event that
-    fails it, or one of a rarer type, goes through ``_check_event``, which
-    raises the message for its first broken rule."""
+    The message names the piece's first fault; each event's ranges are
+    checked by ``_check_event``. ``write_smf`` calls this only once its own
+    checks have found a fault, so it is off the path of a valid piece."""
     if piece.ticks_per_quarter <= 0 or piece.ticks_per_quarter > 0x7FFF:
         raise InvariantViolation(
             f"ticks_per_quarter out of range: {piece.ticks_per_quarter}")
@@ -429,24 +429,10 @@ def validate_piece(piece: MidiPiece) -> None:
                 raise InvariantViolation(
                     f"track {ti}: events not sorted at index {i}")
             last_tick = tick
-            cls = type(ev)
-            if cls is NoteOn:
-                if not (0 <= ev.pitch <= 127 and 0 < ev.velocity <= 127
-                        and 0 <= ev.channel <= 15):
-                    _check_event(ti, ev)
-            elif cls is NoteOff:
-                if not (0 <= ev.pitch <= 127 and 0 <= ev.velocity <= 127
-                        and 0 <= ev.channel <= 15):
-                    _check_event(ti, ev)
-            elif cls is ControlChange:
-                if not (0 <= ev.controller <= 127 and 0 <= ev.value <= 127
-                        and 0 <= ev.channel <= 15):
-                    _check_event(ti, ev)
-            elif cls not in (OtherChannel, OtherMeta, TrackName):
-                _check_event(ti, ev)
-                if isinstance(ev, EndOfTrack) and i != last_index:
-                    raise InvariantViolation(
-                        f"track {ti}: end-of-track not the last event")
+            _check_event(ti, ev)
+            if isinstance(ev, EndOfTrack) and i != last_index:
+                raise InvariantViolation(
+                    f"track {ti}: end-of-track not the last event")
 
 
 def _check_event(ti: int, ev: Event) -> None:
@@ -521,12 +507,8 @@ def _encode_track(track: Track) -> bytes:
 
 
 def _encode_event(ev: Event) -> bytes:
-    if isinstance(ev, NoteOn):
-        return bytes([0x90 | ev.channel, ev.pitch, ev.velocity])
-    if isinstance(ev, NoteOff):
-        return bytes([0x80 | ev.channel, ev.pitch, ev.velocity])
-    if isinstance(ev, ControlChange):
-        return bytes([0xB0 | ev.channel, ev.controller, ev.value])
+    """The bytes of an event that ``_encode_track`` does not write inline:
+    every type but notes and controllers."""
     if isinstance(ev, ProgramChange):
         return bytes([0xC0 | ev.channel, ev.program])
     if isinstance(ev, SetTempo):

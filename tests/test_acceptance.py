@@ -18,8 +18,8 @@ from scipy import stats
 from scoreforge.audio import Waveform, read_wav
 from scoreforge.cli import run_command
 from scoreforge.datasetkit import (
-    activity_time_exact,
-    polyphony_histogram_exact,
+    activity_time,
+    polyphony_histogram,
     stratified_split,
 )
 from scoreforge.evalkit import frame_sdr
@@ -284,8 +284,8 @@ def test_polyphony_activity_identity(raw_corpus_files):
             piece = parse_smf(path.read_bytes())
             assigned = [instruments[i % len(instruments)]
                         for i in range(len(piece.tracks))]
-            activity = activity_time_exact(piece, assigned)
-            histogram = polyphony_histogram_exact(piece, assigned)
+            activity = activity_time(piece, assigned)
+            histogram = polyphony_histogram(piece, assigned)
             weighted = sum((level * seconds for level, seconds
                             in histogram.items()), Fraction(0))
             assert weighted == sum(activity.values(), Fraction(0)), path.name

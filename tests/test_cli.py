@@ -751,7 +751,7 @@ class TestSynthAndEval:
 
     def test_rerun_drops_a_lost_stem(self, pipeline_out, tmp_path):
         def without_last_stem(piece):
-            lost = emit_manifest(piece, None).entries[-1]
+            lost = emit_manifest(piece, None).stems[-1]
             dropped = {tr.track_index for tr in lost.tracks}
             return write_smf(MidiPiece(piece.ticks_per_quarter, [
                 track for index, track in enumerate(piece.tracks)
@@ -759,7 +759,7 @@ class TestSynthAndEval:
 
         audio, b = self.synth_twice(pipeline_out, tmp_path,
                                     without_last_stem)
-        kept = [entry.stem for entry in emit_manifest(b, None).entries][:-1]
+        kept = [entry.stem for entry in emit_manifest(b, None).stems][:-1]
         assert kept
         report = json.loads((audio / "synth_report.json").read_text())
         assert report["pieces"]["b"]["stems"] == kept
@@ -774,7 +774,7 @@ def reference_stems(pipeline_out):
     stems = {}
     for path in sorted((pipeline_out / "30_annotated").glob("*.mid")):
         piece = parse_smf(path.read_bytes())
-        for entry in emit_manifest(piece, None).entries:
+        for entry in emit_manifest(piece, None).stems:
             tracks = [tr.track_index for tr in entry.tracks]
             stems[path.stem, entry.stem] = \
                 reference_piece(piece, tracks).astype(np.float32)

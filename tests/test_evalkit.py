@@ -1,5 +1,6 @@
 """Frame SDR, silence gating, medians, and report assembly."""
 
+import dataclasses
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from scoreforge.evalkit import (
     LengthMismatch,
     NoActivePieces,
     NonPositiveFrame,
+    SdrParameters,
     SdrReport,
     corpus_sdr,
     evaluate_piece,
@@ -236,8 +238,9 @@ class TestMedians:
 
 class TestReport:
     def build(self):
-        report = SdrReport(frame_len_s=1.0, silence_threshold_dbfs=-60.0,
-                           projection="plain")
+        report = SdrReport(SdrParameters(frame_len_s=1.0,
+                                         silence_threshold_dbfs=-60.0,
+                                         projection="plain"))
         report.add_piece("p1", {"violin": [5.0, 7.0], "cello": [SILENT, 2.0]})
         report.add_piece("p2", {"violin": [1.0], "cello": [SILENT]})
         report.add_piece("p3", {"harp": [SILENT]})
@@ -246,13 +249,13 @@ class TestReport:
 
     def test_medians_cascade(self):
         report = self.build()
-        assert report.piece_medians["p1"] == {"violin": 5.0, "cello": 2.0}
-        assert report.piece_medians["p2"] == {"violin": 1.0, "cello": SILENT}
+        assert report.pieces["p1"].medians == {"violin": 5.0, "cello": 2.0}
+        assert report.pieces["p2"].medians == {"violin": 1.0, "cello": SILENT}
         assert report.corpus_medians == {"violin": 1.0, "cello": 2.0}
         assert "harp" not in report.corpus_medians  # silent everywhere
 
-    def test_to_dict_json_ready(self):
-        data = json.loads(json.dumps(self.build().to_dict()))
+    def test_asdict_json_ready(self):
+        data = json.loads(json.dumps(dataclasses.asdict(self.build())))
         assert data["parameters"]["projection"] == "plain"
         assert data["pieces"]["p1"]["medians"]["violin"] == 5.0
         assert data["pieces"]["p2"]["medians"]["cello"] is None

@@ -1,5 +1,6 @@
 """Render manifests, the built-in test synthesizer, and stem mixing."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -476,9 +477,9 @@ class TestManifest:
 
     def test_grouping_and_paths(self):
         manifest = emit_manifest(self.build_piece(), None, piece_id="demo")
-        assert [e.stem for e in manifest.entries] == ["flute", "violin"]
-        assert manifest.entries[0].path == "demo/flute.wav"
-        violin_entry = manifest.entries[1]
+        assert [e.stem for e in manifest.stems] == ["flute", "violin"]
+        assert manifest.stems[0].path == "demo/flute.wav"
+        violin_entry = manifest.stems[1]
         assert [tr.track_index for tr in violin_entry.tracks] == [1, 2]
         assert manifest.tempo == [(0, 500000), (960, 400000)]
         assert manifest.channel_layout == "mono"
@@ -496,7 +497,7 @@ class TestManifest:
         ])
         annotated, plan = annotate(piece, tables, AnnotationParams(seed=4))
         manifest = emit_manifest(annotated, plan, piece_id="x")
-        for entry in manifest.entries:
+        for entry in manifest.stems:
             for tr in entry.tracks:
                 expected = sorted(
                     (iv.start_tick, iv.cc32_value, iv.articulation)
@@ -514,7 +515,7 @@ class TestManifest:
                                 name=track.name, channel_hint=track.channel_hint,
                                 program=track.program)
         manifest = emit_manifest(piece, None)
-        violin_entry = next(e for e in manifest.entries if e.stem == "violin")
+        violin_entry = next(e for e in manifest.stems if e.stem == "violin")
         first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)
         assert first.schedule == [(0, 5, ""), (960, 9, "")]
 
@@ -537,13 +538,13 @@ class TestManifest:
         piece.tracks += [offs, opened]
         assert [len(track_notes(t)) for t in piece.tracks[-2:]] == [0, 1]
         manifest = emit_manifest(piece, None)
-        assert [e.stem for e in manifest.entries] == ["flute", "viola", "violin"]
-        viola = manifest.entries[1]
+        assert [e.stem for e in manifest.stems] == ["flute", "viola", "violin"]
+        viola = manifest.stems[1]
         assert [tr.track_index for tr in viola.tracks] == [5]
 
-    def test_to_dict_json_ready(self):
+    def test_asdict_json_ready(self):
         manifest = emit_manifest(self.build_piece(), None, piece_id="demo")
-        data = json.loads(json.dumps(manifest.to_dict()))
+        data = json.loads(json.dumps(dataclasses.asdict(manifest)))
         assert data["piece_id"] == "demo"
         assert data["sample_rate"] == DEFAULT_SAMPLE_RATE
         assert data["merge_rules"]["piccolo"] == "flute"
