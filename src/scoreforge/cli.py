@@ -338,6 +338,9 @@ STAGE_DIRS = dict(zip(STEPS, ("10_fixed", "20_normalized", "30_annotated",
 PIECE_FILES = {"fix": {".mid": "fix"}, "normalize": {".mid": "normalize"},
                "annotate": {".mid": "annotate", ".plan.json": "plan"},
                "manifest": {".manifest.json": "manifest"}}
+# the file each step's corpus reducer writes, besides provenance.json
+REDUCER_FILES = {"fix": "fix_report.json", "stats": "stats.json",
+                 "split": "split.json"}
 # what each step reports as a per-piece failure (anything else aborts the
 # command), and whether the message names the exception type
 _STEP_ERRORS = {
@@ -461,8 +464,10 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     dropped; after the map, stale files go and each step in
     order reports its failures and runs its corpus reducer (fix report,
     stats totals, split, manifests). Stops with exit code 1 when a chain step leaves no
-    piece for the steps after it, whose directories then do not exist: a
-    piece writes to one only after passing the steps before it."""
+    piece for the steps after it. Their directories hold nothing of this run
+    (a piece writes to one only after passing the steps before it), so the
+    provenance and reducer files an earlier run left there go, then each
+    directory that is left empty."""
     steps = tuple(out_dirs)
     _load_config_files(steps, config)
     inputs = _midi_files(in_dir)
@@ -488,7 +493,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         ok = _collect(alive, step, failures)
         if step == "fix":  # always the first step, so failures are its own
-            _write_json(out_dir / "fix_report.json", {
+            _write_json(out_dir / REDUCER_FILES[step], {
                 "kept": {r["id"]: r["instruments"] for r in ok},
                 "rejected": dict(failures.items),
                 "duplicates": [{"kept": d.kept_id, "dropped": d.dropped_id,
@@ -504,7 +509,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                 for kind, values in r["stats"].items():
                     for key, seconds in values.items():
                         totals[kind][key] = totals[kind].get(key, 0.0) + seconds
-            _write_json(out_dir / "stats.json", {
+            _write_json(out_dir / REDUCER_FILES[step], {
                 "pieces": {r["id"]: r["stats"] for r in ok}, "corpus": totals})
         elif step == "split":
             if not ok:
@@ -512,7 +517,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
             result = stratified_split({r["id"]: r["split"] for r in ok},
                                       config.split_ratios,
                                       np.random.default_rng(config.master_seed))
-            _write_json(out_dir / "split.json", {
+            _write_json(out_dir / REDUCER_FILES[step], {
                 "ratios": list(result.ratios),
                 "assignment": dict(sorted(result.assignment.items())),
                 "splits": {name: result.split(name)
@@ -525,6 +530,12 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         _write_provenance(out_dir, step, config)
         if not alive and step != steps[-1]:
             print(f"no pieces left after {step}", file=sys.stderr)
+            for later in steps[steps.index(step) + 1:]:
+                for name in ("provenance.json", REDUCER_FILES.get(later)):
+                    if name is not None:
+                        (out_dirs[later] / name).unlink(missing_ok=True)
+                with contextlib.suppress(OSError):  # not empty, or missing
+                    out_dirs[later].rmdir()
             return 1
     return failures.exit_code()
 

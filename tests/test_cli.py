@@ -855,6 +855,17 @@ class TestEntryPoints:
                      "manifest", "synth-test", "eval", "pipeline"):
             assert name in proc.stdout
 
+    def test_import_loads_no_test_dependency(self):
+        """The `test` extra (pytest, hypothesis, scipy), which CI installs,
+        is no runtime dependency: importing the CLI loads none of it."""
+        code = ("import sys, scoreforge.cli; print(sorted("
+                "{name.split('.')[0] for name in sys.modules}"
+                " & {'scipy', 'hypothesis', 'pytest', '_pytest'}))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_console_script(self):
         import shutil
         exe = shutil.which("scoreforge")
@@ -1126,6 +1137,26 @@ class TestStaleFiles:
         assert not (out / "30_annotated" / f"{ids[0]}.plan.json").exists()
         err = capsys.readouterr().err
         assert err.count(f"skip {ids[3]}: VLQ value out of range") == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rerun_that_stops_drops_later_stages(self, six_strings, tmp_path,
+                                                 capsys, jobs):
+        for path in sorted(six_strings.glob("*.mid"))[4:]:
+            path.unlink()
+        out = tmp_path / "run"
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        for path in six_strings.glob("*.mid"):  # annotate rejects them all
+            path.write_bytes(two_part_piece("Flute", "Violin I"))
+        fresh = tmp_path / "fresh"
+        for target in (out, fresh):
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(target), "--jobs", jobs]) == 1
+            assert capsys.readouterr().err.endswith(
+                "no pieces left after annotate\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "10_fixed", "20_normalized", "30_annotated"]
+        assert tree_bytes(out) == tree_bytes(fresh)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_output_into_the_input_keeps_the_inputs(self, six_strings,
