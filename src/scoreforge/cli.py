@@ -404,7 +404,8 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
                 out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
                 out["stats"] = {
-                    "activity_seconds": {iid.name: float(seconds) for iid, seconds
+                    "activity_seconds": {iid.name: float(seconds)
+                                         for iid, seconds
                                          in activity_time(piece).items()},
                     "polyphony_seconds": {str(level): float(seconds)
                                           for level, seconds
