@@ -69,12 +69,10 @@ from .evalkit import (
 )
 from .expressive import (
     AnnotationParams,
-    AnnotationPlan,
     annotate,
     from_dict,
     load_articulation_tables,
     piece_seed,
-    plan_from_dict,
     plan_to_dict,
 )
 from .gmfix import (
@@ -88,7 +86,6 @@ from .gmfix import (
 from .renderkit import (
     DEFAULT_SAMPLE_RATE,
     StemEntry,
-    StemGroupRules,
     emit_manifest,
     mix_stems,
     test_synthesize,
@@ -202,7 +199,8 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at once, so no more than there are items
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         yield from pool.map(fn, items,
                             chunksize=max(1, len(items) // (16 * jobs)))
 
@@ -313,7 +311,8 @@ def _load_config_files(steps: tuple[str, ...], config: PipelineConfig) -> None:
     (forked workers inherit them); a file that fails to load is a ConfigError."""
     loads = {"fix": (_dictionary, config.dictionary)}
     if config.annotate_mode == "proposed":
-        loads["annotate"] = (_tables, config.articulation_tables)
+        loads["annotate"] = loads["manifest"] = (
+            _tables, config.articulation_tables)
     for step, (load, path) in loads.items():
         if step in steps:
             try:
@@ -357,29 +356,22 @@ def _message(step: str, exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}" if _STEP_ERRORS[step][1] else str(exc)
 
 
-def _read_plan(plans_dir: str, piece_id: str) -> AnnotationPlan | None:
-    plan_path = Path(plans_dir) / f"{piece_id}.plan.json"
-    if plan_path.exists():
-        data = json.loads(plan_path.read_text(encoding="utf-8"))
-        if data.get("mode") == "proposed":
-            return plan_from_dict(data["plan"])
-    return None
-
-
-def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
-                  plans_dir: str | None) -> dict:
+def _chain_worker(path_str: str, steps: tuple[str, ...],
+                  config: PipelineConfig) -> dict:
     """Parse one file and run ``steps`` (a range of STEPS) on it in memory.
 
     Returns the piece id, each step's artefact under the step's name (SMF
     bytes, the stats and label set, the manifest's JSON bytes), the fixed
     piece's note fingerprint and instruments, the annotation sidecar's JSON
     bytes under ``plan``, and ``errors``: step -> message for every step
-    that failed.
+    that failed. The manifest's schedules are the piece's own CC#32 events,
+    named from the tables ``annotate`` uses (none in ``plain`` mode), so a
+    standalone ``manifest`` reads no sidecar.
     """
     path = Path(path_str)
     piece_id = path.stem
     out: dict = {"id": piece_id, "errors": {}}
-    piece = plan = None
+    piece = None
     for step in steps:
         try:
             if piece is None:  # so a parse failure is the first step's
@@ -418,11 +410,10 @@ def _chain_worker(path_str: str, steps: tuple[str, ...], config: PipelineConfig,
                 else:
                     out["errors"]["split"] = "no identifiable instruments"
             else:
-                if "annotate" not in steps:
-                    plan = _read_plan(plans_dir, piece_id)
+                tables = (_tables(config.articulation_tables)
+                          if config.annotate_mode == "proposed" else None)
                 out["manifest"] = _json_bytes(dataclasses.asdict(emit_manifest(
-                    piece, plan, StemGroupRules(), piece_id=piece_id,
-                    sample_rate=config.sample_rate)))
+                    piece, tables, piece_id, config.sample_rate)))
         except _STEP_ERRORS[step][0] as exc:
             out["errors"][step] = _message(step, exc)
             if step in CHAIN_STEPS:
@@ -457,8 +448,7 @@ def _write_piece(write: Callable[[Path, bytes], None], out_dir: Path,
 
 
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
-               jobs: int, failures: _Failures, plans_dir: Path | None = None,
-               ) -> int:
+               jobs: int, failures: _Failures) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
     ``out_dirs`` (a range of STEPS). Each piece's result is deduped (after
     fix) and its chain files written as it arrives, their bytes then
@@ -473,8 +463,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     _load_config_files(steps, config)
     inputs = _midi_files(in_dir)
     files = [str(p) for p in inputs]
-    worker = partial(_chain_worker, steps=steps, config=config,
-                     plans_dir=str(plans_dir) if plans_dir else None)
+    worker = partial(_chain_worker, steps=steps, config=config)
     deduper = Deduper()
     reached: dict[str, set[str]] = {step: set() for step in PIECE_FILES}
     alive = []  # every result but the duplicates', in piece-id order
@@ -558,8 +547,7 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
         # the directory holds this run's WAVs and no others
         clear()
         piece = parse_smf(path.read_bytes())
-        manifest = emit_manifest(piece, None, StemGroupRules(),
-                                 piece_id=piece_id, sample_rate=sample_rate)
+        manifest = emit_manifest(piece, None, piece_id, sample_rate)
         piece_dir.mkdir(parents=True, exist_ok=True)
 
         def render(entry: StemEntry) -> Waveform:
@@ -724,7 +712,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("manifest", help="emit render manifests")
     common(p)
-    p.add_argument("--plans", help="directory with .plan.json files")
 
     p = sub.add_parser("synth-test", help="render stems with the test synthesizer")
     common(p)
@@ -772,13 +759,8 @@ def run_command(argv: Sequence[str]) -> int:
         jobs = max(args.jobs, 1)
 
         if args.command in STEPS:
-            plans = None
-            if args.command == "manifest":
-                plans = Path(args.plans or args.input)
-                if args.plans and not plans.is_dir():
-                    raise ConfigError(f"--plans is not a directory: {plans}")
             return _run_steps(Path(args.input), {args.command: out_dir}, config,
-                              jobs, failures, plans)
+                              jobs, failures)
         if args.command == "synth-test":
             return _run_synth(Path(args.input), out_dir, config, jobs, failures)
         if args.command == "eval":

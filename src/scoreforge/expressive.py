@@ -27,11 +27,11 @@ from dataclasses import asdict, dataclass, is_dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .gmfix import InstrumentId, track_instruments
+from .gmfix import track_instruments
 from .smf import (
     ControlChange,
     EndOfTrack,
@@ -229,14 +229,6 @@ def load_articulation_tables(path: str | Path | None = None,
     return {name: ArticulationTable(name, rows) for name, rows in grouped.items()}
 
 
-def _tables_by_name(tables: Mapping[Union[str, InstrumentId], ArticulationTable],
-                    ) -> dict[str, ArticulationTable]:
-    return {
-        (key.name if isinstance(key, InstrumentId) else key): table
-        for key, table in tables.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Seeding
 # ---------------------------------------------------------------------------
@@ -424,7 +416,7 @@ def _active_span(track: Track) -> tuple[int, int] | None:
 
 
 def _track_tables(piece: MidiPiece,
-                  tables: Mapping[Union[str, InstrumentId], ArticulationTable],
+                  tables: Mapping[str, ArticulationTable],
                   ) -> list[ArticulationTable | None]:
     """Each track's articulation table, None for a track without notes.
 
@@ -432,7 +424,6 @@ def _track_tables(piece: MidiPiece,
     name, else ``track N``. Raises MissingTable naming the first note-bearing
     track, in track order, that has no table.
     """
-    named = _tables_by_name(tables)
     out: list[ArticulationTable | None] = []
     for index, (track, iid) in enumerate(zip(piece.tracks,
                                              track_instruments(piece))):
@@ -440,7 +431,7 @@ def _track_tables(piece: MidiPiece,
             out.append(None)
             continue
         name = iid.name if iid is not None else (track.name or f"track {index}")
-        table = named.get(name)
+        table = tables.get(name)
         if table is None:
             raise MissingTable(name)
         out.append(table)
@@ -448,7 +439,7 @@ def _track_tables(piece: MidiPiece,
 
 
 def plan_articulations(piece: MidiPiece,
-                       tables: Mapping[Union[str, InstrumentId], ArticulationTable],
+                       tables: Mapping[str, ArticulationTable],
                        params: AnnotationParams,
                        rng: np.random.Generator) -> list[ArticulationInterval]:
     """Per note-bearing track, tile the active span with intervals and draw
@@ -524,7 +515,7 @@ def _merge_before_noteons(events: list, inserts: list) -> list:
 
 
 def mirror_velocity_to_cc1(piece: MidiPiece,
-                           tables: Mapping[Union[str, InstrumentId], ArticulationTable],
+                           tables: Mapping[str, ArticulationTable],
                            ) -> MidiPiece:
     """Emit CC#1 (modulation wheel) = note velocity before every note-on that
     falls in a long-articulation region; short regions get none.
@@ -533,11 +524,10 @@ def mirror_velocity_to_cc1(piece: MidiPiece,
     works on any piece that has been through apply_articulations. Tracks
     whose instrument has no table are left untouched.
     """
-    named = _tables_by_name(tables)
     instruments = track_instruments(piece)
     new_tracks: list[Track] = []
     for track, iid in zip(piece.tracks, instruments):
-        table = named.get(iid.name) if iid is not None else None
+        table = tables.get(iid.name) if iid is not None else None
         if table is None:
             new_tracks.append(track)
             continue
@@ -558,7 +548,7 @@ def mirror_velocity_to_cc1(piece: MidiPiece,
 # ---------------------------------------------------------------------------
 
 def annotate(piece: MidiPiece,
-             tables: Mapping[Union[str, InstrumentId], ArticulationTable],
+             tables: Mapping[str, ArticulationTable],
              params: AnnotationParams) -> tuple[MidiPiece, AnnotationPlan]:
     """Run the full chain (tempo, then dynamics, then articulations, then
     CC#1 mirroring) on a normalized piece, returning the annotated piece

@@ -177,16 +177,13 @@ def _has_notes(track: Track) -> bool:
     return any(isinstance(ev, NoteOn) for ev in track.events)
 
 
-def fix_piece(piece: MidiPiece,
-              dictionary: InstrumentDictionary,
-              targets: set[InstrumentId] | None = None,
+def fix_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
               ) -> tuple[MidiPiece, list[InstrumentId]]:
     """Rewrite programs/channels so every note-bearing track matches its
     identified instrument. Returns (fixed piece, per-track instruments).
 
-    Raises UnknownInstrument if any note-bearing track is unmappable,
-    excluded, or outside ``targets`` (default: the whole registry).
-    Note-free tracks (conductor tracks) pass through untouched.
+    Raises UnknownInstrument if any note-bearing track is unmappable or
+    excluded. Note-free tracks (conductor tracks) pass through untouched.
     """
     fixed_tracks: list[Track] = []
     instruments: list[InstrumentId] = []
@@ -201,9 +198,6 @@ def fix_piece(piece: MidiPiece,
         if iid is EXCLUDED:
             raise UnknownInstrument(
                 f"track {index} ({track.name!r}): instrument out of scope")
-        if targets is not None and iid not in targets:
-            raise UnknownInstrument(
-                f"track {index} ({track.name!r}): {iid.name} not a target instrument")
         fixed_tracks.append(_retarget_track(track, iid))
         instruments.append(iid)
     return replace(piece, tracks=fixed_tracks), instruments
@@ -317,19 +311,16 @@ def note_fingerprint(piece: MidiPiece) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def admit_piece(piece: MidiPiece,
-                dictionary: InstrumentDictionary,
-                targets: set[InstrumentId] | None = None,
+def admit_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
                 ) -> tuple[MidiPiece, list[InstrumentId]]:
-    """fix_piece, then the corpus rules: the piece's instruments must form a
-    non-empty subset of ``targets`` (default: the whole registry) spanning
-    at least two distinct instruments.
+    """fix_piece, then the corpus rules: the piece must have note-bearing
+    tracks of at least two distinct instruments.
 
     Monotimbral pieces are useless for separation training, so they are
     rejected alongside pieces with unmappable or out-of-scope tracks. Raises
     PieceRejected (UnknownInstrument for track-level causes) with the reason.
     """
-    fixed, instruments = fix_piece(piece, dictionary, targets)
+    fixed, instruments = fix_piece(piece, dictionary)
     if not instruments:
         raise PieceRejected("no note-bearing tracks")
     if len(set(instruments)) < 2:

@@ -17,14 +17,14 @@ stems add up to the mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .audio import AudioError, Waveform
-from .expressive import AnnotationPlan
-from .gmfix import REGISTRY, InstrumentId, track_instruments
+from .expressive import ArticulationTable
+from .gmfix import track_instruments
 from .smf import ControlChange, MidiPiece, NoteOn, TempoMap, track_notes
 
 DEFAULT_SAMPLE_RATE = 22_050
@@ -36,7 +36,8 @@ MAX_HARMONICS = 32
 # wraps with a mask
 WAVETABLE_SIZE = 2_048
 
-DEFAULT_MERGES = {
+# instrument -> the stem it folds into; every other instrument is its own stem
+STEM_MERGES = {
     "piccolo": "flute",
     "english_horn": "oboe",
 }
@@ -52,21 +53,6 @@ class UngroupableTrack(RenderError):
 
 class SampleRateMismatch(AudioError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class StemGroupRules:
-    """Maps instrument names onto output stem names; identity by default."""
-
-    merge: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_MERGES))
-
-    def __post_init__(self):
-        for source, target in self.merge.items():
-            if target not in REGISTRY:
-                raise RenderError(f"merge target {target!r} is not a known instrument")
-
-    def stem_for(self, instrument: InstrumentId) -> str:
-        return self.merge.get(instrument.name, instrument.name)
 
 
 @dataclass
@@ -97,52 +83,49 @@ class RenderManifest:
     stems: list[StemEntry]
 
 
-def emit_manifest(piece: MidiPiece, plan: AnnotationPlan | None,
-                  rules: StemGroupRules | None = None,
+def emit_manifest(piece: MidiPiece,
+                  tables: Mapping[str, ArticulationTable] | None,
                   piece_id: str = "piece",
                   sample_rate: int = DEFAULT_SAMPLE_RATE) -> RenderManifest:
     """Describe how to render a piece: one entry per output stem, each
     listing its contributing tracks and their articulation schedules.
 
-    The schedule comes from the annotation plan when given, otherwise from
-    CC#32 events already present in the piece (articulation names unknown in
-    that case). Raises UngroupableTrack for note-bearing tracks whose
-    instrument cannot be identified.
+    A track's schedule is its CC#32 events as (tick, value, name), sorted;
+    the name is that of the row with the event's value in the table of the
+    track's instrument, "" when ``tables`` has no such table or row. On an
+    annotated piece this is the annotation plan's schedule: ``annotate``
+    writes one CC#32 per interval, at its start, into a piece ``normalize``
+    stripped of CC#32, and a table's CC#32 values are unique. Raises
+    UngroupableTrack for note-bearing tracks whose instrument cannot be
+    identified.
     """
-    rules = rules or StemGroupRules()
-    instruments = track_instruments(piece)
-    by_index: dict[int, list[tuple[int, int, str]]] = {}
-    if plan is not None:
-        for iv in plan.articulations:
-            by_index.setdefault(iv.track_index, []).append(
-                (iv.start_tick, iv.cc32_value, iv.articulation))
-    else:
-        for index, track in enumerate(piece.tracks):
-            for ev in track.events:
-                if isinstance(ev, ControlChange) and ev.controller == 32:
-                    by_index.setdefault(index, []).append((ev.tick, ev.value, ""))
-
     stems: dict[str, StemEntry] = {}
-    for index, (track, iid) in enumerate(zip(piece.tracks, instruments)):
+    for index, (track, iid) in enumerate(zip(piece.tracks,
+                                             track_instruments(piece))):
         # track_notes gives one note per note-on, so this is its truth value
         if not any(type(ev) is NoteOn for ev in track.events):
             continue
         if iid is None:
             raise UngroupableTrack(
                 f"track {index} ({track.name!r}) has no identifiable instrument")
-        stem = rules.stem_for(iid)
+        table = tables.get(iid.name) if tables else None
+        names = {row.cc32: row.articulation for row in table.rows} if table else {}
+        stem = STEM_MERGES.get(iid.name, iid.name)
         entry = stems.get(stem)
         if entry is None:
             entry = StemEntry(stem=stem, path=f"{piece_id}/{stem}.wav", tracks=[])
             stems[stem] = entry
         entry.tracks.append(TrackRender(
             track_index=index, instrument=iid.name, gm_program=iid.gm_program,
-            schedule=sorted(by_index.get(index, []))))
+            schedule=sorted((ev.tick, ev.value, names.get(ev.value, ""))
+                            for ev in track.events
+                            if isinstance(ev, ControlChange)
+                            and ev.controller == 32)))
 
     return RenderManifest(piece_id=piece_id, sample_rate=sample_rate,
                           channel_layout="mono",
                           tempo=TempoMap.from_piece(piece).changes(),
-                          merge_rules=dict(rules.merge),
+                          merge_rules=dict(STEM_MERGES),
                           stems=[stems[name] for name in sorted(stems)])
 
 

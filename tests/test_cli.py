@@ -1,8 +1,10 @@
 """Command-line stages: exit codes, reports, determinism, failure isolation."""
 
+import argparse
 import hashlib
 import json
 import multiprocessing
+import re
 import shutil
 import subprocess
 import sys
@@ -224,6 +226,23 @@ class TestConfig:
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == json_round_trip(PipelineConfig())
 
+    def test_readme_shows_the_flags(self):
+        """README's command block has a line per subcommand showing exactly
+        its parser's flags, besides the common ones."""
+        common = {"-h", "--help", "--out", "--config", "--seed", "--jobs",
+                  "--strict"}
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        shown = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) - common
+                 for line in block.splitlines()}
+        commands = next(action.choices
+                        for action in scoreforge.cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert shown == {name: {flag for action in parser._actions
+                                for flag in action.option_strings} - common
+                         for name, parser in commands.items()}
+
     def test_defaults_and_round_trip(self):
         config = PipelineConfig()
         again = PipelineConfig.from_dict(asdict(config))
@@ -333,6 +352,21 @@ class TestConfigErrorsExitBeforeOutput:
                             "--tables", str(tables),
                             "--out", str(tmp_path / "plain")]) == 0
 
+    def test_manifest_loads_the_tables(self, pipeline_out, tmp_path):
+        """manifest names the articulations from the tables annotate uses,
+        so in proposed mode it loads them first, and in plain mode not."""
+        tables = tmp_path / "tables.csv"
+        tables.write_text("instrument,articulation,cc32,weight,length_class\n"
+                          "violin,legato,200,1.0,long\n")
+        annotated = str(pipeline_out / "30_annotated")
+        self.run(tmp_path, ["manifest", annotated],
+                 {"articulation_tables": str(tables)})
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"articulation_tables": str(tables),
+                                     "annotate_mode": "plain"}))
+        assert run_command(["manifest", annotated, "--config", str(plain),
+                            "--out", str(tmp_path / "plain")]) == 0
+
     @pytest.mark.parametrize("ratios", ["0.7,0.1,x", "inf,0,0", "0.5,0.5"])
     def test_split_ratios_flag(self, pipeline_out, tmp_path, ratios):
         self.run(tmp_path, ["split", str(pipeline_out / "30_annotated"),
@@ -378,16 +412,6 @@ class TestConfigErrorsExitBeforeOutput:
         shutil.copy(second, source / "y.mid")
         self.run(tmp_path, [command, str(source)])
         assert "share a piece id: x.MIDI, x.mid" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind", ["missing", "file"])
-    def test_manifest_plans_not_a_directory(self, pipeline_out, tmp_path, capsys,
-                                            kind):
-        plans = tmp_path / "plans"
-        if kind == "file":
-            plans.write_text("")
-        self.run(tmp_path, ["manifest", str(pipeline_out / "30_annotated"),
-                            "--plans", str(plans)])
-        assert f"--plans is not a directory: {plans}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_eval_estimates_not_a_directory(self, audio_tree, tmp_path, capsys,
@@ -579,6 +603,19 @@ class TestManifestCommand:
             for track in entry["tracks"]:
                 assert track["schedule"], "plan schedules must be present"
                 assert all(step[2] for step in track["schedule"])
+
+    def test_standalone_manifest_reads_no_sidecar(self, pipeline_out,
+                                                  tmp_path):
+        """The schedules are the MIDI's own CC#32 events, named from the
+        tables, so the annotated MIDI alone gives the pipeline's manifests."""
+        midi_only = tmp_path / "midi_only"
+        midi_only.mkdir()
+        for path in (pipeline_out / "30_annotated").glob("*.mid"):
+            shutil.copy(path, midi_only / path.name)
+        out = tmp_path / "manifests"
+        assert run_command(["manifest", str(midi_only), "--out", str(out),
+                            "--seed", "7"]) == 0
+        assert tree_bytes(out) == tree_bytes(pipeline_out / "60_manifests")
 
 
 @pytest.fixture(scope="module")
@@ -981,6 +1018,30 @@ class TestOneChain:
         assert Path("10_fixed/fix_report.json") in trees["1"]
         assert trees["1"] == trees["2"]
         assert errs["1"] == errs["2"]
+
+    def test_jobs_above_the_input_count(self, strings_corpus_dir, tmp_path,
+                                        monkeypatch):
+        """The pool forks all its workers at once, so --jobs 64 over 3 files
+        asks it for no more workers than files; the tree is --jobs 1's."""
+        asked = []
+
+        class Recording(scoreforge.cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor", Recording)
+        in_dir = tmp_path / "three"
+        in_dir.mkdir()
+        for path in sorted(strings_corpus_dir.glob("*.mid"))[:3]:
+            shutil.copy(path, in_dir / path.name)
+        trees = {}
+        for jobs in ("1", "64"):
+            assert run_command(["pipeline", str(in_dir), "--out",
+                                str(tmp_path / jobs), "--jobs", jobs]) == 0
+            trees[jobs] = tree_bytes(tmp_path / jobs)
+        assert asked and max(asked) <= 3
+        assert trees["1"] == trees["64"]
 
     def test_in_memory_steps_equal_round_trip(self, raw_corpus_files):
         """The chain hands each step's piece to the next without re-parsing,

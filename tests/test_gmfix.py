@@ -143,12 +143,6 @@ class TestFixPiece:
         assert programs == [ProgramChange(0, 3, 40)]
         assert all(e.channel == 3 for e in events if isinstance(e, (NoteOn, NoteOff)))
 
-    def test_target_set_restricts(self, dictionary):
-        piece = MidiPiece(480, [named_track("Tuba")])
-        strings = {REGISTRY[n] for n in ("violin", "viola", "cello", "contrabass")}
-        with pytest.raises(UnknownInstrument):
-            fix_piece(piece, dictionary, strings)
-
     def test_percussion_moved_to_channel_10(self, dictionary):
         piece = MidiPiece(480, [named_track("Percussion", channel=3)])
         fixed, instruments = fix_piece(piece, dictionary)
@@ -387,12 +381,12 @@ class TestFingerprintGolden:
         assert note_fingerprint(piece) != note_fingerprint(fixed)
 
 
-def admit_all(pieces, dictionary, targets=None):
+def admit_all(pieces, dictionary):
     """admit_piece over a corpus: (kept ids, piece id -> rejection reason)."""
     kept, reasons = [], {}
     for piece_id, piece in pieces.items():
         try:
-            admit_piece(piece, dictionary, targets)
+            admit_piece(piece, dictionary)
             kept.append(piece_id)
         except PieceRejected as exc:
             reasons[piece_id] = str(exc)
@@ -416,14 +410,6 @@ class TestCorpusOps:
         assert list(kept) == ["good"]
         assert set(reasons) == {"mono", "bad", "vocal", "empty"}
         assert "monotimbral" in reasons["mono"]
-
-    def test_filter_respects_targets(self, dictionary):
-        pieces = {"p": MidiPiece(480, [named_track("Flute 1"),
-                                       named_track("Viola", channel=1)])}
-        strings = {REGISTRY[n] for n in ("violin", "viola", "cello", "contrabass")}
-        kept, reasons = admit_all(pieces, dictionary, strings)
-        assert not kept
-        assert list(reasons)[0] == "p"
 
     def test_dedupe_first_wins(self, dictionary):
         base = MidiPiece(480, [named_track("Oboe")])

@@ -15,7 +15,7 @@ from scoreforge.expressive import (
     annotate,
     load_articulation_tables,
 )
-from scoreforge.gmfix import REGISTRY
+from scoreforge.gmfix import REGISTRY, track_instruments
 from scoreforge.renderkit import (
     ATTACK_SECONDS,
     DEFAULT_SAMPLE_RATE,
@@ -23,9 +23,7 @@ from scoreforge.renderkit import (
     RELEASE_SECONDS,
     SYNTH_GAIN,
     WAVETABLE_SIZE,
-    RenderError,
     SampleRateMismatch,
-    StemGroupRules,
     UngroupableTrack,
     emit_manifest,
     mix_stems,
@@ -454,16 +452,20 @@ class TestMixing:
 
 class TestStemRules:
     def test_default_merges(self):
-        rules = StemGroupRules()
-        assert rules.stem_for(REGISTRY["violin"]) == "violin"
-        assert rules.stem_for(REGISTRY["piccolo"]) == "flute"
-        assert rules.stem_for(REGISTRY["english_horn"]) == "oboe"
-
-    def test_custom_merges_validated(self):
-        rules = StemGroupRules(merge={"viola": "violin"})
-        assert rules.stem_for(REGISTRY["viola"]) == "violin"
-        with pytest.raises(RenderError):
-            StemGroupRules(merge={"violin": "strings"})
+        piece = MidiPiece(480, [
+            conductor(480),
+            fixed_track("violin", 0, [(0, 480, 76, 80)]),
+            fixed_track("piccolo", 1, [(0, 480, 90, 60)]),
+            fixed_track("english_horn", 2, [(0, 480, 64, 60)]),
+            fixed_track("oboe", 3, [(0, 480, 69, 60)]),
+        ])
+        manifest = emit_manifest(piece, None)
+        assert {entry.stem: [tr.instrument for tr in entry.tracks]
+                for entry in manifest.stems} == {
+            "flute": ["piccolo"], "oboe": ["english_horn", "oboe"],
+            "violin": ["violin"]}
+        assert manifest.merge_rules == {"piccolo": "flute",
+                                        "english_horn": "oboe"}
 
 
 class TestManifest:
@@ -496,7 +498,7 @@ class TestManifest:
                          for q in range(64)]),
         ])
         annotated, plan = annotate(piece, tables, AnnotationParams(seed=4))
-        manifest = emit_manifest(annotated, plan, piece_id="x")
+        manifest = emit_manifest(annotated, tables, piece_id="x")
         for entry in manifest.stems:
             for tr in entry.tracks:
                 expected = sorted(
@@ -505,6 +507,18 @@ class TestManifest:
                     if iv.track_index == tr.track_index)
                 assert tr.schedule == expected
                 assert all(step[2] for step in tr.schedule)  # names known
+        # why the piece's CC#32 events give the plan: one per interval, at
+        # its start, with its value, which names one row of the table
+        for index, track in enumerate(annotated.tracks):
+            intervals = [iv for iv in plan.articulations
+                         if iv.track_index == index]
+            assert [(ev.tick, ev.value) for ev in track.events
+                    if isinstance(ev, ControlChange) and ev.controller == 32] \
+                == [(iv.start_tick, iv.cc32_value) for iv in intervals]
+            for iv in intervals:
+                table = tables[track_instruments(annotated)[index].name]
+                assert [row.articulation for row in table.rows
+                        if row.cc32 == iv.cc32_value] == [iv.articulation]
 
     def test_schedule_from_cc32_events(self):
         piece = self.build_piece()
@@ -518,6 +532,13 @@ class TestManifest:
         violin_entry = next(e for e in manifest.stems if e.stem == "violin")
         first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)
         assert first.schedule == [(0, 5, ""), (960, 9, "")]
+        # with tables, a value is named by its row; one without a row is ""
+        tables = load_articulation_tables()
+        piece.tracks[1].events[0] = ControlChange(0, 0, 32, 127)
+        manifest = emit_manifest(piece, tables)
+        violin_entry = next(e for e in manifest.stems if e.stem == "violin")
+        first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)
+        assert first.schedule == [(0, 127, ""), (960, 9, "Short Col Legno")]
 
     def test_unidentifiable_track_raises(self):
         bare = Track(events=[NoteOn(0, 0, 60, 75), NoteOff(480, 0, 60, 0),
