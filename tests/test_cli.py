@@ -102,6 +102,11 @@ STRINGS_PIPELINE_DIGESTS = {
 }
 EVAL_REPORT_DIGEST = \
     "7dd441e6733d407eff218aa1a9cc3f584da2643931266581e064f3fc20512296"
+# every WAV and synth_report.json of that `audio_tree`: the synthesizer's
+# output bytes. Changing them is an output change, to be made on purpose and
+# named.
+SYNTH_TREE_DIGEST = \
+    "33d7e40c2d63c17eae4b8e2f40dc3e75f9df2d48c739ab990ef1a0b01e8f5c8c"
 
 
 @pytest.fixture(scope="module")
@@ -676,6 +681,16 @@ class TestSynthAndEval:
         data = (out / "eval_report.json").read_bytes()
         assert b"null" in data  # a silent frame is pinned too
         assert hashlib.sha256(data).hexdigest() == EVAL_REPORT_DIGEST
+
+    def test_synth_tree_bytes_pinned(self, audio_tree, tmp_path):
+        # provenance.json is left out: it records the version and the
+        # configuration, not what was synthesized
+        pinned = tmp_path / "pinned"
+        shutil.copytree(audio_tree, pinned,
+                        ignore=shutil.ignore_patterns("provenance.json"))
+        assert len(list(pinned.rglob("*.wav"))) >= 6
+        assert (pinned / "synth_report.json").is_file()
+        assert tree_digest(pinned) == SYNTH_TREE_DIGEST
 
     def test_eval_missing_estimate_fails_piece(self, audio_tree, tmp_path,
                                                capsys):
