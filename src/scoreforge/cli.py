@@ -701,7 +701,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="apply random expressive annotations")
     common(p)
     p.add_argument("--mode", choices=("plain", "proposed"), default=None)
-    p.add_argument("--tables", help="articulation table CSV")
 
     p = sub.add_parser("stats", help="activity and polyphony statistics")
     common(p)
@@ -732,9 +731,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # config key -> the flag that overrides it
 _OVERRIDES = {"master_seed": "seed", "dictionary": "dictionary",
-              "articulation_tables": "tables", "annotate_mode": "mode",
-              "sample_rate": "sample_rate", "projection": "projection",
-              "split_ratios": "ratios"}
+              "annotate_mode": "mode", "sample_rate": "sample_rate",
+              "projection": "projection", "split_ratios": "ratios"}
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:

@@ -623,10 +623,3 @@ def _decode(tp, value, where: str):
 
 def plan_to_dict(plan: AnnotationPlan) -> dict:
     return {"seed": plan.params.seed, **asdict(plan)}
-
-
-def plan_from_dict(data: Mapping) -> AnnotationPlan:
-    """Inverse of plan_to_dict; the top-level ``seed`` repeats params.seed
-    and is not read."""
-    return from_dict(AnnotationPlan,
-                     {key: value for key, value in data.items() if key != "seed"})

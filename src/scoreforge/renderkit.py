@@ -10,9 +10,13 @@ into oboe).
 For end-to-end verification without third-party sound libraries there is a
 deliberately plain built-in synthesizer: band-limited sawtooths read from a
 one-period wavetable, with linear attack/release, deterministic to the bit
-whatever the render order. ``mix_stems`` is a plain sample sum with no
-normalization, because the whole premise of source separation data is that
-stems add up to the mixture.
+whatever the render order. Sample n of a note reads phase n * step whatever
+the note's length, so each pitch keeps its unscaled samples from phase 0 in
+a prefix of at most ``OSC_CAP`` samples, filled up to the longest note read
+so far, and a note is a scaled slice of it: at most 128 prefixes of
+``OSC_CAP`` float64 values (16 MiB) per process and sample rate.
+``mix_stems`` is a plain sample sum with no normalization, because the whole
+premise of source separation data is that stems add up to the mixture.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ MAX_HARMONICS = 32
 # entries in one period of a wavetable; a power of two, so a phase index
 # wraps with a mask
 WAVETABLE_SIZE = 2_048
+# samples of each pitch's oscillator kept per process, from phase 0: notes
+# up to this long (0.74 s at 22.05 kHz) are one scaled read of the prefix
+OSC_CAP = 16_384
 
 # instrument -> the stem it folds into; every other instrument is its own stem
 STEM_MERGES = {
@@ -165,22 +172,54 @@ def _wavetable(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
-               sample_rate: int) -> np.ndarray:
-    """gain times the first length samples of the summed partials from
-    phase 0, read from the wavetable with linear interpolation."""
-    wave, slope = _wavetable(harmonics)
-    phase = np.arange(length, dtype=np.float64)
-    phase *= frequency * WAVETABLE_SIZE / sample_rate
+# (frequency, harmonics, sample_rate) -> an OSC_CAP buffer whose first
+# ``filled`` entries hold the oscillator's unscaled samples from phase 0, and
+# ``filled``: the longest note read so far, capped at OSC_CAP. Built on first
+# use, per process; a key is one pitch at one rate, so at most 128 buffers of
+# OSC_CAP float64 values (16 MiB), whose pages are touched only as filled
+_oscillators: dict[tuple[float, int, int], tuple[np.ndarray, int]] = {}
+
+
+def _read_partials(wave: np.ndarray, slope: np.ndarray, step: float,
+                   start: int, out: np.ndarray) -> None:
+    """Write into out the unscaled oscillator samples start, start + 1, ...
+    from phase 0: sample n reads the wavetable at phase n * step with linear
+    interpolation, so its bits do not depend on which samples are read
+    with it."""
+    phase = np.arange(start, start + len(out), dtype=np.float64)
+    phase *= step
     index = phase.astype(np.intp)
     # the fraction between two entries; trunc(phase) equals float(index) and
     # is cheaper to subtract than the integers
     phase -= np.trunc(phase)
     index &= WAVETABLE_SIZE - 1
-    seg = slope.take(index)
-    seg *= phase
-    seg += wave.take(index)
-    seg *= gain
+    np.multiply(slope.take(index), phase, out=out)
+    out += wave.take(index)
+
+
+def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
+               sample_rate: int) -> np.ndarray:
+    """gain times the first length samples of the summed partials from
+    phase 0, read from the wavetable with linear interpolation.
+
+    The first OSC_CAP unscaled samples are read from the key's prefix in
+    ``_oscillators``, which is filled up to the longest note asked for; the
+    samples past the cap are read from the wavetable for this note alone.
+    """
+    wave, slope = _wavetable(harmonics)
+    step = frequency * WAVETABLE_SIZE / sample_rate
+    key = (frequency, harmonics, sample_rate)
+    prefix, filled = _oscillators.get(key) or (np.empty(OSC_CAP), 0)
+    head = min(length, OSC_CAP)
+    if filled < head:
+        _read_partials(wave, slope, step, filled, prefix[filled:head])
+        _oscillators[key] = prefix, head
+    seg = np.empty(length)
+    np.multiply(prefix[:head], gain, out=seg[:head])
+    if length > OSC_CAP:
+        tail = seg[OSC_CAP:]
+        _read_partials(wave, slope, step, OSC_CAP, tail)
+        tail *= gain
     return seg
 
 

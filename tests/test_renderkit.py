@@ -20,6 +20,7 @@ from scoreforge.renderkit import (
     ATTACK_SECONDS,
     DEFAULT_SAMPLE_RATE,
     MAX_HARMONICS,
+    OSC_CAP,
     RELEASE_SECONDS,
     SYNTH_GAIN,
     WAVETABLE_SIZE,
@@ -203,10 +204,16 @@ def reference_piece(piece, track_selection=None,
     return out
 
 
+def clear_tables(monkeypatch):
+    """No wavetables and no oscillator prefixes from here on, those of the
+    process restored after the test."""
+    monkeypatch.setattr(renderkit, "_wavetables", {})
+    monkeypatch.setattr(renderkit, "_oscillators", {})
+
+
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """No wavetables for the test, those of the process restored after."""
-    monkeypatch.setattr(renderkit, "_wavetables", {})
+    clear_tables(monkeypatch)
 
 
 def table_values():
@@ -217,6 +224,19 @@ def table_values():
 def harmonic_count(pitch, sample_rate=DEFAULT_SAMPLE_RATE):
     frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
     return min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
+
+
+def reference_oscillator(length, gain, frequency, harmonics, sample_rate):
+    """The oscillator computed for this note alone: the phase is
+    arange(length) times the step, and the fraction between entries the
+    phase minus it as an intp."""
+    wave, slope = renderkit._wavetable(harmonics)
+    phase = np.arange(length, dtype=np.float64)
+    phase *= frequency * WAVETABLE_SIZE / sample_rate
+    index = phase.astype(np.intp)
+    phase -= index
+    index &= WAVETABLE_SIZE - 1
+    return (slope[index] * phase + wave[index]) * gain
 
 
 # an edge is max(attack, release) samples; notes up to two edges long are
@@ -269,9 +289,9 @@ class TestPartialsTable:
             sorted({harmonic_count(pitch) for pitch in pitches})
         for wave, slope in renderkit._wavetables.values():
             assert wave.shape == slope.shape == (WAVETABLE_SIZE,)
-        # a note reads the same bits from a table built for it alone
+        # a note reads the same bits from tables built for it alone
         for (pitch, length), rendered in shared.items():
-            monkeypatch.setattr(renderkit, "_wavetables", {})
+            clear_tables(monkeypatch)
             assert np.array_equal(
                 synthesize(self.one_note(pitch, length)).samples, rendered)
             assert_snr(rendered, self.expected(pitch, length), (pitch, length))
@@ -298,21 +318,14 @@ class TestPartialsTable:
 
     @pytest.mark.parametrize("sample_rate", [8_000, 22_050, 48_000])
     def test_oscillator_equals_integer_fraction(self, sample_rate):
-        # the reference: the phase is arange(length) times the step, and
-        # the fraction between entries the phase minus it as an intp
         for pitch in range(0, 128, 7):
             frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
             harmonics = min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
             if harmonics < 1:
                 continue
-            wave, slope = renderkit._wavetable(harmonics)
             for length in (1, 2 * EDGE + 1, 28_679):
-                phase = np.arange(length, dtype=np.float64)
-                phase *= frequency * WAVETABLE_SIZE / sample_rate
-                index = phase.astype(np.intp)
-                phase -= index
-                index &= WAVETABLE_SIZE - 1
-                expected = (slope[index] * phase + wave[index]) * 0.125
+                expected = reference_oscillator(length, 0.125, frequency,
+                                                harmonics, sample_rate)
                 assert np.array_equal(
                     renderkit._oscillate(length, 0.125, frequency, harmonics,
                                          sample_rate), expected), (pitch, length)
@@ -327,10 +340,16 @@ class TestPartialsTable:
         assert set(renderkit._wavetables) == counts
         assert table_values() == 2 * WAVETABLE_SIZE * len(counts) \
             <= TABLE_BOUND
+        # one oscillator prefix per sounding pitch, 16 MiB for all 128
+        sounding = [pitch for pitch in range(128) if harmonic_count(pitch)]
+        assert len(renderkit._oscillators) == len(sounding) <= 128
+        assert sum(prefix.nbytes for prefix, _ in
+                   renderkit._oscillators.values()) \
+            == len(sounding) * OSC_CAP * 8 <= 16 * 2**20
 
     def test_import_builds_no_table(self):
         code = ("import scoreforge.renderkit as r, sys; "
-                "sys.exit(len(r._wavetables))")
+                "sys.exit(len(r._wavetables) + len(r._oscillators))")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_strings_corpus_in_either_order(self, strings_corpus_dir,
@@ -339,7 +358,7 @@ class TestPartialsTable:
                   for path in sorted(strings_corpus_dir.glob("*.mid"))]
 
         def render_all(order):
-            monkeypatch.setattr(renderkit, "_wavetables", {})
+            clear_tables(monkeypatch)
             return {i: synthesize(pieces[i]).samples for i in order}
 
         forward = render_all(range(len(pieces)))
@@ -348,6 +367,84 @@ class TestPartialsTable:
         for i in range(len(pieces)):
             assert np.array_equal(forward[i], backward[i])
             assert_snr(forward[i], reference_piece(pieces[i]), i)
+
+
+def pitch_args(pitch, sample_rate):
+    """(frequency, harmonics) of a pitch, as the synthesizer passes them."""
+    frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+    return frequency, min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
+
+
+class TestOscillatorPrefix:
+    """Each pitch's unscaled oscillator samples from phase 0, kept up to
+    OSC_CAP: a note reads the bits it would compute alone, whether the
+    prefix is cold, partly filled or full, and in any render order."""
+
+    LENGTHS = (1, 440, 441, OSC_CAP - 1, OSC_CAP, OSC_CAP + 1,
+               2 * OSC_CAP + 7)
+    PITCHES = (21, 57, 69, 100)
+    GAIN = SYNTH_GAIN * (90 / 127.0)
+
+    def oscillate(self, pitch, length, sample_rate):
+        return renderkit._oscillate(length, self.GAIN,
+                                    *pitch_args(pitch, sample_rate),
+                                    sample_rate)
+
+    def reference(self, pitch, length, sample_rate):
+        return reference_oscillator(length, self.GAIN,
+                                    *pitch_args(pitch, sample_rate),
+                                    sample_rate)
+
+    @pytest.mark.parametrize("sample_rate", [22_050, 44_100])
+    def test_cold_equals_warm(self, monkeypatch, sample_rate):
+        for pitch in self.PITCHES:
+            cold = {}
+            for length in self.LENGTHS:
+                clear_tables(monkeypatch)
+                cold[length] = self.oscillate(pitch, length, sample_rate)
+                assert np.array_equal(
+                    cold[length], self.reference(pitch, length, sample_rate)), \
+                    (pitch, length)
+            # ascending, each note extends the prefix the one before filled;
+            # descending, each reads a full prefix
+            clear_tables(monkeypatch)
+            for length in self.LENGTHS + self.LENGTHS[::-1]:
+                assert np.array_equal(
+                    self.oscillate(pitch, length, sample_rate),
+                    cold[length]), (pitch, length)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_render_order_keeps_bits(self, fresh_tables, order):
+        notes = [(pitch, length, sample_rate)
+                 for sample_rate in (22_050, 44_100)
+                 for pitch in self.PITCHES for length in self.LENGTHS]
+        if order == "descending":
+            notes.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(11).shuffle(notes)
+        for note in notes:
+            assert np.array_equal(self.oscillate(*note),
+                                  self.reference(*note)), note
+
+    def test_entry_holds_longest_note(self, fresh_tables):
+        longest = {}
+        rng = np.random.default_rng(3)
+        for drawn in [*self.LENGTHS, *rng.integers(1, 3 * OSC_CAP, 20)]:
+            for pitch in self.PITCHES:
+                for sample_rate in (22_050, 44_100):
+                    # each key sees its own lengths
+                    length = max(int(drawn) // (pitch % 5 + 1), 1)
+                    self.oscillate(pitch, length, sample_rate)
+                    key = (*pitch_args(pitch, sample_rate), sample_rate)
+                    longest[key] = max(longest.get(key, 0), length)
+                    prefix, filled = renderkit._oscillators[key]
+                    assert prefix.shape == (OSC_CAP,)
+                    assert filled == min(longest[key], OSC_CAP)
+                    # the filled samples are the unscaled oscillator
+                    assert np.array_equal(
+                        prefix[:filled],
+                        reference_oscillator(filled, 1.0, *key))
+        assert set(renderkit._oscillators) == set(longest)
 
 
 def reference_envelope(seg, attack, release, ramps):
