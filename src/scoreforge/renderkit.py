@@ -175,8 +175,8 @@ def _wavetable(harmonics: int) -> tuple[np.ndarray, np.ndarray]:
 # (frequency, harmonics, sample_rate) -> an OSC_CAP buffer whose first
 # ``filled`` entries hold the oscillator's unscaled samples from phase 0, and
 # ``filled``: the longest note read so far, capped at OSC_CAP. Built on first
-# use, per process; a key is one pitch at one rate, so at most 128 buffers of
-# OSC_CAP float64 values (16 MiB), whose pages are touched only as filled
+# use, per process; a key is one pitch at one sample rate, so at most 128
+# buffers (16 MiB) per rate, whose pages are touched only as filled
 _oscillators: dict[tuple[float, int, int], tuple[np.ndarray, int]] = {}
 
 

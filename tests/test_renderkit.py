@@ -226,6 +226,12 @@ def harmonic_count(pitch, sample_rate=DEFAULT_SAMPLE_RATE):
     return min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
 
 
+def pitch_args(pitch, sample_rate):
+    """(frequency, harmonics) of a pitch, as the synthesizer passes them."""
+    frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+    return frequency, harmonic_count(pitch, sample_rate)
+
+
 def reference_oscillator(length, gain, frequency, harmonics, sample_rate):
     """The oscillator computed for this note alone: the phase is
     arange(length) times the step, and the fraction between entries the
@@ -367,12 +373,6 @@ class TestPartialsTable:
         for i in range(len(pieces)):
             assert np.array_equal(forward[i], backward[i])
             assert_snr(forward[i], reference_piece(pieces[i]), i)
-
-
-def pitch_args(pitch, sample_rate):
-    """(frequency, harmonics) of a pitch, as the synthesizer passes them."""
-    frequency = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
-    return frequency, min(int(sample_rate / 2.0 / frequency), MAX_HARMONICS)
 
 
 class TestOscillatorPrefix:
