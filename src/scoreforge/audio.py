@@ -37,10 +37,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise AudioError(f"sample rate must be positive: {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def __len__(self) -> int:
         return len(self.samples)
 

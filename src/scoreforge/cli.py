@@ -17,13 +17,14 @@ The MIDI subcommands from fix to manifest are ranges of one per-piece chain,
     parse -> fix -> normalize -> annotate -> stats | split | manifest
 
 run in the workers on each file, parsed once and kept in memory between
-steps. The parent takes the pieces' results in piece-id order: it dedupes
-each piece as it arrives and writes its fix, normalize and annotate files,
-so at --jobs N it writes while the pool still works; at --jobs 1 it computes
-the chain and hands the files to a writer process. At the end it drops the
-files an earlier run left for pieces that no longer reach a step, reports
-the failures and runs the corpus reducers (fix report, stats totals, the
-split, the manifests). `pipeline` is the whole range.
+steps. The parent first removes what an earlier run into the same
+directories left of this run's files. It takes the pieces' results in
+piece-id order: it dedupes each piece as it arrives and writes its fix,
+normalize and annotate files, so at --jobs N it writes while the pool still
+works; at --jobs 1 it computes the chain and hands the files to a writer
+process. At the end it reports the failures and runs the corpus reducers
+(fix report, stats totals, the split, the manifests). `pipeline` is the
+whole range.
 
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
@@ -421,22 +422,27 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
     return out
 
 
-def _remove_stale(in_dir: Path, inputs: list[Path],
-                  out_dirs: dict[str, Path],
-                  reached: dict[str, set[str]]) -> None:
-    """Remove the files an earlier run left for the input pieces that did
-    not reach a step in this run (failed or deduped); never an input."""
-    ids = {path.stem for path in inputs}
-    for step, files in PIECE_FILES.items():
-        out_dir = out_dirs.get(step)
-        if out_dir is None or not out_dir.is_dir():
+def _clear_outputs(in_dir: Path, inputs: list[Path],
+                   out_dirs: dict[str, Path]) -> None:
+    """Remove the files of ``out_dirs`` this run could write: each step's
+    files for the input pieces, its reducer file and provenance.json. Never
+    an input, nor a directory in a file's place (the write fails on it).
+    Then remove each of ``out_dirs`` left empty."""
+    ids = [path.stem for path in inputs]
+    for step, out_dir in out_dirs.items():
+        if not out_dir.is_dir():
             continue
-        stale = {piece_id + suffix for piece_id in ids - reached[step]
-                 for suffix in files}
+        owned = {piece_id + suffix for piece_id in ids
+                 for suffix in PIECE_FILES.get(step, ())}
+        # a step without a reducer adds None, which names no file
+        owned |= {"provenance.json", REDUCER_FILES.get(step)}
         if out_dir.resolve() == in_dir.resolve():
-            stale -= {path.name for path in inputs}
-        for name in sorted(stale.intersection(os.listdir(out_dir))):
-            (out_dir / name).unlink()
+            owned -= {path.name for path in inputs}
+        for name in owned.intersection(os.listdir(out_dir)):
+            if not (out_dir / name).is_dir():
+                (out_dir / name).unlink()
+        with contextlib.suppress(OSError):  # not empty
+            out_dir.rmdir()
 
 
 def _write_piece(write: Callable[[Path, bytes], None], out_dir: Path,
@@ -450,34 +456,29 @@ def _write_piece(write: Callable[[Path, bytes], None], out_dir: Path,
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                jobs: int, failures: _Failures) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
-    ``out_dirs`` (a range of STEPS). Each piece's result is deduped (after
-    fix) and its chain files written as it arrives, their bytes then
-    dropped; after the map, stale files go and each step in
-    order reports its failures and runs its corpus reducer (fix report,
-    stats totals, split, manifests). Stops with exit code 1 when a chain step leaves no
-    piece for the steps after it. Their directories hold nothing of this run
-    (a piece writes to one only after passing the steps before it), so the
-    provenance and reducer files an earlier run left there go, then each
-    directory that is left empty."""
+    ``out_dirs`` (a range of STEPS), after clearing what an earlier run
+    left of this run's files. Each piece's result is deduped (after fix)
+    and its chain files written as it arrives, their bytes then dropped;
+    after the map, each step in order reports its failures and runs its
+    corpus reducer (fix report, stats totals, split, manifests). Stops with
+    exit code 1 when a chain step leaves no piece for the steps after it,
+    whose directories then hold nothing: a piece writes to one only after
+    passing the steps before it."""
     steps = tuple(out_dirs)
     _load_config_files(steps, config)
     inputs = _midi_files(in_dir)
-    files = [str(p) for p in inputs]
+    _clear_outputs(in_dir, inputs, out_dirs)
     worker = partial(_chain_worker, steps=steps, config=config)
     deduper = Deduper()
-    reached: dict[str, set[str]] = {step: set() for step in PIECE_FILES}
     alive = []  # every result but the duplicates', in piece-id order
     with _chain_writer(jobs) as write:
-        for r in _map_jobs(worker, files, jobs):
+        for r in _map_jobs(worker, [str(p) for p in inputs], jobs):
             if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
                 continue
             alive.append(r)
-            for step in PIECE_FILES:
+            for step in CHAIN_STEPS:
                 if step in r:
-                    reached[step].add(r["id"])
-                    if step in CHAIN_STEPS:
-                        _write_piece(write, out_dirs[step], step, r)
-    _remove_stale(in_dir, inputs, out_dirs, reached)
+                    _write_piece(write, out_dirs[step], step, r)
     for step in steps:
         out_dir = out_dirs[step]
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -520,12 +521,6 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         _write_provenance(out_dir, step, config)
         if not alive and step != steps[-1]:
             print(f"no pieces left after {step}", file=sys.stderr)
-            for later in steps[steps.index(step) + 1:]:
-                for name in ("provenance.json", REDUCER_FILES.get(later)):
-                    if name is not None:
-                        (out_dirs[later] / name).unlink(missing_ok=True)
-                with contextlib.suppress(OSError):  # not empty, or missing
-                    out_dirs[later].rmdir()
             return 1
     return failures.exit_code()
 
@@ -693,14 +688,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fix", help="map instruments, reject unknowns, dedupe")
     common(p)
-    p.add_argument("--dictionary", help="track-name dictionary CSV")
 
     p = sub.add_parser("normalize", help="flatten velocity, tempo, controllers")
     common(p)
 
     p = sub.add_parser("annotate", help="apply random expressive annotations")
     common(p)
-    p.add_argument("--mode", choices=("plain", "proposed"), default=None)
 
     p = sub.add_parser("stats", help="activity and polyphony statistics")
     common(p)
@@ -730,8 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # config key -> the flag that overrides it
-_OVERRIDES = {"master_seed": "seed", "dictionary": "dictionary",
-              "annotate_mode": "mode", "sample_rate": "sample_rate",
+_OVERRIDES = {"master_seed": "seed", "sample_rate": "sample_rate",
               "projection": "projection", "split_ratios": "ratios"}
 
 

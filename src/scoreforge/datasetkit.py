@@ -176,12 +176,9 @@ def stratified_split(label_sets: Mapping[str, set],
     # desired counts, exact: per split overall and per (label, split)
     remaining_total = [f * total for f in fracs]
     label_examples: dict[str, set[str]] = {}
-    labels_by_key: dict[str, object] = {}
     for piece_id, labels in label_sets.items():
         for label in labels:
-            key = label_key(label)
-            labels_by_key[key] = label
-            label_examples.setdefault(key, set()).add(piece_id)
+            label_examples.setdefault(label_key(label), set()).add(piece_id)
     remaining_label = {
         key: [f * len(examples) for f in fracs]
         for key, examples in label_examples.items()

@@ -40,6 +40,8 @@ from .smf import (
     SetTempo,
     TempoMap,
     Track,
+    has_notes,
+    track_name,
     track_notes,
 )
 
@@ -188,7 +190,6 @@ class ArticulationTable:
         total = sum(row.weight for row in rows)
         if total <= 0:
             raise ValueError(f"{instrument}: no positive weights")
-        self.instrument = instrument
         self.rows = tuple(rows)
         self.probabilities = np.array([row.weight / total for row in rows])
         self._by_cc32 = {row.cc32: row for row in rows}
@@ -427,10 +428,11 @@ def _track_tables(piece: MidiPiece,
     out: list[ArticulationTable | None] = []
     for index, (track, iid) in enumerate(zip(piece.tracks,
                                              track_instruments(piece))):
-        if iid is None and not any(isinstance(ev, NoteOn) for ev in track.events):
+        if iid is None and not has_notes(track):
             out.append(None)
             continue
-        name = iid.name if iid is not None else (track.name or f"track {index}")
+        name = iid.name if iid is not None else (track_name(track)
+                                                  or f"track {index}")
         table = tables.get(name)
         if table is None:
             raise MissingTable(name)
@@ -463,13 +465,6 @@ def plan_articulations(piece: MidiPiece,
     return out
 
 
-def _track_channel(track: Track) -> int:
-    for ev in track.events:
-        if isinstance(ev, NoteOn):
-            return ev.channel
-    return track.channel_hint if track.channel_hint is not None else 0
-
-
 def apply_articulations(piece: MidiPiece,
                         intervals: Sequence[ArticulationInterval]) -> MidiPiece:
     """Insert a CC#32 event at each interval start, before same-tick note-ons."""
@@ -485,7 +480,9 @@ def apply_articulations(piece: MidiPiece,
             raise NonTilingIntervals(f"track {index} has no notes to annotate")
         track_intervals = sorted(track_intervals, key=lambda iv: iv.start_tick)
         _check_tiling(track_intervals, span[0], span[1])
-        channel = _track_channel(track)
+        # a track with a span has a note-on; the inserts take its channel
+        channel = next(ev.channel for ev in track.events
+                       if isinstance(ev, NoteOn))
         inserts = [
             ControlChange(iv.start_tick, channel, 32, iv.cc32_value)
             for iv in track_intervals

@@ -26,7 +26,9 @@ from .smf import (
     ProgramChange,
     SetTempo,
     Track,
+    has_notes,
     note_pairs,
+    track_name,
 )
 
 NORMALIZED_VELOCITY = 75
@@ -161,20 +163,28 @@ def identify_track(track: Track,
                    dictionary: InstrumentDictionary) -> InstrumentId | _Excluded | None:
     """Identify a track's instrument.
 
-    Channel-10 tracks and tracks whose first program is an untuned-percussion
-    program are untuned percussion regardless of name. Otherwise the track
-    name decides; programs are too unreliable in raw corpora to fall back on,
-    so an unrecognized name returns None.
+    Tracks whose first channel message, of any kind, is on channel 10, and
+    tracks whose first program is an untuned-percussion program, are untuned
+    percussion regardless of name. Otherwise the track name decides;
+    programs are too unreliable in raw corpora to fall back on, so an
+    unrecognized name returns None.
     """
-    if track.channel_hint == PERCUSSION_CHANNEL:
+    channel = program = None
+    for ev in track.events:
+        if channel is None:
+            if type(ev) is OtherChannel:
+                if ev.status < 0xF0:  # pitch bend, aftertouch; not sysex
+                    channel = ev.status & 0x0F
+            else:
+                channel = getattr(ev, "channel", None)
+        if program is None and type(ev) is ProgramChange:
+            program = ev.program
+        if channel is not None and (program is not None
+                                    or channel == PERCUSSION_CHANNEL):
+            break
+    if channel == PERCUSSION_CHANNEL or program in UNTUNED_PROGRAMS:
         return REGISTRY["untuned_percussion"]
-    if track.program is not None and track.program in UNTUNED_PROGRAMS:
-        return REGISTRY["untuned_percussion"]
-    return dictionary.lookup(track.name)
-
-
-def _has_notes(track: Track) -> bool:
-    return any(isinstance(ev, NoteOn) for ev in track.events)
+    return dictionary.lookup(track_name(track))
 
 
 def fix_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
@@ -188,16 +198,16 @@ def fix_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
     fixed_tracks: list[Track] = []
     instruments: list[InstrumentId] = []
     for index, track in enumerate(piece.tracks):
-        if not _has_notes(track):
+        if not has_notes(track):
             fixed_tracks.append(track)
             continue
         iid = identify_track(track, dictionary)
         if iid is None:
             raise UnknownInstrument(
-                f"track {index} ({track.name!r}): no instrument mapping")
+                f"track {index} ({track_name(track)!r}): no instrument mapping")
         if iid is EXCLUDED:
             raise UnknownInstrument(
-                f"track {index} ({track.name!r}): instrument out of scope")
+                f"track {index} ({track_name(track)!r}): instrument out of scope")
         fixed_tracks.append(_retarget_track(track, iid))
         instruments.append(iid)
     return replace(piece, tracks=fixed_tracks), instruments
@@ -231,8 +241,7 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
         events.append(ev)
     events.insert(0, ProgramChange(0, target, iid.gm_program))
     events.sort(key=attrgetter("tick"))
-    return replace(track, events=events, channel_hint=target,
-                   program=iid.gm_program)
+    return replace(track, events=events)
 
 
 def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:
@@ -240,7 +249,7 @@ def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:
     read back from channel and program data (None for note-free tracks)."""
     out: list[InstrumentId | None] = []
     for track in piece.tracks:
-        if not _has_notes(track):
+        if not has_notes(track):
             out.append(None)
             continue
         program = None
@@ -297,7 +306,7 @@ def note_fingerprint(piece: MidiPiece) -> str:
     rows: list[tuple[int, int, int, str]] = []
     for track, iid in zip(piece.tracks, instruments):
         if iid is None:
-            if not _has_notes(track):
+            if not has_notes(track):
                 continue
             label = "?"
         else:

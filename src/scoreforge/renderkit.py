@@ -29,7 +29,14 @@ import numpy as np
 from .audio import AudioError, Waveform
 from .expressive import ArticulationTable
 from .gmfix import track_instruments
-from .smf import ControlChange, MidiPiece, NoteOn, TempoMap, track_notes
+from .smf import (
+    ControlChange,
+    MidiPiece,
+    TempoMap,
+    has_notes,
+    track_name,
+    track_notes,
+)
 
 DEFAULT_SAMPLE_RATE = 22_050
 ATTACK_SECONDS = 0.010
@@ -109,12 +116,11 @@ def emit_manifest(piece: MidiPiece,
     stems: dict[str, StemEntry] = {}
     for index, (track, iid) in enumerate(zip(piece.tracks,
                                              track_instruments(piece))):
-        # track_notes gives one note per note-on, so this is its truth value
-        if not any(type(ev) is NoteOn for ev in track.events):
+        if not has_notes(track):
             continue
         if iid is None:
-            raise UngroupableTrack(
-                f"track {index} ({track.name!r}) has no identifiable instrument")
+            raise UngroupableTrack(f"track {index} ({track_name(track)!r}) "
+                                   "has no identifiable instrument")
         table = tables.get(iid.name) if tables else None
         names = {row.cc32: row.articulation for row in table.rows} if table else {}
         stem = STEM_MERGES.get(iid.name, iid.name)

@@ -136,16 +136,25 @@ Event = Union[
 
 @dataclass
 class Track:
-    """One MTrk chunk. ``name``/``channel_hint``/``program`` are conveniences
-    derived from the event list at parse time; the events are authoritative."""
+    """One MTrk chunk: its events and nothing else. What a track is named,
+    and what it plays, is read from them (``track_name``, ``has_notes``)."""
 
     events: list[Event] = field(default_factory=list)
-    name: str = ""
-    channel_hint: int | None = None
-    program: int | None = None
 
     def end_tick(self) -> int:
         return max((ev.tick for ev in self.events), default=0)
+
+
+def track_name(track: Track) -> str:
+    """The text of the track's first non-empty TrackName, else ""."""
+    return next((ev.text for ev in track.events
+                 if type(ev) is TrackName and ev.text), "")
+
+
+def has_notes(track: Track) -> bool:
+    """Whether the track has a note-on: ``track_notes`` gives a note for
+    each, so this is its truth value."""
+    return any(type(ev) is NoteOn for ev in track.events)
 
 
 @dataclass
@@ -256,8 +265,6 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
     tick = 0
     pos = 0
     running: int | None = None
-    name = ""
-    hint = program = None
     saw_eot = False
 
     while pos < end:
@@ -285,8 +292,6 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
             running = status
             kind = status & 0xF0
             channel = status & 0x0F
-            if hint is None:
-                hint = channel
             if kind != 0xC0 and kind != 0xD0:  # two data bytes
                 if pos + 2 > end:
                     raise TruncatedTrack("channel message truncated")
@@ -314,8 +319,6 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
                     raise _data_byte_error(chunk, pos, index, base)
                 if kind == 0xC0:
                     append(ProgramChange(tick, channel, d0))
-                    if program is None:
-                        program = d0
                 else:
                     append(OtherChannel(tick, status, bytes(chunk[pos:pos + 1])))
                 pos += 1
@@ -341,10 +344,7 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
                                       f"{base + pos - length}")
                 append(SetTempo(tick, tempo))
             elif meta_type == 0x03:
-                text = payload.decode("latin-1")
-                append(TrackName(tick, text))
-                if not name:
-                    name = text
+                append(TrackName(tick, payload.decode("latin-1")))
             else:
                 append(OtherMeta(tick, meta_type, payload))
         elif status in (0xF0, 0xF7):
@@ -362,7 +362,7 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
             append(OtherChannel(tick, status, chunk[pos:pos + size]))
             pos += size
 
-    track = Track(events, name, hint, program)
+    track = Track(events)
     if not saw_eot:
         events.append(EndOfTrack(track.end_tick()))
     return track

@@ -327,8 +327,8 @@ class TestConfigErrorsExitBeforeOutput:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_missing_dictionary(self, strings_corpus_dir, tmp_path, jobs):
-        self.run(tmp_path, ["fix", str(strings_corpus_dir), "--jobs", jobs,
-                            "--dictionary", str(tmp_path / "missing.csv")])
+        self.run(tmp_path, ["fix", str(strings_corpus_dir), "--jobs", jobs],
+                 {"dictionary": str(tmp_path / "missing.csv")})
 
     def test_bad_dictionary_row(self, strings_corpus_dir, tmp_path):
         names = tmp_path / "names.csv"
@@ -341,8 +341,8 @@ class TestConfigErrorsExitBeforeOutput:
                                          capsys, jobs):
         names = tmp_path / "names.csv"
         names.write_text("name,instrument\nViolin I,violin\nviolin  i,viola\n")
-        self.run(tmp_path, ["fix", str(raw_corpus_dir), "--jobs", jobs,
-                            "--dictionary", str(names)])
+        self.run(tmp_path, ["fix", str(raw_corpus_dir), "--jobs", jobs],
+                 {"dictionary": str(names)})
         assert capsys.readouterr().err == (
             f"config error: cannot load {names}: GmFixError: {names}: name "
             "'violin i' maps to both violin and viola\n")
@@ -356,9 +356,9 @@ class TestConfigErrorsExitBeforeOutput:
                  {"articulation_tables": str(tables)})
         # plain mode reads no tables
         config = tmp_path / "tables.json"
-        config.write_text(json.dumps({"articulation_tables": str(tables)}))
-        assert run_command(["annotate", normalized, "--mode", "plain",
-                            "--config", str(config),
+        config.write_text(json.dumps({"articulation_tables": str(tables),
+                                      "annotate_mode": "plain"}))
+        assert run_command(["annotate", normalized, "--config", str(config),
                             "--out", str(tmp_path / "plain")]) == 0
 
     def test_manifest_loads_the_tables(self, pipeline_out, tmp_path):
@@ -498,8 +498,10 @@ class TestAnnotateCommand:
     def test_plain_mode_keeps_bytes(self, pipeline_out, tmp_path):
         normalized = pipeline_out / "20_normalized"
         out = tmp_path / "plain"
+        config = tmp_path / "plain.json"
+        config.write_text(json.dumps({"annotate_mode": "plain"}))
         rc = run_command(["annotate", str(normalized), "--out", str(out),
-                          "--mode", "plain"])
+                          "--config", str(config)])
         assert rc == 0
         for path in normalized.glob("*.mid"):
             assert (out / path.name).read_bytes() == path.read_bytes()
@@ -727,7 +729,7 @@ class TestSynthAndEval:
         (source / good.name).write_bytes(good.read_bytes())
         conductor_only = MidiPiece(480, [Track(
             events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                    EndOfTrack(480)], name="conductor")])
+                    EndOfTrack(480)])])
         (source / "silent.mid").write_bytes(write_smf(conductor_only))
         audio = tmp_path / "audio"
         assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
@@ -761,7 +763,7 @@ class TestSynthAndEval:
                                                      tmp_path, capsys):
         conductor_only = write_smf(MidiPiece(480, [Track(
             events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                    EndOfTrack(480)], name="conductor")]))
+                    EndOfTrack(480)])]))
         audio, _ = self.synth_twice(pipeline_out, tmp_path,
                                     lambda piece: conductor_only)
         assert capsys.readouterr().err.splitlines() == \
@@ -1237,6 +1239,24 @@ class TestStaleFiles:
         assert sorted(p.name for p in out.iterdir()) == [
             "10_fixed", "20_normalized", "30_annotated"]
         assert tree_bytes(out) == tree_bytes(fresh)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_rerun_leaves_a_fresh_runs_tree(self, six_strings,
+                                                   tmp_path, jobs):
+        """A re-run whose write fails leaves what a fresh run failing at the
+        same write leaves, and nothing of the earlier run."""
+        third = sorted(six_strings.glob("*.mid"))[2].name
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        (out / "20_normalized" / third).unlink()
+        for target in (out, fresh):
+            (target / "20_normalized" / third).mkdir(parents=True)
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(target), "--jobs", jobs]) == 1
+        assert tree_bytes(out) == tree_bytes(fresh)
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) \
+            == sorted(p.relative_to(fresh) for p in fresh.rglob("*"))
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_output_into_the_input_keeps_the_inputs(self, six_strings,

@@ -83,8 +83,7 @@ class TestActivity:
         from scoreforge.gmfix import InstrumentDictionary, fix_piece
         from scoreforge.smf import ProgramChange
         track = Track(events=[TrackName(0, "Viola"), NoteOn(0, 2, 60, 75),
-                              NoteOff(480, 2, 60, 0), EndOfTrack(480)],
-                      name="Viola", channel_hint=2)
+                              NoteOff(480, 2, 60, 0), EndOfTrack(480)])
         fixed, _ = fix_piece(MidiPiece(480, [track]),
                              InstrumentDictionary.default())
         assert activity_time(fixed) == {VIOLA: 0.5}
@@ -206,11 +205,9 @@ class TestPieceLabels:
             Track(events=[TrackName(0, "conductor"), SetTempo(0, 500000),
                           EndOfTrack(480)]),
             Track(events=[TrackName(0, "Violin I"), NoteOn(0, 0, 70, 75),
-                          NoteOff(480, 0, 70, 0), EndOfTrack(480)],
-                  name="Violin I", channel_hint=0),
+                          NoteOff(480, 0, 70, 0), EndOfTrack(480)]),
             Track(events=[TrackName(0, "Celli"), NoteOn(0, 1, 50, 75),
-                          NoteOff(480, 1, 50, 0), EndOfTrack(480)],
-                  name="Celli", channel_hint=1),
+                          NoteOff(480, 1, 50, 0), EndOfTrack(480)]),
         ]
         fixed, _ = fix_piece(MidiPiece(480, tracks),
                              InstrumentDictionary.default())

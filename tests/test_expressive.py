@@ -63,7 +63,7 @@ def make_piece(quarters=96, tpq=480, instruments=("violin", "cello"),
     """A fixed, normalized-style piece: steady quarter notes per track."""
     end = quarters * tpq
     conductor = Track(events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                              EndOfTrack(end)], name="conductor")
+                              EndOfTrack(end)])
     tracks = [conductor]
     starts = start_quarters or [0] * len(instruments)
     for i, (name, first) in enumerate(zip(instruments, starts)):
@@ -74,8 +74,7 @@ def make_piece(quarters=96, tpq=480, instruments=("violin", "cello"),
             events.append(NoteOn(q * tpq, i, pitch, 75))
             events.append(NoteOff(q * tpq + tpq - 60, i, pitch, 0))
         events.append(EndOfTrack(end))
-        tracks.append(Track(events=events, name=name, channel_hint=i,
-                            program=program))
+        tracks.append(Track(events=events))
     return MidiPiece(tpq, tracks)
 
 
@@ -471,8 +470,7 @@ class TestAnnotateFailureOrder:
                                          instruments, uncovered):
         piece = make_piece(quarters=16, instruments=instruments)
         # a note-free track needs no table, whatever its name
-        piece.tracks.insert(1, Track([TrackName(0, "Flute 2"), EndOfTrack(0)],
-                                     name="Flute 2"))
+        piece.tracks.insert(1, Track([TrackName(0, "Flute 2"), EndOfTrack(0)]))
         with pytest.raises(MissingTable) as info:
             annotate(piece, tables, AnnotationParams(seed=4))
         assert info.value.instrument == uncovered
@@ -490,7 +488,6 @@ class TestAnnotateFailureOrder:
                         ProgramChange(0, ev.channel, 0)
                         if isinstance(ev, ProgramChange) else ev
                         for ev in track.events]
-        track.name = name
         with pytest.raises(MissingTable) as info:
             annotate(piece, tables, AnnotationParams())
         assert info.value.instrument == reported

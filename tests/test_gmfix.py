@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -54,8 +54,7 @@ def named_track(name, channel=0, pitch=60, program=None, extra=()):
     events += [NoteOn(0, channel, pitch, 80), NoteOff(480, channel, pitch, 0)]
     events += list(extra)
     events.sort(key=lambda e: e.tick)
-    track = Track(events=events, name=name, channel_hint=channel, program=program)
-    return track
+    return Track(events=events)
 
 
 class TestNames:
@@ -122,6 +121,14 @@ class TestMapInstrument:
     def test_channel_10_wins_over_name(self, dictionary):
         track = named_track("Viola", channel=9)
         assert identify_track(track, dictionary) is REGISTRY["untuned_percussion"]
+        # the first channel message decides, an untyped one (pitch bend)
+        # included; a system message (0xF9) has no channel
+        for first, expected in [(OtherChannel(0, 0xE9, b"\x00\x40"),
+                                 REGISTRY["untuned_percussion"]),
+                                (OtherChannel(0, 0xF9, b""), REGISTRY["viola"])]:
+            track = Track([TrackName(0, "Viola"), first, NoteOn(0, 0, 60, 80),
+                           NoteOff(480, 0, 60, 0), EndOfTrack(480)])
+            assert identify_track(track, dictionary) is expected
 
     def test_marker_programs_mean_percussion(self, dictionary):
         for program in (112, 114):
@@ -162,8 +169,7 @@ class TestFixPiece:
 
     def test_note_free_track_passes_through(self, dictionary):
         conductor = Track(events=[TrackName(0, "conductor"),
-                                  SetTempo(0, 600000), EndOfTrack(0)],
-                          name="conductor")
+                                  SetTempo(0, 600000), EndOfTrack(0)])
         piece = MidiPiece(480, [conductor, named_track("Tuba")])
         fixed, instruments = fix_piece(piece, dictionary)
         assert fixed.tracks[0].events == conductor.events
@@ -219,7 +225,7 @@ def mixed_channel_tracks(draw):
                                        bytes([0x40] * UNTYPED_VOICE[kind])))
     events.sort(key=lambda e: e.tick)
     events.append(EndOfTrack(events[-1].tick))
-    return Track(events=events, name=name)
+    return Track(events=events)
 
 
 def channel_of(event):
@@ -236,7 +242,7 @@ class TestChannelProperty:
         for track in parse_smf(write_smf(fixed)).tracks:
             assert track_notes(track)
             channels = {channel_of(ev) for ev in track.events} - {None}
-            assert channels == {track.channel_hint}
+            assert len(channels) == 1
 
     def test_raw_corpus_has_no_stray_channel_events(self, dictionary,
                                                     tmp_path):
@@ -248,9 +254,26 @@ class TestChannelProperty:
                 continue
             for track in fixed.tracks:
                 if track_notes(track):
-                    strays += sum(channel_of(ev) not in (None, track.channel_hint)
-                                  for ev in track.events)
+                    channels = {channel_of(ev) for ev in track.events} - {None}
+                    strays += len(channels) != 1
         assert strays == 0
+
+
+class TestIdentifiedFromEvents:
+    """A track's instrument is read from its events alone, so it is the
+    same before and after a write and parse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(track=mixed_channel_tracks())
+    @example(track=Track([TrackName(0, "Violin I"), NoteOn(0, 0, 60, 80),
+                          NoteOff(480, 0, 60, 0), EndOfTrack(480)]))
+    def test_round_trip_keeps_the_instrument(self, dictionary, track):
+        piece = MidiPiece(480, [track])
+        again = parse_smf(write_smf(piece))
+        assert identify_track(track, dictionary) \
+            == identify_track(again.tracks[0], dictionary)
+        assert fix_piece(piece, dictionary)[1] \
+            == fix_piece(again, dictionary)[1]
 
 
 class TestNormalize:

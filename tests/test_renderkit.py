@@ -58,15 +58,14 @@ def fixed_track(instrument, channel, notes, name=None):
         events.append(NoteOff(off, channel, pitch, 0))
     events.sort(key=lambda e: e.tick)
     events.append(EndOfTrack(max(off for _, off, _, _ in notes)))
-    return Track(events=events, name=name or instrument,
-                 channel_hint=channel, program=iid.gm_program)
+    return Track(events=events)
 
 
 def conductor(end, tempos=((0, 500000),)):
     events = [TrackName(0, "conductor")]
     events += [SetTempo(t, us) for t, us in tempos]
     events.append(EndOfTrack(end))
-    return Track(events=events, name="conductor")
+    return Track(events=events)
 
 
 def reference_note(pitch, velocity, start_s, stop_s, sample_rate, total_s):
@@ -622,9 +621,7 @@ class TestManifest:
         track = piece.tracks[1]
         events = ([ControlChange(0, 0, 32, 5)] + list(track.events[:-1])
                   + [ControlChange(960, 0, 32, 9), track.events[-1]])
-        piece.tracks[1] = Track(events=sorted(events, key=lambda e: e.tick),
-                                name=track.name, channel_hint=track.channel_hint,
-                                program=track.program)
+        piece.tracks[1] = Track(events=sorted(events, key=lambda e: e.tick))
         manifest = emit_manifest(piece, None)
         violin_entry = next(e for e in manifest.stems if e.stem == "violin")
         first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)

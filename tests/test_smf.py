@@ -53,6 +53,7 @@ from scoreforge.smf import (
     decode_vlq,
     encode_vlq,
     parse_smf,
+    track_name,
     track_notes,
     validate_piece,
     write_smf,
@@ -181,7 +182,7 @@ class TestParse:
     def test_track_name_hint(self):
         body = b"\x00\xff\x03\x05Viola\x00\xff\x2f\x00"
         piece = parse_smf(raw_file(body=body))
-        assert piece.tracks[0].name == "Viola"
+        assert track_name(piece.tracks[0]) == "Viola"
 
     def test_sysex_preserved(self):
         body = b"\x00\xf0\x05\x7e\x7f\x09\x01\xf7\x00\xff\x2f\x00"
