@@ -57,6 +57,7 @@ from .datasetkit import (
     InvalidRatios,
     activity_time,
     as_fractions,
+    instrument_intervals,
     piece_labels,
     polyphony_histogram,
     stratified_split,
@@ -308,8 +309,11 @@ _tables = cache(load_articulation_tables)
 
 
 def _load_config_files(steps: tuple[str, ...], config: PipelineConfig) -> None:
-    """Fill the caches with the files ``steps`` read before any worker starts
-    (forked workers inherit them); a file that fails to load is a ConfigError."""
+    """Empty the caches, then fill them with the files ``steps`` read, as they
+    are now, before any worker starts (forked workers inherit them); a file
+    that fails to load is a ConfigError."""
+    _dictionary.cache_clear()
+    _tables.cache_clear()
     loads = {"fix": (_dictionary, config.dictionary)}
     if config.annotate_mode == "proposed":
         loads["annotate"] = loads["manifest"] = (
@@ -396,13 +400,14 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
                 out["annotate"] = write_smf(piece)
                 out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
+                intervals = instrument_intervals(piece)
                 out["stats"] = {
                     "activity_seconds": {iid.name: float(seconds)
                                          for iid, seconds
-                                         in activity_time(piece).items()},
+                                         in activity_time(intervals).items()},
                     "polyphony_seconds": {str(level): float(seconds)
                                           for level, seconds
-                                          in polyphony_histogram(piece).items()},
+                                          in polyphony_histogram(intervals).items()},
                 }
             elif step == "split":
                 labels = piece_labels(piece)

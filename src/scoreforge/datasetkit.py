@@ -6,9 +6,10 @@ to seconds as exact rationals under the tempo map, so identities such as
 
     sum over levels of level * time(level) == sum of per-instrument activity
 
-hold exactly, not merely to rounding. ``activity_time`` and
-``polyphony_histogram`` return these rationals (``Fraction`` seconds); a
-caller that writes JSON converts them with ``float``.
+hold exactly, not merely to rounding. ``instrument_intervals`` builds a
+piece's merged intervals once; ``activity_time`` and ``polyphony_histogram``
+reduce them to these rationals (``Fraction`` seconds), and a caller that
+writes JSON converts them with ``float``.
 
 Splitting uses iterative stratification over instrument-presence labels:
 the rarest label is processed first, and each of its examples goes to the
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .gmfix import InstrumentId, track_instruments
-from .smf import MidiPiece, TempoMap, track_notes
+from .smf import MidiPiece, TempoMap, note_pairs
 
 SPLIT_NAMES = ("train", "eval", "test")
 DEFAULT_RATIOS = (0.7, 0.1, 0.2)
@@ -46,20 +47,24 @@ class InvalidRatios(DatasetError):
 # Activity and polyphony
 # ---------------------------------------------------------------------------
 
-def _instrument_intervals(piece: MidiPiece,
-                          instrument_of_track: Sequence[InstrumentId | None] | None,
-                          ) -> dict[InstrumentId, list[tuple[int, int]]]:
-    """Merged (union) sounding intervals in ticks, per instrument."""
+# instrument -> its merged sounding intervals, (start, stop) in exact seconds
+Intervals = Mapping[InstrumentId, Sequence[tuple[Fraction, Fraction]]]
+
+
+def instrument_intervals(piece: MidiPiece,
+                         instrument_of_track: Sequence[InstrumentId | None] | None = None,
+                         ) -> Intervals:
+    """Each instrument's sounding intervals, merged (unioned) in ticks across
+    its tracks, each boundary then converted once to exact seconds."""
     if instrument_of_track is None:
         instrument_of_track = track_instruments(piece)
     raw: dict[InstrumentId, list[tuple[int, int]]] = {}
     for track, iid in zip(piece.tracks, instrument_of_track):
-        if iid is None:
-            continue
-        for note in track_notes(track):
-            if note.tick_off > note.tick_on:
-                raw.setdefault(iid, []).append((note.tick_on, note.tick_off))
-    merged: dict[InstrumentId, list[tuple[int, int]]] = {}
+        if iid is not None:
+            raw.setdefault(iid, []).extend(
+                (on, off) for on, off, *_ in note_pairs(track) if off > on)
+    seconds = TempoMap.from_piece(piece).exact_seconds_at
+    merged = {}
     for iid, intervals in raw.items():
         intervals.sort()
         out: list[tuple[int, int]] = []
@@ -68,50 +73,36 @@ def _instrument_intervals(piece: MidiPiece,
                 out[-1] = (out[-1][0], max(out[-1][1], stop))
             else:
                 out.append((start, stop))
-        merged[iid] = out
+        merged[iid] = [(seconds(start), seconds(stop)) for start, stop in out]
     return merged
 
 
-def activity_time(piece: MidiPiece,
-                  instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                  ) -> dict[InstrumentId, Fraction]:
+def activity_time(intervals: Intervals) -> dict[InstrumentId, Fraction]:
     """Seconds each instrument actually sounds (union of its note intervals,
-    overlaps counted once), as exact rationals."""
-    tempo_map = TempoMap.from_piece(piece)
-    merged = _instrument_intervals(piece, instrument_of_track)
-    return {
-        iid: sum(
-            (tempo_map.exact_seconds_at(stop) - tempo_map.exact_seconds_at(start)
-             for start, stop in intervals),
-            Fraction(0))
-        for iid, intervals in merged.items()
-    }
+    overlaps counted once), from ``instrument_intervals``."""
+    return {iid: sum((stop - start for start, stop in spans), Fraction(0))
+            for iid, spans in intervals.items()}
 
 
-def polyphony_histogram(piece: MidiPiece,
-                        instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                        ) -> dict[int, Fraction]:
+def polyphony_histogram(intervals: Intervals) -> dict[int, Fraction]:
     """Seconds spent at each polyphony level >= 1, where the level counts
-    distinct instruments with at least one sounding note."""
-    tempo_map = TempoMap.from_piece(piece)
-    merged = _instrument_intervals(piece, instrument_of_track)
-    deltas: dict[int, int] = {}
-    for intervals in merged.values():
-        # intervals are already per-instrument unions, so each contributes
-        # at most one simultaneous voice
-        for start, stop in intervals:
+    distinct instruments with at least one sounding note, from
+    ``instrument_intervals``."""
+    deltas: dict[Fraction, int] = {}
+    for spans in intervals.values():
+        # spans are already per-instrument unions, so each contributes at
+        # most one simultaneous voice
+        for start, stop in spans:
             deltas[start] = deltas.get(start, 0) + 1
             deltas[stop] = deltas.get(stop, 0) - 1
     histogram: dict[int, Fraction] = {}
     level = 0
-    previous_tick: int | None = None
-    for tick in sorted(deltas):
-        if level >= 1 and previous_tick is not None:
-            span = (tempo_map.exact_seconds_at(tick)
-                    - tempo_map.exact_seconds_at(previous_tick))
-            histogram[level] = histogram.get(level, Fraction(0)) + span
-        level += deltas[tick]
-        previous_tick = tick
+    previous = Fraction(0)
+    for moment in sorted(deltas):
+        if level >= 1:
+            histogram[level] = histogram.get(level, Fraction(0)) + (moment - previous)
+        level += deltas[moment]
+        previous = moment
     return histogram
 
 

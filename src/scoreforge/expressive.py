@@ -41,8 +41,8 @@ from .smf import (
     TempoMap,
     Track,
     has_notes,
+    note_pairs,
     track_name,
-    track_notes,
 )
 
 # one interval per this many quarter notes, on average, at the upper bound
@@ -410,15 +410,15 @@ def apply_dynamics(piece: MidiPiece,
 
 
 def _active_span(track: Track) -> tuple[int, int] | None:
-    notes = track_notes(track)
-    if not notes:
+    pairs = note_pairs(track)
+    if not pairs:
         return None
-    return (min(n.tick_on for n in notes), max(n.tick_off for n in notes))
+    return (min(p[0] for p in pairs), max(p[1] for p in pairs))
 
 
-def _track_tables(piece: MidiPiece,
-                  tables: Mapping[str, ArticulationTable],
-                  ) -> list[ArticulationTable | None]:
+def track_tables(piece: MidiPiece,
+                 tables: Mapping[str, ArticulationTable],
+                 ) -> list[ArticulationTable | None]:
     """Each track's articulation table, None for a track without notes.
 
     A track is looked up by its instrument's registry name, else its track
@@ -441,18 +441,18 @@ def _track_tables(piece: MidiPiece,
 
 
 def plan_articulations(piece: MidiPiece,
-                       tables: Mapping[str, ArticulationTable],
+                       tables: Sequence[ArticulationTable | None],
                        params: AnnotationParams,
                        rng: np.random.Generator) -> list[ArticulationInterval]:
-    """Per note-bearing track, tile the active span with intervals and draw
-    each interval's articulation from the instrument's weight table.
+    """Per track with a table in ``tables`` (one per track, as
+    ``track_tables`` returns them), tile the active span with intervals and
+    draw each interval's articulation from that table.
 
     Tracks too short for the minimum interval count get as many intervals
     as their beat grid allows, down to one.
     """
     out: list[ArticulationInterval] = []
-    for index, (track, table) in enumerate(zip(piece.tracks,
-                                               _track_tables(piece, tables))):
+    for index, (track, table) in enumerate(zip(piece.tracks, tables)):
         if table is None:
             continue
         span = _active_span(track)
@@ -512,19 +512,18 @@ def _merge_before_noteons(events: list, inserts: list) -> list:
 
 
 def mirror_velocity_to_cc1(piece: MidiPiece,
-                           tables: Mapping[str, ArticulationTable],
+                           tables: Sequence[ArticulationTable | None],
                            ) -> MidiPiece:
     """Emit CC#1 (modulation wheel) = note velocity before every note-on that
     falls in a long-articulation region; short regions get none.
 
-    Regions are read back from the CC#32 events already present, so this
+    Regions are read back from the CC#32 events already present, through
+    ``tables`` (one per track, as ``track_tables`` returns them), so this
     works on any piece that has been through apply_articulations. Tracks
-    whose instrument has no table are left untouched.
+    whose table is None are left untouched.
     """
-    instruments = track_instruments(piece)
     new_tracks: list[Track] = []
-    for track, iid in zip(piece.tracks, instruments):
-        table = tables.get(iid.name) if iid is not None else None
+    for track, table in zip(piece.tracks, tables):
         if table is None:
             new_tracks.append(track)
             continue
@@ -557,15 +556,15 @@ def annotate(piece: MidiPiece,
     validated here; ``write_smf`` validates every piece it writes.
     """
     _require_span(piece, params)
-    _track_tables(piece, tables)
+    per_track = track_tables(piece, tables)
     rng = np.random.default_rng(params.seed)
     tempo = plan_tempo_intervals(piece, params, rng)
     with_tempo = apply_tempo(piece, tempo)
     dynamics = plan_dynamic_intervals(with_tempo, params, rng)
     with_dynamics = apply_dynamics(with_tempo, dynamics)
-    articulations = plan_articulations(with_dynamics, tables, params, rng)
+    articulations = plan_articulations(with_dynamics, per_track, params, rng)
     with_articulations = apply_articulations(with_dynamics, articulations)
-    final = mirror_velocity_to_cc1(with_articulations, tables)
+    final = mirror_velocity_to_cc1(with_articulations, per_track)
     plan = AnnotationPlan(tuple(tempo), tuple(dynamics), tuple(articulations),
                           params)
     return final, plan

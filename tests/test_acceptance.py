@@ -19,6 +19,7 @@ from scoreforge.audio import Waveform, read_wav
 from scoreforge.cli import run_command
 from scoreforge.datasetkit import (
     activity_time,
+    instrument_intervals,
     polyphony_histogram,
     stratified_split,
 )
@@ -284,8 +285,9 @@ def test_polyphony_activity_identity(raw_corpus_files):
             piece = parse_smf(path.read_bytes())
             assigned = [instruments[i % len(instruments)]
                         for i in range(len(piece.tracks))]
-            activity = activity_time(piece, assigned)
-            histogram = polyphony_histogram(piece, assigned)
+            intervals = instrument_intervals(piece, assigned)
+            activity = activity_time(intervals)
+            histogram = polyphony_histogram(intervals)
             weighted = sum((level * seconds for level, seconds
                             in histogram.items()), Fraction(0))
             assert weighted == sum(activity.values(), Fraction(0)), path.name

@@ -1277,6 +1277,50 @@ class TestStaleFiles:
                 == kept[piece_id]
 
 
+class TestConfigFilesReread:
+    """A command reads its config files as they are when it starts, also
+    after an earlier command in this process read the same paths."""
+
+    @staticmethod
+    def run(source: Path, out: Path, tables: Path, names: Path):
+        config = out.with_suffix(".json")
+        config.write_text(json.dumps({"articulation_tables": str(tables),
+                                      "dictionary": str(names)}))
+        rc = run_command(["pipeline", str(source), "--out", str(out),
+                          "--config", str(config)])
+        # provenance.json records the paths, which differ by design
+        return rc, {path: data for path, data in tree_bytes(out).items()
+                    if path.name != "provenance.json"}
+
+    def test_rewritten_files_are_read_again(self, six_strings, tmp_path):
+        data = Path(scoreforge.cli.__file__).parent / "data"
+        tables, names = tmp_path / "t.csv", tmp_path / "d.csv"
+        shutil.copy(data / "articulations_strings.csv", tables)
+        shutil.copy(data / "instrument_names.csv", names)
+
+        def rename_articulations(text: str) -> str:
+            header, *rows = text.splitlines()
+            return "\n".join([header] + [row.replace(",", ",X ", 1)
+                                         for row in rows]) + "\n"
+
+        def violas_as_violins(text: str) -> str:
+            return re.sub(r",viola$", ",violin", text, flags=re.M)
+
+        previous = self.run(six_strings, tmp_path / "run0", tables, names)
+        for step, (path, rewrite) in enumerate(
+                [(tables, rename_articulations), (names, violas_as_violins)], 1):
+            path.write_text(rewrite(path.read_text()))
+            again = self.run(six_strings, tmp_path / f"run{step}", tables, names)
+            # the same contents at paths no command has read yet
+            new = tmp_path / f"new{step}"
+            new.mkdir()
+            fresh = self.run(six_strings, new / "run", shutil.copy(tables, new),
+                             shutil.copy(names, new))
+            assert again == fresh
+            assert again != previous
+            previous = again
+
+
 class TestChainWriter:
     """At --jobs 1 the parent computes the chain and a writer process
     creates the chain's files; what it leaves, whatever happens, is what

@@ -12,6 +12,7 @@ from scoreforge.datasetkit import (
     EmptyCorpus,
     InvalidRatios,
     activity_time,
+    instrument_intervals,
     piece_labels,
     polyphony_histogram,
     stratified_split,
@@ -60,23 +61,24 @@ class TestActivity:
         # violin [0,480) and [240,720) merge to 1.5 quarters = 0.75 s
         piece = piece_with([[(0, 480), (240, 720)], [(960, 1440)]])
         mapping = [None, VIOLIN, CELLO]
-        exact = activity_time(piece, mapping)
+        exact = activity_time(instrument_intervals(piece, mapping))
         assert exact == {VIOLIN: Fraction(3, 4), CELLO: Fraction(1, 2)}
         assert all(type(s) is Fraction for s in exact.values())
 
     def test_tempo_change_inside_note(self):
         piece = piece_with([[(0, 960)]], tempos=((0, 500000), (480, 1000000)))
-        exact = activity_time(piece, [None, VIOLIN])
+        exact = activity_time(instrument_intervals(piece, [None, VIOLIN]))
         assert exact[VIOLIN] == Fraction(3, 2)  # 0.5 s + 1.0 s
 
     def test_same_instrument_on_two_tracks_merges(self):
         piece = piece_with([[(0, 480)], [(240, 960)]])
-        exact = activity_time(piece, [None, VIOLIN, VIOLIN])
+        exact = activity_time(
+            instrument_intervals(piece, [None, VIOLIN, VIOLIN]))
         assert exact == {VIOLIN: Fraction(1, 1)}
 
     def test_zero_length_notes_ignored(self):
         piece = piece_with([[(0, 480), (480, 480)]])
-        exact = activity_time(piece, [None, VIOLIN])
+        exact = activity_time(instrument_intervals(piece, [None, VIOLIN]))
         assert exact[VIOLIN] == Fraction(1, 2)
 
     def test_reads_instruments_from_fixed_piece(self):
@@ -86,19 +88,29 @@ class TestActivity:
                               NoteOff(480, 2, 60, 0), EndOfTrack(480)])
         fixed, _ = fix_piece(MidiPiece(480, [track]),
                              InstrumentDictionary.default())
-        assert activity_time(fixed) == {VIOLA: 0.5}
+        assert activity_time(instrument_intervals(fixed)) == {VIOLA: 0.5}
+
+    def test_intervals_are_merged_in_exact_seconds(self):
+        piece = piece_with([[(0, 480), (240, 720), (960, 1440)]],
+                           tempos=((0, 500000), (600, 1000000)))
+        assert instrument_intervals(piece, [None, VIOLIN]) == {
+            # 0.5 s a quarter up to tick 600 (0.625 s), then 1 s a quarter
+            VIOLIN: [(Fraction(0), Fraction(7, 8)),
+                     (Fraction(11, 8), Fraction(19, 8))]}
 
 
 class TestPolyphony:
     def test_levels_partition_time(self):
         piece = piece_with([[(0, 960)], [(480, 1440)]])
-        histogram = polyphony_histogram(piece, [None, VIOLIN, CELLO])
+        histogram = polyphony_histogram(
+            instrument_intervals(piece, [None, VIOLIN, CELLO]))
         assert histogram == {1: Fraction(1), 2: Fraction(1, 2)}
         assert all(type(s) is Fraction for s in histogram.values())
 
     def test_gap_between_notes_not_counted(self):
         piece = piece_with([[(0, 480), (960, 1440)]])
-        histogram = polyphony_histogram(piece, [None, VIOLIN])
+        histogram = polyphony_histogram(
+            instrument_intervals(piece, [None, VIOLIN]))
         assert histogram == {1: Fraction(1)}
 
     def test_identity_levels_vs_activity(self):
@@ -107,8 +119,9 @@ class TestPolyphony:
             [[(0, 960), (1200, 1680)], [(480, 1440)], [(240, 720), (1440, 1920)]],
             tempos=((0, 500000), (700, 437500), (1500, 923077)))
         mapping = [None, VIOLIN, CELLO, VIOLA]
-        histogram = polyphony_histogram(piece, mapping)
-        activity = activity_time(piece, mapping)
+        intervals = instrument_intervals(piece, mapping)
+        histogram = polyphony_histogram(intervals)
+        activity = activity_time(intervals)
         lhs = sum((level * span for level, span in histogram.items()),
                   Fraction(0))
         rhs = sum(activity.values(), Fraction(0))
@@ -117,8 +130,9 @@ class TestPolyphony:
 
     def test_empty_piece(self):
         piece = piece_with([[(0, 480)]])
-        assert polyphony_histogram(piece, [None, None]) == {}
-        assert activity_time(piece, [None, None]) == {}
+        intervals = instrument_intervals(piece, [None, None])
+        assert polyphony_histogram(intervals) == {}
+        assert activity_time(intervals) == {}
 
 
 class TestStratifiedSplit:

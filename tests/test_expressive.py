@@ -32,6 +32,7 @@ from scoreforge.expressive import (
     plan_dynamic_intervals,
     plan_tempo_intervals,
     plan_to_dict,
+    track_tables,
     velocity_to_mark,
 )
 from scoreforge.gmfix import REGISTRY, normalize
@@ -307,7 +308,8 @@ class TestArticulations:
         piece = make_piece(quarters=64, instruments=("violin", "cello"),
                            start_quarters=[0, 8])
         params = AnnotationParams()
-        plan = plan_articulations(piece, tables, params, np.random.default_rng(3))
+        plan = plan_articulations(piece, track_tables(piece, tables), params,
+                                  np.random.default_rng(3))
         by_track = {}
         for iv in plan:
             by_track.setdefault(iv.track_index, []).append(iv)
@@ -324,18 +326,20 @@ class TestArticulations:
     def test_missing_table(self, tables):
         piece = make_piece(instruments=("violin", "flute"))
         with pytest.raises(MissingTable) as info:
-            plan_articulations(piece, tables, AnnotationParams(), np.random.default_rng(0))
+            track_tables(piece, tables)
         assert info.value.instrument == "flute"
 
     def test_short_track_degrades_instead_of_failing(self, tables):
         piece = make_piece(quarters=2, instruments=("viola",))
-        plan = plan_articulations(piece, tables, AnnotationParams(), np.random.default_rng(1))
+        plan = plan_articulations(piece, track_tables(piece, tables),
+                                  AnnotationParams(), np.random.default_rng(1))
         assert 1 <= len(plan) <= 2
 
     def test_apply_inserts_cc32_before_same_tick_noteons(self, tables):
         piece = make_piece(quarters=48, instruments=("violin", "viola"))
         params = AnnotationParams()
-        plan = plan_articulations(piece, tables, params, np.random.default_rng(11))
+        plan = plan_articulations(piece, track_tables(piece, tables), params,
+                                  np.random.default_rng(11))
         out = apply_articulations(piece, plan)
         for index in (1, 2):
             events = out.tracks[index].events
@@ -364,7 +368,8 @@ class TestArticulations:
             ArticulationInterval(1, 0, 16 * tpq, long_code, "Long"),
             ArticulationInterval(1, 16 * tpq, end, short_code, "Short"),
         ]
-        out = mirror_velocity_to_cc1(apply_articulations(piece, plan), tables)
+        out = mirror_velocity_to_cc1(apply_articulations(piece, plan),
+                                     track_tables(piece, tables))
         events = out.tracks[1].events
         for pos, ev in enumerate(events):
             if not isinstance(ev, NoteOn):
@@ -379,7 +384,7 @@ class TestArticulations:
 
     def test_mirror_skips_tracks_without_table(self, tables):
         piece = make_piece(quarters=16, instruments=("flute",))
-        out = mirror_velocity_to_cc1(piece, tables)
+        out = mirror_velocity_to_cc1(piece, [None, None])
         assert out.tracks[1].events == piece.tracks[1].events
 
 
@@ -441,6 +446,24 @@ class TestAnnotateChain:
         assert plan.tempo and plan.dynamics and plan.articulations
         write_smf(out)
 
+    def test_track_matched_by_name_gets_cc1(self, tables):
+        """A track whose program maps to no instrument takes its table by
+        its name, for CC#1 as for CC#32: it gets its twin's events."""
+        by_program = make_piece(quarters=64, instruments=("violin", "cello"))
+        by_name = make_piece(quarters=64, instruments=("violin", "cello"))
+        # program 0 (piano) maps to no instrument; the track is named "cello"
+        by_name.tracks[2].events = [
+            ProgramChange(0, ev.channel, 0) if isinstance(ev, ProgramChange)
+            else ev for ev in by_name.tracks[2].events]
+
+        def controllers(piece, number):
+            out, _ = annotate(piece, tables, AnnotationParams(seed=9))
+            return [ev for ev in out.tracks[2].events
+                    if isinstance(ev, ControlChange) and ev.controller == number]
+
+        assert controllers(by_name, 32) == controllers(by_program, 32)
+        assert controllers(by_name, 1) == controllers(by_program, 1) != []
+
 
 class TestAnnotateFailureOrder:
     """annotate checks the span, then table coverage, before any draw."""
@@ -495,8 +518,7 @@ class TestAnnotateFailureOrder:
     def test_plan_articulations_names_the_same_track(self, tables):
         piece = make_piece(quarters=16, instruments=("violin", "oboe", "flute"))
         with pytest.raises(MissingTable) as info:
-            plan_articulations(piece, tables, AnnotationParams(),
-                               np.random.default_rng(0))
+            track_tables(piece, tables)
         assert info.value.instrument == "oboe"
 
     def test_conductor_ending_early_stays_writable(self, tables):
