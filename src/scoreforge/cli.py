@@ -42,7 +42,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache, partial
+from functools import partial
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -201,7 +201,7 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
-    # the pool forks all its workers at once, so no more than there are items
+    # the pool starts all its workers at once, so no more than there are items
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         yield from pool.map(fn, items,
                             chunksize=max(1, len(items) // (16 * jobs)))
@@ -299,32 +299,26 @@ def _collect(results: Iterable[dict], step: str,
     return ok
 
 
-@cache
-def _dictionary(path: str | None) -> InstrumentDictionary:
-    return (InstrumentDictionary.default() if path is None
-            else InstrumentDictionary.from_csv(path))
-
-
-_tables = cache(load_articulation_tables)
-
-
-def _load_config_files(steps: tuple[str, ...], config: PipelineConfig) -> None:
-    """Empty the caches, then fill them with the files ``steps`` read, as they
-    are now, before any worker starts (forked workers inherit them); a file
-    that fails to load is a ConfigError."""
-    _dictionary.cache_clear()
-    _tables.cache_clear()
-    loads = {"fix": (_dictionary, config.dictionary)}
-    if config.annotate_mode == "proposed":
-        loads["annotate"] = loads["manifest"] = (
-            _tables, config.articulation_tables)
-    for step, (load, path) in loads.items():
-        if step in steps:
-            try:
-                load(path)
-            except Exception as exc:
-                raise ConfigError(f"cannot load {path}: "
-                                  f"{type(exc).__name__}: {exc}") from exc
+def _config_files(steps: tuple[str, ...], config: PipelineConfig,
+                  ) -> tuple[InstrumentDictionary | None, dict | None]:
+    """The dictionary and the articulation tables, as ``steps`` read them:
+    the dictionary when fix runs, the tables when annotate or manifest runs
+    in proposed mode, else None. Each is loaded once, here, and handed to
+    every worker; a file that fails to load is a ConfigError."""
+    dictionary = tables = None
+    try:
+        if "fix" in steps:
+            path = config.dictionary
+            dictionary = (InstrumentDictionary.default() if path is None
+                          else InstrumentDictionary.from_csv(path))
+        if (config.annotate_mode == "proposed"
+                and not {"annotate", "manifest"}.isdisjoint(steps)):
+            path = config.articulation_tables
+            tables = load_articulation_tables(path)
+    except Exception as exc:
+        raise ConfigError(f"cannot load {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    return dictionary, tables
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +356,19 @@ def _message(step: str, exc: Exception) -> str:
 
 
 def _chain_worker(path_str: str, steps: tuple[str, ...],
-                  config: PipelineConfig) -> dict:
-    """Parse one file and run ``steps`` (a range of STEPS) on it in memory.
+                  config: PipelineConfig,
+                  dictionary: InstrumentDictionary | None,
+                  tables: dict | None) -> dict:
+    """Parse one file and run ``steps`` (a range of STEPS) on it in memory,
+    with the config files as ``_config_files`` loads them for ``steps``.
 
     Returns the piece id, each step's artefact under the step's name (SMF
     bytes, the stats and label set, the manifest's JSON bytes), the fixed
     piece's note fingerprint and instruments, the annotation sidecar's JSON
     bytes under ``plan``, and ``errors``: step -> message for every step
     that failed. The manifest's schedules are the piece's own CC#32 events,
-    named from the tables ``annotate`` uses (none in ``plain`` mode), so a
-    standalone ``manifest`` reads no sidecar.
+    named from ``tables`` (None in ``plain`` mode), so a standalone
+    ``manifest`` reads no sidecar.
     """
     path = Path(path_str)
     piece_id = path.stem
@@ -382,7 +379,7 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
             if piece is None:  # so a parse failure is the first step's
                 piece = parse_smf(path.read_bytes())
             if step == "fix":
-                piece, instruments = admit_piece(piece, _dictionary(config.dictionary))
+                piece, instruments = admit_piece(piece, dictionary)
                 out["fix"] = write_smf(piece)
                 out["fingerprint"] = note_fingerprint(piece)
                 out["instruments"] = sorted({iid.name for iid in instruments})
@@ -394,7 +391,7 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
                 sidecar = {"mode": config.annotate_mode, "seed": seed}
                 if config.annotate_mode == "proposed":
                     piece, plan = annotate(
-                        piece, _tables(config.articulation_tables),
+                        piece, tables,
                         dataclasses.replace(config.annotation, seed=seed))
                     sidecar["plan"] = plan_to_dict(plan)
                 out["annotate"] = write_smf(piece)
@@ -416,8 +413,6 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
                 else:
                     out["errors"]["split"] = "no identifiable instruments"
             else:
-                tables = (_tables(config.articulation_tables)
-                          if config.annotate_mode == "proposed" else None)
                 out["manifest"] = _json_bytes(dataclasses.asdict(emit_manifest(
                     piece, tables, piece_id, config.sample_rate)))
         except _STEP_ERRORS[step][0] as exc:
@@ -470,10 +465,11 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     whose directories then hold nothing: a piece writes to one only after
     passing the steps before it."""
     steps = tuple(out_dirs)
-    _load_config_files(steps, config)
+    dictionary, tables = _config_files(steps, config)
     inputs = _midi_files(in_dir)
     _clear_outputs(in_dir, inputs, out_dirs)
-    worker = partial(_chain_worker, steps=steps, config=config)
+    worker = partial(_chain_worker, steps=steps, config=config,
+                     dictionary=dictionary, tables=tables)
     deduper = Deduper()
     alive = []  # every result but the duplicates', in piece-id order
     with _chain_writer(jobs) as write:

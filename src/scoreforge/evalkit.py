@@ -51,12 +51,6 @@ class NonPositiveFrame(EvalError):
     pass
 
 
-class NoActivePieces(EvalError):
-    def __init__(self, stem: str):
-        super().__init__(f"stem {stem!r} has no pieces with active reference")
-        self.stem = stem
-
-
 def frame_sdr(reference: Waveform, estimate: Waveform,
               frame_len_s: float = FRAME_SECONDS,
               silence_threshold_dbfs: float = SILENCE_DBFS,
@@ -122,29 +116,11 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     return out
 
 
-def _lower_median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def piece_sdr(frames: Sequence[float | None]) -> float | None:
-    """Median over non-silent frames; None when every frame is silent."""
-    active = [f for f in frames if f is not SILENT]
-    if not active:
-        return SILENT
-    return _lower_median(active)
-
-
-def corpus_sdr(piece_values: Mapping[str, Sequence[float | None]],
-               ) -> dict[str, float]:
-    """Per-stem median over pieces with a non-silent reference."""
-    out: dict[str, float] = {}
-    for stem, values in piece_values.items():
-        active = [v for v in values if v is not SILENT]
-        if not active:
-            raise NoActivePieces(stem)
-        out[stem] = _lower_median(active)
-    return out
+    """Median over non-silent frames, the lower middle one of an even
+    count; None when every frame is silent."""
+    active = sorted(f for f in frames if f is not SILENT)
+    return active[(len(active) - 1) // 2] if active else SILENT
 
 
 @dataclass
@@ -175,15 +151,16 @@ class SdrReport:
             medians={s: piece_sdr(v) for s, v in stem_frames.items()})
 
     def finalize(self) -> None:
+        """Each stem's median over its pieces' medians, by the rule of
+        ``piece_sdr``; a stem silent in every piece has none."""
         per_stem: dict[str, list[float | None]] = {}
         for piece in self.pieces.values():
             for stem, value in piece.medians.items():
                 per_stem.setdefault(stem, []).append(value)
-        self.corpus_medians = {
-            stem: corpus_sdr({stem: values})[stem]
-            for stem, values in sorted(per_stem.items())
-            if any(v is not SILENT for v in values)
-        }
+        medians = {stem: piece_sdr(values)
+                   for stem, values in sorted(per_stem.items())}
+        self.corpus_medians = {stem: median for stem, median in medians.items()
+                               if median is not SILENT}
 
 
 def evaluate_piece(references: Mapping[str, Waveform],

@@ -36,12 +36,6 @@ NORMALIZED_TEMPO_US = 500_000  # 120 BPM
 PERCUSSION_CHANNEL = 9
 STRIPPED_CONTROLLERS = frozenset({1, 11, 32})
 
-FAMILY_STRINGS = "strings"
-FAMILY_WOODWINDS = "woodwinds"
-FAMILY_BRASS = "brass"
-FAMILY_PERCUSSION = "percussion"
-
-
 class GmFixError(Exception):
     pass
 
@@ -58,7 +52,6 @@ class UnknownInstrument(PieceRejected):
 class InstrumentId:
     name: str
     gm_program: int  # 0-based
-    family: str
 
 
 class _Excluded:
@@ -68,29 +61,34 @@ class _Excluded:
     def __repr__(self) -> str:
         return "EXCLUDED"
 
+    def __reduce__(self) -> str:
+        # unpickled as the module's one instance, so ``is EXCLUDED`` holds
+        # in a worker process too
+        return "EXCLUDED"
+
 
 EXCLUDED = _Excluded()
 
 REGISTRY: dict[str, InstrumentId] = {
     iid.name: iid
     for iid in (
-        InstrumentId("violin", 40, FAMILY_STRINGS),
-        InstrumentId("viola", 41, FAMILY_STRINGS),
-        InstrumentId("cello", 42, FAMILY_STRINGS),
-        InstrumentId("contrabass", 43, FAMILY_STRINGS),
-        InstrumentId("flute", 73, FAMILY_WOODWINDS),
-        InstrumentId("piccolo", 72, FAMILY_WOODWINDS),
-        InstrumentId("clarinet", 71, FAMILY_WOODWINDS),
-        InstrumentId("oboe", 68, FAMILY_WOODWINDS),
-        InstrumentId("english_horn", 69, FAMILY_WOODWINDS),
-        InstrumentId("bassoon", 70, FAMILY_WOODWINDS),
-        InstrumentId("french_horn", 60, FAMILY_BRASS),
-        InstrumentId("trumpet", 56, FAMILY_BRASS),
-        InstrumentId("trombone", 57, FAMILY_BRASS),
-        InstrumentId("tuba", 58, FAMILY_BRASS),
-        InstrumentId("harp", 46, FAMILY_PERCUSSION),
-        InstrumentId("timpani", 47, FAMILY_PERCUSSION),
-        InstrumentId("untuned_percussion", 112, FAMILY_PERCUSSION),
+        InstrumentId("violin", 40),
+        InstrumentId("viola", 41),
+        InstrumentId("cello", 42),
+        InstrumentId("contrabass", 43),
+        InstrumentId("flute", 73),
+        InstrumentId("piccolo", 72),
+        InstrumentId("clarinet", 71),
+        InstrumentId("oboe", 68),
+        InstrumentId("english_horn", 69),
+        InstrumentId("bassoon", 70),
+        InstrumentId("french_horn", 60),
+        InstrumentId("trumpet", 56),
+        InstrumentId("trombone", 57),
+        InstrumentId("tuba", 58),
+        InstrumentId("harp", 46),
+        InstrumentId("timpani", 47),
+        InstrumentId("untuned_percussion", 112),
     )
 }
 

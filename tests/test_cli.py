@@ -4,12 +4,15 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import pickle
 import re
 import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from scoreforge.expressive import (
     plan_to_dict,
 )
 from scoreforge.gmfix import (
+    EXCLUDED,
     NORMALIZED_VELOCITY,
     REGISTRY,
     InstrumentDictionary,
@@ -1319,6 +1323,62 @@ class TestConfigFilesReread:
             assert again == fresh
             assert again != previous
             previous = again
+
+
+def pool_starting_by(method: str, monkeypatch) -> None:
+    """Make the CLI's process pools start their workers by ``method``."""
+    monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+
+
+START_METHODS = ("fork", "forkserver", "spawn")
+
+
+class TestStartMethods:
+    """The parent loads the config files once and hands them to each
+    worker, so a pool gives the same tree and the same skip lines however
+    it starts its workers."""
+
+    def test_config_files_are_loaded_once(self, six_strings, tmp_path,
+                                          monkeypatch):
+        """The dictionary is deleted once the parent has loaded it, before
+        any worker starts; no worker reads it again."""
+        names, config = tmp_path / "names.csv", tmp_path / "config.json"
+        config.write_text(json.dumps({"dictionary": str(names)}))
+        clear = scoreforge.cli._clear_outputs
+
+        def clear_then_delete(*args):
+            clear(*args)
+            names.unlink()
+
+        monkeypatch.setattr(scoreforge.cli, "_clear_outputs", clear_then_delete)
+        data = Path(scoreforge.cli.__file__).parent / "data"
+        trees = {}
+        for method in START_METHODS:
+            pool_starting_by(method, monkeypatch)
+            shutil.copy(data / "instrument_names.csv", names)
+            out = tmp_path / method
+            assert run_command(["fix", str(six_strings), "--out", str(out),
+                                "--jobs", "2", "--config", str(config)]) == 0
+            trees[method] = tree_bytes(out)
+        report = json.loads(trees["fork"][Path("fix_report.json")])
+        assert len(report["kept"]) == 6
+        assert trees["forkserver"] == trees["fork"]
+        assert trees["spawn"] == trees["fork"]
+
+    def test_excluded_sentinel_crosses_processes(self, six_strings, tmp_path,
+                                                 monkeypatch, capsys):
+        assert pickle.loads(pickle.dumps(EXCLUDED)) is EXCLUDED
+        source = tmp_path / "piano"
+        source.mkdir()
+        (source / "piano.mid").write_bytes(two_part_piece("Piano", "Violin I"))
+        shutil.copy(sorted(six_strings.glob("*.mid"))[0], source)
+        for method in START_METHODS:
+            pool_starting_by(method, monkeypatch)
+            assert run_command(["fix", str(source), "--out",
+                                str(tmp_path / method), "--jobs", "2"]) == 0
+            assert capsys.readouterr().err == (
+                "skip piano: track 0 ('Piano'): instrument out of scope\n")
 
 
 class TestChainWriter:

@@ -20,11 +20,9 @@ from scoreforge.evalkit import (
     SILENT,
     EvalError,
     LengthMismatch,
-    NoActivePieces,
     NonPositiveFrame,
     SdrParameters,
     SdrReport,
-    corpus_sdr,
     evaluate_piece,
     frame_sdr,
     piece_sdr,
@@ -215,6 +213,20 @@ class TestFrameSdrArithmetic:
         assert outputs[0] == outputs[1]
 
 
+def corpus_medians(piece_values):
+    """SdrReport's corpus medians over pieces whose medians per stem are
+    ``piece_values`` (stem -> one value per piece, SILENT for silence)."""
+    report = SdrReport(SdrParameters(frame_len_s=1.0,
+                                     silence_threshold_dbfs=-60.0,
+                                     projection="plain"))
+    for i in range(max(map(len, piece_values.values()))):
+        report.add_piece(f"p{i}", {stem: [values[i]]
+                                   for stem, values in piece_values.items()
+                                   if i < len(values)})
+    report.finalize()
+    return report.corpus_medians
+
+
 class TestMedians:
     def test_piece_median_lower_middle(self):
         assert piece_sdr([3.0, 1.0, 2.0]) == 2.0
@@ -228,12 +240,12 @@ class TestMedians:
 
     def test_corpus_median(self):
         values = {"violin": [4.0, SILENT, 2.0, 8.0], "cello": [1.0]}
-        assert corpus_sdr(values) == {"violin": 4.0, "cello": 1.0}
+        assert corpus_medians(values) == {"violin": 4.0, "cello": 1.0}
 
     def test_corpus_median_requires_active_piece(self):
-        with pytest.raises(NoActivePieces) as info:
-            corpus_sdr({"tuba": [SILENT, SILENT]})
-        assert info.value.stem == "tuba"
+        medians = corpus_medians({"tuba": [SILENT, SILENT], "cello": [1.0]})
+        assert medians == {"cello": 1.0}
+        assert "tuba" not in medians
 
 
 class TestReport:
