@@ -75,7 +75,6 @@ from .expressive import (
     from_dict,
     load_articulation_tables,
     piece_seed,
-    plan_to_dict,
 )
 from .gmfix import (
     Deduper,
@@ -390,10 +389,9 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
                 seed = piece_seed(config.master_seed, piece_id)
                 sidecar = {"mode": config.annotate_mode, "seed": seed}
                 if config.annotate_mode == "proposed":
-                    piece, plan = annotate(
-                        piece, tables,
-                        dataclasses.replace(config.annotation, seed=seed))
-                    sidecar["plan"] = plan_to_dict(plan)
+                    piece, plan = annotate(piece, tables, config.annotation,
+                                           seed)
+                    sidecar["plan"] = dataclasses.asdict(plan)
                 out["annotate"] = write_smf(piece)
                 out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
@@ -624,16 +622,22 @@ def _rendered_pieces(audio_dir: Path) -> list[Path]:
     """The piece directories to score: exactly the pieces the tree's
     ``synth_report.json`` lists, whether or not their directory exists, so
     that a directory a later ``synth-test`` no longer renders is not scored;
-    every subdirectory of a tree without a report."""
+    every subdirectory of a tree without a report. The report's ``pieces``
+    must be an object keyed by piece ids, each one path component."""
     report = audio_dir / "synth_report.json"
     if not report.is_file():
         return sorted(p for p in audio_dir.iterdir() if p.is_dir())
     try:
-        pieces = sorted(json.loads(report.read_text(encoding="utf-8"))["pieces"])
+        pieces = json.loads(report.read_text(encoding="utf-8"))["pieces"]
+        if not isinstance(pieces, dict):
+            raise TypeError(f"pieces is not an object: {pieces!r}")
+        for piece_id in pieces:
+            if piece_id in ("", ".", "..") or Path(piece_id).name != piece_id:
+                raise ValueError(f"bad piece id {piece_id!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read {report}: "
                           f"{type(exc).__name__}: {exc}") from exc
-    return [audio_dir / piece_id for piece_id in pieces]
+    return [audio_dir / piece_id for piece_id in sorted(pieces)]
 
 
 def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,

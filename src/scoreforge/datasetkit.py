@@ -51,15 +51,11 @@ class InvalidRatios(DatasetError):
 Intervals = Mapping[InstrumentId, Sequence[tuple[Fraction, Fraction]]]
 
 
-def instrument_intervals(piece: MidiPiece,
-                         instrument_of_track: Sequence[InstrumentId | None] | None = None,
-                         ) -> Intervals:
+def instrument_intervals(piece: MidiPiece) -> Intervals:
     """Each instrument's sounding intervals, merged (unioned) in ticks across
     its tracks, each boundary then converted once to exact seconds."""
-    if instrument_of_track is None:
-        instrument_of_track = track_instruments(piece)
     raw: dict[InstrumentId, list[tuple[int, int]]] = {}
-    for track, iid in zip(piece.tracks, instrument_of_track):
+    for track, iid in zip(piece.tracks, track_instruments(piece)):
         if iid is not None:
             raw.setdefault(iid, []).extend(
                 (on, off) for on, off, *_ in note_pairs(track) if off > on)

@@ -23,7 +23,7 @@ import csv
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -84,16 +84,6 @@ class MissingTable(ExpressiveError):
         self.instrument = instrument
 
 
-def velocity_to_mark(velocity: int) -> str:
-    """Inverse of the mark→range mapping (last range closed at 127)."""
-    if not 1 <= velocity <= 127:
-        raise ValueError(f"velocity out of range: {velocity}")
-    for mark, (lo, hi) in VELOCITY_RANGES.items():
-        if lo <= velocity < hi:
-            return mark
-    raise AssertionError("ranges cover [1,127]")
-
-
 @dataclass(frozen=True, slots=True)
 class AnnotationParams:
     tempo_mean: float = 120.0
@@ -102,7 +92,6 @@ class AnnotationParams:
     min_tempo_intervals: int = 3
     gradual_fraction_range: tuple[float, float] = (0.2, 0.6)
     transition_duration_range: tuple[float, float] = (0.5, 4.0)  # seconds
-    seed: int = 0
 
     def __post_init__(self):
         if self.tempo_mean <= 0:
@@ -151,7 +140,7 @@ class AnnotationPlan:
     tempo: tuple[TempoInterval, ...]
     dynamics: tuple[DynamicInterval, ...]
     articulations: tuple[ArticulationInterval, ...]
-    params: AnnotationParams  # params.seed is the seed that drew the plan
+    params: AnnotationParams
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +534,12 @@ def mirror_velocity_to_cc1(piece: MidiPiece,
 
 def annotate(piece: MidiPiece,
              tables: Mapping[str, ArticulationTable],
-             params: AnnotationParams) -> tuple[MidiPiece, AnnotationPlan]:
+             params: AnnotationParams,
+             seed: int) -> tuple[MidiPiece, AnnotationPlan]:
     """Run the full chain (tempo, then dynamics, then articulations, then
-    CC#1 mirroring) on a normalized piece, returning the annotated piece
-    and the plan that produced it.
+    CC#1 mirroring) on a normalized piece, drawing from one generator seeded
+    with ``seed``, and return the annotated piece and the plan that
+    produced it.
 
     The checks come first and in this order: the span (PieceTooShort), then
     table coverage of every note-bearing track (MissingTable), so a piece
@@ -557,7 +548,7 @@ def annotate(piece: MidiPiece,
     """
     _require_span(piece, params)
     per_track = track_tables(piece, tables)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     tempo = plan_tempo_intervals(piece, params, rng)
     with_tempo = apply_tempo(piece, tempo)
     dynamics = plan_dynamic_intervals(with_tempo, params, rng)
@@ -615,7 +606,3 @@ def _decode(tp, value, where: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where}: expected a finite number, got {value!r}")
     return value
-
-
-def plan_to_dict(plan: AnnotationPlan) -> dict:
-    return {"seed": plan.params.seed, **asdict(plan)}

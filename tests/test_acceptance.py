@@ -9,7 +9,9 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -25,10 +27,11 @@ from scoreforge.datasetkit import (
 )
 from scoreforge.evalkit import frame_sdr
 from scoreforge.expressive import (
+    DYNAMIC_MARKS,
+    VELOCITY_RANGES,
     AnnotationParams,
     load_articulation_tables,
     plan_tempo_intervals,
-    velocity_to_mark,
 )
 from scoreforge.gmfix import REGISTRY, normalize
 from scoreforge.smf import (
@@ -68,10 +71,8 @@ DYNAMICS_TABLE = [
 
 def test_velocity_mark_table():
     with criterion("dynamic-mark mapping matches the published table", 1.0):
-        for velocity in range(1, 128):
-            expected = next(mark for mark, lo, hi in DYNAMICS_TABLE
-                            if lo <= velocity < hi)
-            assert velocity_to_mark(velocity) == expected, velocity
+        assert [(mark, *VELOCITY_RANGES[mark])
+                for mark in DYNAMIC_MARKS] == DYNAMICS_TABLE
 
 
 def test_articulation_draw_frequencies():
@@ -280,12 +281,20 @@ def test_stratified_split_vs_monte_carlo():
 
 def test_polyphony_activity_identity(raw_corpus_files):
     with criterion("polyphony and activity totals agree exactly", 10.0):
-        instruments = sorted(REGISTRY.values(), key=lambda i: i.name)
+        # a program names every instrument but untuned percussion
+        programs = [iid.gm_program for iid in sorted(
+            REGISTRY.values(), key=lambda i: i.name)
+            if iid.name != "untuned_percussion"]
         for path in raw_corpus_files:
             piece = parse_smf(path.read_bytes())
-            assigned = [instruments[i % len(instruments)]
-                        for i in range(len(piece.tracks))]
-            intervals = instrument_intervals(piece, assigned)
+            # each track takes the next program in turn, which is what
+            # instrument_intervals reads its instrument from
+            piece = replace(piece, tracks=[
+                replace(track, events=[ProgramChange(0, 0, program)] + [
+                    ev for ev in track.events
+                    if not isinstance(ev, ProgramChange)])
+                for track, program in zip(piece.tracks, cycle(programs))])
+            intervals = instrument_intervals(piece)
             activity = activity_time(intervals)
             histogram = polyphony_histogram(intervals)
             weighted = sum((level * seconds for level, seconds

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from scoreforge.expressive import (
     annotate,
     from_dict,
     load_articulation_tables,
-    plan_to_dict,
+    piece_seed,
 )
 from scoreforge.gmfix import (
     EXCLUDED,
@@ -85,11 +85,11 @@ def tree_digest(root: Path) -> str:
 # drops, ending with "no pieces left after annotate". Changing these bytes
 # is an output change, to be made on purpose and named.
 RAW_PIPELINE_DIGESTS = {
-    "10_fixed": "42c8047928f6c42693639f76a0d88dfa864a1a6b20b17451ac6b08bf5fbd0cd6",
+    "10_fixed": "49675fc50655985048766874b09794ef16eec6a8d232c0ed993bbe6c1354ea8b",
     "20_normalized":
-        "6efd278c2a2d8f6701b5de6f954957f6f2590a3f70c8c58a6e15eff0532f97f5",
+        "3f4754c445be04686da5f3459e61e064a1eecb508b621a7a55b2c70b88d2901c",
     "30_annotated":
-        "8b0c85bd3ef18ce993b7cf8c12f150fe2c598c63c155674e953e7736b0f23678",
+        "7f2455bc330277593a473f5cadc988110c907267f530b3a35a6f1888b3d3633e",
 }
 RAW_PIPELINE_STDERR = \
     "bfde27cee6ee3590c6411b9f0ece478de2eb947d5bf15690780cb1fa23d72e1e"
@@ -98,10 +98,10 @@ RAW_PIPELINE_STDERR = \
 # the stats, split, manifest and report records. Changing these bytes is an
 # output change, to be made on purpose and named.
 STRINGS_PIPELINE_DIGESTS = {
-    "40_stats": "b7f0f7acf9dcab27df756f5ccc55430ba6a2d74f49a3477a5a68d55fe1c2d5c9",
-    "50_split": "3ab5dfdaa6c130447c8dc1f8b1e5f919a08faf7985ed615dbdce83faac58ea12",
+    "40_stats": "7ecb2502d50b1379d5b2cf9402e121b3de29517d6434a5ea33587b6081a1245b",
+    "50_split": "ceb1628bfd5101324c8a9a2374384e26cfbc4edbe3d7cac3679f598d435fb700",
     "60_manifests":
-        "e2f3ee8244f77185823625f288b2234284644f3905311cc6d6747848988fb8f5",
+        "9129b336912c211b60c082c0a555ec2523bc5d317f57afddd8186f34f73d32a1",
 }
 EVAL_REPORT_DIGEST = \
     "7dd441e6733d407eff218aa1a9cc3f584da2643931266581e064f3fc20512296"
@@ -147,8 +147,7 @@ annotation_params = st.builds(
     AnnotationParams, tempo_mean=positive, tempo_std=non_negative,
     tempo_clamp=ordered_pair(positive), min_tempo_intervals=st.integers(3, 10**6),
     gradual_fraction_range=ordered_pair(st.sampled_from([0, 1]) | st.floats(0, 1)),
-    transition_duration_range=ordered_pair(non_negative),
-    seed=st.integers(0, 2**64 - 1))
+    transition_duration_range=ordered_pair(non_negative))
 annotation_plans = st.builds(
     AnnotationPlan,
     tempo=st.lists(st.builds(TempoInterval, ticks, ticks, positive)).map(tuple),
@@ -189,9 +188,6 @@ class TestConfig:
     @given(annotation_plans)
     def test_plan_json_round_trip(self, plan):
         assert from_dict(AnnotationPlan, json_round_trip(plan)) == plan
-        data = json.loads(json.dumps(plan_to_dict(plan)))
-        assert from_dict(AnnotationPlan, {k: v for k, v in data.items()
-                                          if k != "seed"}) == plan
 
     @given(pipeline_configs)
     def test_config_json_round_trip(self, config):
@@ -212,7 +208,7 @@ class TestConfig:
         {"split_ratios": [0.7, 0.1, "0.2"]}, {"split_ratios": [0.5, 0.5, 0.5]},
         {"split_ratios": [float("inf"), 0, 0]}, {"split_ratios": [float("nan"), 0, 1]},
         {"annotation": {"tempo_mean": "fast"}}, {"annotation": {"tempo_clamp": [40.0]}},
-        {"annotation": {"seed": None}}, {"annotation": [120.0]},
+        {"annotation": {"min_tempo_intervals": None}}, {"annotation": [120.0]},
     ])
     def test_bad_values_are_config_errors(self, raw):
         with pytest.raises(ConfigError):
@@ -263,9 +259,10 @@ class TestConfig:
             PipelineConfig.from_dict({"master_sede": 3})
 
     def test_nested_annotation_params(self):
-        config = PipelineConfig.from_dict(
-            {"annotation": {"tempo_mean": 90.0, "seed": 4}})
+        config = PipelineConfig.from_dict({"annotation": {"tempo_mean": 90.0}})
         assert config.annotation.tempo_mean == 90.0
+        with pytest.raises(ConfigError, match="seed"):  # seeds come from master_seed
+            PipelineConfig.from_dict({"annotation": {"seed": 4}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"annotation": {"tempo_mean": -5.0}})
 
@@ -535,6 +532,24 @@ class TestAnnotateCommand:
             assert plan["mode"] == "proposed"
             assert plan["plan"]["tempo"]
             assert plan["plan"]["articulations"]
+
+    def test_plan_sidecar_states_its_seed_once(self, pipeline_out):
+        """A proposed-mode sidecar is mode, seed and the plan's asdict; the
+        plan is the one annotate draws from that seed, which is the piece's
+        seed under the master seed."""
+        tables = load_articulation_tables()
+        for path in sorted((pipeline_out / "30_annotated").glob("*.mid")):
+            sidecar = json.loads(path.with_suffix(".plan.json").read_text())
+            assert set(sidecar) == {"mode", "seed", "plan"}
+            assert sidecar["seed"] == piece_seed(7, path.stem)
+            assert "seed" not in sidecar["plan"]
+            assert "seed" not in sidecar["plan"]["params"]
+            normalized = parse_smf(
+                (pipeline_out / "20_normalized" / path.name).read_bytes())
+            final, plan = annotate(normalized, tables, AnnotationParams(),
+                                   sidecar["seed"])
+            assert from_dict(AnnotationPlan, sidecar["plan"]) == plan
+            assert write_smf(final) == path.read_bytes()
 
     def test_missing_tables_isolated_per_piece(self, fixed_raw, tmp_path):
         # raw corpus includes winds; only string tracks have bundled tables
@@ -811,6 +826,24 @@ class TestSynthAndEval:
         report = json.loads((tmp_path / "e4" / "eval_report.json").read_text())
         assert set(report["pieces"]) == {"b"}
 
+    @pytest.mark.parametrize("pieces", [[1], "ab", {"../outside": {}},
+                                        {"..": {}}, {"a/b": {}}],
+                             ids=["list", "string", "outside", "parent",
+                                  "nested"])
+    def test_eval_rejects_a_malformed_report(self, tmp_path, capsys, pieces):
+        """A report's pieces must be an object keyed by piece ids, each one
+        path component, as synth-test writes it; else eval scores nothing."""
+        audio = tmp_path / "audio"
+        for piece_dir in (audio / "a" / "b", tmp_path / "outside"):
+            piece_dir.mkdir(parents=True)
+        report = audio / "synth_report.json"
+        report.write_text(json.dumps({"pieces": pieces}))
+        out = tmp_path / "eval"
+        assert run_command(["eval", str(audio), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read {report}: ")
+        assert not out.exists()
+
     def test_rerun_drops_a_lost_stem(self, pipeline_out, tmp_path):
         def without_last_stem(piece):
             lost = emit_manifest(piece, None).stems[-1]
@@ -1081,8 +1114,8 @@ class TestOneChain:
             except UnknownInstrument:
                 continue
             normalized = normalize(fixed)
-            final, _ = annotate(normalized, tables,
-                                replace(AnnotationParams(), seed=annotated))
+            final, _ = annotate(normalized, tables, AnnotationParams(),
+                                annotated)
             for piece in (fixed, normalized, final):
                 assert parse_smf(write_smf(piece)) == piece, path.name
             annotated += 1

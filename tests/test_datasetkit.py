@@ -23,6 +23,7 @@ from scoreforge.smf import (
     MidiPiece,
     NoteOff,
     NoteOn,
+    ProgramChange,
     SetTempo,
     Track,
     TrackName,
@@ -33,9 +34,11 @@ CELLO = REGISTRY["cello"]
 VIOLA = REGISTRY["viola"]
 
 
-def note_track(channel, spans, pitch=60):
-    """Track with notes at the given (on_tick, off_tick) spans."""
-    events = []
+def note_track(channel, spans, pitch=60, instrument=None):
+    """Track with notes at the given (on_tick, off_tick) spans, and the
+    instrument's program when one is given."""
+    events = ([ProgramChange(0, channel, instrument.gm_program)]
+              if instrument else [])
     for i, (on, off) in enumerate(spans):
         p = pitch + (i % 3)
         events.append(NoteOn(on, channel, p, 75))
@@ -45,45 +48,49 @@ def note_track(channel, spans, pitch=60):
     return Track(events=events)
 
 
-def piece_with(spans_by_track, tempos=((0, 500000),), tpq=480):
+def piece_with(spans_by_track, tempos=((0, 500000),), tpq=480,
+               instruments=None):
+    """A conductor track, then one note track per list of spans, each with
+    the program of its entry in ``instruments`` (none by default)."""
     conductor_events = [TrackName(0, "conductor")]
     conductor_events += [SetTempo(t, us) for t, us in tempos]
     end = max(off for spans in spans_by_track for _, off in spans)
     conductor_events.append(EndOfTrack(end))
     tracks = [Track(events=conductor_events)]
-    for channel, spans in enumerate(spans_by_track):
-        tracks.append(note_track(channel, spans))
+    for channel, (spans, instrument) in enumerate(zip(
+            spans_by_track, instruments or [None] * len(spans_by_track))):
+        tracks.append(note_track(channel, spans, instrument=instrument))
     return MidiPiece(tpq, tracks)
 
 
 class TestActivity:
     def test_union_counts_overlaps_once(self):
         # violin [0,480) and [240,720) merge to 1.5 quarters = 0.75 s
-        piece = piece_with([[(0, 480), (240, 720)], [(960, 1440)]])
-        mapping = [None, VIOLIN, CELLO]
-        exact = activity_time(instrument_intervals(piece, mapping))
+        piece = piece_with([[(0, 480), (240, 720)], [(960, 1440)]],
+                           instruments=[VIOLIN, CELLO])
+        exact = activity_time(instrument_intervals(piece))
         assert exact == {VIOLIN: Fraction(3, 4), CELLO: Fraction(1, 2)}
         assert all(type(s) is Fraction for s in exact.values())
 
     def test_tempo_change_inside_note(self):
-        piece = piece_with([[(0, 960)]], tempos=((0, 500000), (480, 1000000)))
-        exact = activity_time(instrument_intervals(piece, [None, VIOLIN]))
+        piece = piece_with([[(0, 960)]], tempos=((0, 500000), (480, 1000000)),
+                           instruments=[VIOLIN])
+        exact = activity_time(instrument_intervals(piece))
         assert exact[VIOLIN] == Fraction(3, 2)  # 0.5 s + 1.0 s
 
     def test_same_instrument_on_two_tracks_merges(self):
-        piece = piece_with([[(0, 480)], [(240, 960)]])
-        exact = activity_time(
-            instrument_intervals(piece, [None, VIOLIN, VIOLIN]))
+        piece = piece_with([[(0, 480)], [(240, 960)]],
+                           instruments=[VIOLIN, VIOLIN])
+        exact = activity_time(instrument_intervals(piece))
         assert exact == {VIOLIN: Fraction(1, 1)}
 
     def test_zero_length_notes_ignored(self):
-        piece = piece_with([[(0, 480), (480, 480)]])
-        exact = activity_time(instrument_intervals(piece, [None, VIOLIN]))
+        piece = piece_with([[(0, 480), (480, 480)]], instruments=[VIOLIN])
+        exact = activity_time(instrument_intervals(piece))
         assert exact[VIOLIN] == Fraction(1, 2)
 
     def test_reads_instruments_from_fixed_piece(self):
         from scoreforge.gmfix import InstrumentDictionary, fix_piece
-        from scoreforge.smf import ProgramChange
         track = Track(events=[TrackName(0, "Viola"), NoteOn(0, 2, 60, 75),
                               NoteOff(480, 2, 60, 0), EndOfTrack(480)])
         fixed, _ = fix_piece(MidiPiece(480, [track]),
@@ -92,8 +99,9 @@ class TestActivity:
 
     def test_intervals_are_merged_in_exact_seconds(self):
         piece = piece_with([[(0, 480), (240, 720), (960, 1440)]],
-                           tempos=((0, 500000), (600, 1000000)))
-        assert instrument_intervals(piece, [None, VIOLIN]) == {
+                           tempos=((0, 500000), (600, 1000000)),
+                           instruments=[VIOLIN])
+        assert instrument_intervals(piece) == {
             # 0.5 s a quarter up to tick 600 (0.625 s), then 1 s a quarter
             VIOLIN: [(Fraction(0), Fraction(7, 8)),
                      (Fraction(11, 8), Fraction(19, 8))]}
@@ -101,25 +109,24 @@ class TestActivity:
 
 class TestPolyphony:
     def test_levels_partition_time(self):
-        piece = piece_with([[(0, 960)], [(480, 1440)]])
-        histogram = polyphony_histogram(
-            instrument_intervals(piece, [None, VIOLIN, CELLO]))
+        piece = piece_with([[(0, 960)], [(480, 1440)]],
+                           instruments=[VIOLIN, CELLO])
+        histogram = polyphony_histogram(instrument_intervals(piece))
         assert histogram == {1: Fraction(1), 2: Fraction(1, 2)}
         assert all(type(s) is Fraction for s in histogram.values())
 
     def test_gap_between_notes_not_counted(self):
-        piece = piece_with([[(0, 480), (960, 1440)]])
-        histogram = polyphony_histogram(
-            instrument_intervals(piece, [None, VIOLIN]))
+        piece = piece_with([[(0, 480), (960, 1440)]], instruments=[VIOLIN])
+        histogram = polyphony_histogram(instrument_intervals(piece))
         assert histogram == {1: Fraction(1)}
 
     def test_identity_levels_vs_activity(self):
         # sum(level * time(level)) == sum of per-instrument activity, exactly
         piece = piece_with(
             [[(0, 960), (1200, 1680)], [(480, 1440)], [(240, 720), (1440, 1920)]],
-            tempos=((0, 500000), (700, 437500), (1500, 923077)))
-        mapping = [None, VIOLIN, CELLO, VIOLA]
-        intervals = instrument_intervals(piece, mapping)
+            tempos=((0, 500000), (700, 437500), (1500, 923077)),
+            instruments=[VIOLIN, CELLO, VIOLA])
+        intervals = instrument_intervals(piece)
         histogram = polyphony_histogram(intervals)
         activity = activity_time(intervals)
         lhs = sum((level * span for level, span in histogram.items()),
@@ -129,8 +136,8 @@ class TestPolyphony:
         assert lhs.denominator > 1  # the awkward tempo makes rationals matter
 
     def test_empty_piece(self):
-        piece = piece_with([[(0, 480)]])
-        intervals = instrument_intervals(piece, [None, None])
+        piece = piece_with([[(0, 480)]])  # no program: no instrument
+        intervals = instrument_intervals(piece)
         assert polyphony_histogram(intervals) == {}
         assert activity_time(intervals) == {}
 

@@ -31,9 +31,7 @@ from scoreforge.expressive import (
     plan_articulations,
     plan_dynamic_intervals,
     plan_tempo_intervals,
-    plan_to_dict,
     track_tables,
-    velocity_to_mark,
 )
 from scoreforge.gmfix import REGISTRY, normalize
 from scoreforge.smf import (
@@ -86,13 +84,8 @@ class TestVelocityMarks:
                                (64, "mf"), (79, "mf"), (80, "f"), (95, "f"),
                                (96, "ff"), (111, "ff"), (112, "fff"),
                                (127, "fff")]:
-            assert velocity_to_mark(velocity) == mark
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            velocity_to_mark(0)
-        with pytest.raises(ValueError):
-            velocity_to_mark(128)
+            lo, hi = VELOCITY_RANGES[mark]
+            assert lo <= velocity < hi
 
     def test_ranges_tile_midi_velocities(self):
         ranges = [VELOCITY_RANGES[m] for m in DYNAMIC_MARKS]
@@ -172,7 +165,7 @@ class TestSeeding:
 class TestTempoPlanning:
     def test_tiles_quarter_grid(self):
         piece = make_piece(quarters=96)
-        params = AnnotationParams(seed=5)
+        params = AnnotationParams()
         intervals = plan_tempo_intervals(piece, params, np.random.default_rng(5))
         assert intervals[0].start_tick == 0
         assert intervals[-1].end_tick == piece.end_tick()
@@ -243,7 +236,6 @@ class TestDynamics:
             for iv in plan_dynamic_intervals(piece, params, np.random.default_rng(seed)):
                 lo, hi = VELOCITY_RANGES[iv.mark]
                 assert lo <= iv.target_velocity < hi
-                assert velocity_to_mark(iv.target_velocity) == iv.mark
 
     def test_gradual_share_extremes(self):
         piece = make_piece(quarters=80)
@@ -391,21 +383,21 @@ class TestArticulations:
 class TestAnnotateChain:
     def test_deterministic_bytes(self, tables):
         piece = make_piece(quarters=64, instruments=("violin", "viola", "cello"))
-        params = AnnotationParams(seed=piece_seed(42, "p1"))
-        out1, plan1 = annotate(piece, tables, params)
-        out2, plan2 = annotate(piece, tables, params)
+        seed = piece_seed(42, "p1")
+        out1, plan1 = annotate(piece, tables, AnnotationParams(), seed)
+        out2, plan2 = annotate(piece, tables, AnnotationParams(), seed)
         assert write_smf(out1) == write_smf(out2)
         assert plan1 == plan2
 
     def test_seed_changes_output(self, tables):
         piece = make_piece(quarters=64, instruments=("violin", "cello"))
-        out1, _ = annotate(piece, tables, AnnotationParams(seed=1))
-        out2, _ = annotate(piece, tables, AnnotationParams(seed=2))
+        out1, _ = annotate(piece, tables, AnnotationParams(), 1)
+        out2, _ = annotate(piece, tables, AnnotationParams(), 2)
         assert write_smf(out1) != write_smf(out2)
 
     def test_annotation_inventory(self, tables):
         piece = make_piece(quarters=64, instruments=("violin", "cello"))
-        out, plan = annotate(piece, tables, AnnotationParams(seed=3))
+        out, plan = annotate(piece, tables, AnnotationParams(), 3)
         tempos = [ev for ev in out.tracks[0].events if isinstance(ev, SetTempo)]
         assert len(tempos) == len(plan.tempo)
         assert [t.tick for t in tempos] == [iv.start_tick for iv in plan.tempo]
@@ -418,13 +410,12 @@ class TestAnnotateChain:
 
     def test_plan_json_round_trip(self, tables):
         piece = make_piece(quarters=48, instruments=("violin", "contrabass"))
-        _, plan = annotate(piece, tables, AnnotationParams(seed=17))
-        data = json.loads(json.dumps(plan_to_dict(plan)))
-        assert from_dict(AnnotationPlan, {k: v for k, v in data.items()
-                                          if k != "seed"}) == plan
+        _, plan = annotate(piece, tables, AnnotationParams(), 17)
+        data = json.loads(json.dumps(asdict(plan)))
+        assert from_dict(AnnotationPlan, data) == plan
 
     def test_params_round_trip_and_validation(self):
-        params = AnnotationParams(tempo_mean=90.0, seed=5)
+        params = AnnotationParams(tempo_mean=90.0)
         assert from_dict(AnnotationParams, asdict(params)) == params
         for bad in [dict(tempo_mean=-1.0), dict(tempo_std=-0.5),
                     dict(tempo_clamp=(0.0, 100.0)),
@@ -442,7 +433,7 @@ class TestAnnotateChain:
         fixed, _ = fix_piece(parse_smf(path.read_bytes()),
                              InstrumentDictionary.default())
         piece = normalize(fixed)
-        out, plan = annotate(piece, tables, AnnotationParams(seed=8))
+        out, plan = annotate(piece, tables, AnnotationParams(), 8)
         assert plan.tempo and plan.dynamics and plan.articulations
         write_smf(out)
 
@@ -457,7 +448,7 @@ class TestAnnotateChain:
             else ev for ev in by_name.tracks[2].events]
 
         def controllers(piece, number):
-            out, _ = annotate(piece, tables, AnnotationParams(seed=9))
+            out, _ = annotate(piece, tables, AnnotationParams(), 9)
             return [ev for ev in out.tracks[2].events
                     if isinstance(ev, ControlChange) and ev.controller == number]
 
@@ -482,7 +473,7 @@ class TestAnnotateFailureOrder:
     def test_too_short_wins_over_uncovered(self, tables, no_planning):
         piece = make_piece(quarters=2, instruments=("flute", "violin"))
         with pytest.raises(PieceTooShort):
-            annotate(piece, tables, AnnotationParams())
+            annotate(piece, tables, AnnotationParams(), 0)
 
     @pytest.mark.parametrize("instruments, uncovered", [
         (("violin", "flute", "oboe"), "flute"),
@@ -495,7 +486,7 @@ class TestAnnotateFailureOrder:
         # a note-free track needs no table, whatever its name
         piece.tracks.insert(1, Track([TrackName(0, "Flute 2"), EndOfTrack(0)]))
         with pytest.raises(MissingTable) as info:
-            annotate(piece, tables, AnnotationParams(seed=4))
+            annotate(piece, tables, AnnotationParams(), 4)
         assert info.value.instrument == uncovered
         assert str(info.value) == (
             f"no articulation table for instrument {uncovered!r}")
@@ -512,7 +503,7 @@ class TestAnnotateFailureOrder:
                         if isinstance(ev, ProgramChange) else ev
                         for ev in track.events]
         with pytest.raises(MissingTable) as info:
-            annotate(piece, tables, AnnotationParams())
+            annotate(piece, tables, AnnotationParams(), 0)
         assert info.value.instrument == reported
 
     def test_plan_articulations_names_the_same_track(self, tables):
@@ -526,7 +517,7 @@ class TestAnnotateFailureOrder:
         conductor = piece.tracks[0]
         conductor.events = [ev if not isinstance(ev, EndOfTrack) else EndOfTrack(0)
                             for ev in conductor.events]
-        out, plan = annotate(piece, tables, AnnotationParams(seed=5))
+        out, plan = annotate(piece, tables, AnnotationParams(), 5)
         events = out.tracks[0].events
         assert events[-1] == EndOfTrack(plan.tempo[-1].start_tick)
         assert [ev.tick for ev in events if isinstance(ev, SetTempo)] == [
@@ -561,7 +552,7 @@ class TestFromDict:
         {"tempo_mean": True},            # a bool is no number here
         {"min_tempo_intervals": 3.0},    # nor is a float an int
         {"min_tempo_intervals": False},
-        {"seed": None},
+        {"min_tempo_intervals": None},
         {"tempo_clamp": 40.0},
         {"tempo_clamp": [40.0]},
         {"tempo_clamp": [40.0, 100.0, 200.0]},
@@ -583,9 +574,7 @@ class TestFromDict:
 
     def test_plan_sidecar_is_asdict_plus_seed(self, tables):
         piece = make_piece(quarters=48, instruments=("violin", "cello"))
-        _, plan = annotate(piece, tables, AnnotationParams(seed=17))
-        data = plan_to_dict(plan)
-        assert data == {"seed": 17, **asdict(plan)}
-        data = {**data, "seed": 99}  # the top-level seed is not read
-        assert from_dict(AnnotationPlan, {k: v for k, v in data.items()
-                                          if k != "seed"}) == plan
+        _, plan = annotate(piece, tables, AnnotationParams(), 17)
+        data = asdict(plan)  # the sidecar's top-level seed is its one seed
+        assert "seed" not in data and "seed" not in data["params"]
+        assert from_dict(AnnotationPlan, data) == plan

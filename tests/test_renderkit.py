@@ -593,7 +593,7 @@ class TestManifest:
                         [(q * 480, q * 480 + 400, 48 + q % 5, 75)
                          for q in range(64)]),
         ])
-        annotated, plan = annotate(piece, tables, AnnotationParams(seed=4))
+        annotated, plan = annotate(piece, tables, AnnotationParams(), 4)
         manifest = emit_manifest(annotated, tables, piece_id="x")
         for entry in manifest.stems:
             for tr in entry.tracks:

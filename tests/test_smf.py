@@ -453,7 +453,7 @@ class TestTransformsKeepPiecesValid:
         validate_piece(normalized)
         for tables in (every_instrument, strings):
             try:
-                final, _ = annotate(normalized, tables, AnnotationParams(seed=seed))
+                final, _ = annotate(normalized, tables, AnnotationParams(), seed)
             except (PieceTooShort, MissingTable):
                 continue
             validate_piece(final)
@@ -669,7 +669,7 @@ class TestMutatedFiles:
         strings = load_articulation_tables()
         every_instrument = {name: strings["violin"] for name in REGISTRY}
         try:
-            annotate(normalized, every_instrument, AnnotationParams(seed=1))
+            annotate(normalized, every_instrument, AnnotationParams(), 1)
         except ExpressiveError:
             pass
 
