@@ -41,6 +41,23 @@ class Waveform:
         return len(self.samples)
 
 
+class Buffer:
+    """An array reused from call to call, so a process faults its pages in
+    once, not per use: ``take(n)`` is a view of its first n entries, valid
+    until the next ``take``. An n past its length reallocates it at twice
+    that length or n; pages past the largest n taken stay untouched."""
+
+    def __init__(self, dtype: str = "<f8"):
+        self.array = np.empty(0, dtype)
+
+    def take(self, n: int, zero: bool = False) -> np.ndarray:
+        if n > len(self.array):
+            self.array = np.empty(max(n, 2 * len(self.array)), self.array.dtype)
+        if zero:
+            self.array[:n] = 0
+        return self.array[:n]
+
+
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # Bytes 4-15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0-3 hold the format tag.
 _SUBTYPE_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
@@ -112,8 +129,9 @@ def read_wav(path: str | Path) -> Waveform:
         raw = wide
     data = raw.view(dtype).reshape(-1, channels)
     if dtype.kind == "f":
-        samples = data.mean(axis=1) if channels > 1 else data[:, 0]
-        return Waveform(samples.astype(np.float64), rate)
+        with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN
+            samples = data.mean(axis=1) if channels > 1 else data[:, 0]
+            return Waveform(samples.astype(np.float64), rate)
     _, offset, scale = _PCM_WIDTHS[width]
     samples = data.astype(np.float64)
     samples -= offset
@@ -121,9 +139,10 @@ def read_wav(path: str | Path) -> Waveform:
     return Waveform(samples.mean(axis=1) if channels > 1 else samples[:, 0], rate)
 
 
-def write_wav(path: str | Path, waveform: Waveform) -> np.ndarray:
+def write_wav(path: str | Path, waveform: Waveform,
+              out: Buffer | None = None) -> np.ndarray:
     """Write ``waveform`` as mono 32-bit IEEE float and return the samples
-    written, rounded to little-endian float32."""
+    written, rounded to little-endian float32, in ``out`` if given."""
     frames = len(waveform)
     nbytes = 4 * frames
     riff_size = _FLOAT_HEADER.size - 8 + nbytes
@@ -134,7 +153,8 @@ def write_wav(path: str | Path, waveform: Waveform) -> np.ndarray:
     header = _FLOAT_HEADER.pack(b"RIFF", riff_size, b"WAVE",
                                 b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
                                 b"fact", 4, frames, b"data", nbytes)
-    samples = waveform.samples.astype("<f4")
+    samples = (out or Buffer("<f4")).take(frames)
+    samples[:] = waveform.samples
     with open(path, "wb") as f:
         f.write(header)
         f.write(memoryview(samples))

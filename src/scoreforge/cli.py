@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .audio import Waveform, read_wav, write_wav
+from .audio import AudioError, Buffer, Waveform, read_wav, write_wav
 from .datasetkit import (
     DEFAULT_RATIOS,
     InvalidRatios,
@@ -86,6 +86,7 @@ from .gmfix import (
 )
 from .renderkit import (
     DEFAULT_SAMPLE_RATE,
+    RenderError,
     StemEntry,
     emit_manifest,
     mix_stems,
@@ -192,17 +193,26 @@ def _midi_files(directory: Path) -> list[Path]:
     return files
 
 
+def _install(fn: Callable) -> None:
+    _install.fn = fn  # the pool worker's fn, which _call_installed applies
+
+
+def _call_installed(item):
+    return _install.fn(item)
+
+
 def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     """The results of fn over items, in order, each yielded as it is made.
-    jobs > 1 uses processes, each sent about 16 chunks of items (one item
-    each for small inputs), the pool open until the last result. Otherwise
-    fn runs in this process, on each item as the caller asks for it."""
+    jobs > 1 uses processes, each given fn once and sent about 16 chunks of
+    items (one item each for small inputs), the pool open until the last
+    result. Otherwise fn runs in this process, on each item in turn."""
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     # the pool starts all its workers at once, so no more than there are items
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        yield from pool.map(fn, items,
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             initializer=_install, initargs=(fn,)) as pool:
+        yield from pool.map(_call_installed, items,
                             chunksize=max(1, len(items) // (16 * jobs)))
 
 
@@ -528,7 +538,9 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
 # Audio commands
 # ---------------------------------------------------------------------------
 
-def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
+def _synth_worker(path_str: str, out_dir: str, sample_rate: int,
+                  buffers: tuple[Buffer, Buffer, Buffer]) -> dict:
+    stem_buffer, mix_buffer, written = buffers  # reused for every piece
     path = Path(path_str)
     piece_id = path.stem
     piece_dir = Path(out_dir) / piece_id
@@ -545,23 +557,25 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int) -> dict:
         piece_dir.mkdir(parents=True, exist_ok=True)
 
         def render(entry: StemEntry) -> Waveform:
-            stem = test_synthesize(
-                piece, [tr.track_index for tr in entry.tracks], sample_rate)
+            tracks = [tr.track_index for tr in entry.tracks]
+            stem = test_synthesize(piece, tracks, sample_rate, stem_buffer)
             # storage precision is float32; the stem takes the values
             # written, so the written stems sum exactly to the written
             # mixture
-            stem.samples[:] = write_wav(piece_dir / f"{entry.stem}.wav", stem)
+            stem.samples[:] = write_wav(piece_dir / f"{entry.stem}.wav",
+                                        stem, written)
             return stem
 
-        # stems are sorted by name, which is the mix order
-        mix = mix_stems(render(entry) for entry in manifest.stems)
-        write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mix.waveform)
+        # stems sorted by name are the mix order; each is mixed before the
+        # next is rendered into its buffer
+        mix = mix_stems(map(render, manifest.stems), mix_buffer)
+        write_wav(piece_dir / f"{MIXTURE_STEM}.wav", mix.waveform, written)
         stems = [entry.stem for entry in manifest.stems]
         return {"id": piece_id, "errors": {}, "stems": stems,
                 "peak": mix.peak}
-    except Exception as exc:
-        # a failed piece leaves no WAV, and no directory left empty, for
-        # `eval` to find
+    except (SmfError, RenderError, AudioError, OSError, MemoryError) as exc:
+        # a failed piece, such as one a corrupt delta time makes too long
+        # for memory, leaves no WAV and no empty directory for `eval`
         clear()
         with contextlib.suppress(OSError):
             piece_dir.rmdir()
@@ -609,7 +623,8 @@ def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
     files = [str(p) for p in _midi_files(in_dir)]
     out_dir.mkdir(parents=True, exist_ok=True)
     worker = partial(_synth_worker, out_dir=str(out_dir),
-                     sample_rate=config.sample_rate)
+                     sample_rate=config.sample_rate,
+                     buffers=(Buffer(), Buffer(), Buffer("<f4")))
     results = _map_jobs(worker, files, jobs)
     report = {r["id"]: {"stems": r["stems"], "peak": r["peak"]}
               for r in _collect(results, "synth-test", failures)}

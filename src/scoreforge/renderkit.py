@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .audio import AudioError, Waveform
+from .audio import AudioError, Buffer, Waveform
 from .expressive import ArticulationTable
 from .gmfix import track_instruments
 from .smf import (
@@ -203,10 +203,13 @@ def _read_partials(wave: np.ndarray, slope: np.ndarray, step: float,
     out += wave.take(index)
 
 
+_notes = Buffer()  # test_synthesize's note scratch, one note at a time
+
+
 def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
-               sample_rate: int) -> np.ndarray:
+               sample_rate: int, out: Buffer | None = None) -> np.ndarray:
     """gain times the first length samples of the summed partials from
-    phase 0, read from the wavetable with linear interpolation.
+    phase 0, read from the wavetable with linear interpolation (in ``out``).
 
     The first OSC_CAP unscaled samples are read from the key's prefix in
     ``_oscillators``, which is filled up to the longest note asked for; the
@@ -220,7 +223,7 @@ def _oscillate(length: int, gain: float, frequency: float, harmonics: int,
     if filled < head:
         _read_partials(wave, slope, step, filled, prefix[filled:head])
         _oscillators[key] = prefix, head
-    seg = np.empty(length)
+    seg = (out or Buffer()).take(length)
     np.multiply(prefix[:head], gain, out=seg[:head])
     if length > OSC_CAP:
         tail = seg[OSC_CAP:]
@@ -261,8 +264,9 @@ def _apply_envelope(seg: np.ndarray, attack: int, release: int,
 
 def test_synthesize(piece: MidiPiece,
                     track_selection: Sequence[int] | None = None,
-                    sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Render selected tracks with band-limited sawtooths.
+                    sample_rate: int = DEFAULT_SAMPLE_RATE,
+                    out: Buffer | None = None) -> Waveform:
+    """Render selected tracks with band-limited sawtooths, in ``out`` if given.
 
     Each note plays its equal-tempered frequency with harmonics up to the
     Nyquist limit (at most 32 partials), amplitude proportional to
@@ -274,7 +278,7 @@ def test_synthesize(piece: MidiPiece,
     tempo_map = TempoMap.from_piece(piece)
     total_seconds = tempo_map.seconds_at(piece.end_tick())
     n_samples = max(int(round(total_seconds * sample_rate)), 1)
-    out = np.zeros(n_samples, dtype=np.float64)
+    stem = (out or Buffer()).take(n_samples, zero=True)
     indices = (range(len(piece.tracks)) if track_selection is None
                else track_selection)
     attack = max(int(round(ATTACK_SECONDS * sample_rate)), 1)
@@ -295,10 +299,10 @@ def test_synthesize(piece: MidiPiece,
             if harmonics < 1:
                 continue
             seg = _oscillate(length, SYNTH_GAIN * (note.velocity / 127.0),
-                             frequency, harmonics, sample_rate)
+                             frequency, harmonics, sample_rate, _notes)
             _apply_envelope(seg, attack, release, ramps)
-            out[start:stop] += seg
-    return Waveform(out, sample_rate)
+            stem[start:stop] += seg
+    return Waveform(stem, sample_rate)
 
 
 @dataclass
@@ -307,25 +311,26 @@ class MixResult:
     peak: float
 
 
-def mix_stems(stems: Iterable[Waveform]) -> MixResult:
+def mix_stems(stems: Iterable[Waveform], out: Buffer | None = None) -> MixResult:
     """Sample-wise sum of stems in the given order: no normalization, no
     clipping. Shorter stems are zero-padded to the longest. Any iterable
     works; each stem is added as it arrives, so a generator keeps only one
-    stem alive at a time."""
-    out: np.ndarray | None = None
+    stem alive at a time and may reuse one buffer for all. The sum is in
+    ``out`` while no stem is longer than the first."""
+    total: np.ndarray | None = None
     rate = 0
     for stem in stems:
-        if out is None:
+        if total is None:
             rate = stem.sample_rate
-            out = np.zeros(len(stem), dtype=np.float64)
+            total = (out or Buffer()).take(len(stem), zero=True)
         elif stem.sample_rate != rate:
             raise SampleRateMismatch(
                 f"stems at {stem.sample_rate} Hz and {rate} Hz cannot be mixed")
-        if len(stem) > len(out):
-            out = np.concatenate((out, np.zeros(len(stem) - len(out))))
-        out[:len(stem)] += stem.samples
+        if len(stem) > len(total):
+            total = np.concatenate((total, np.zeros(len(stem) - len(total))))
+        total[:len(stem)] += stem.samples
         del stem  # so a generator's next stem does not coexist with this one
-    if out is None:
+    if total is None:
         raise AudioError("no stems to mix")
-    peak = float(np.max(np.abs(out))) if len(out) else 0.0
-    return MixResult(Waveform(out, rate), peak)
+    peak = float(max(total.max(), -total.min())) if len(total) else 0.0
+    return MixResult(Waveform(total, rate), peak)

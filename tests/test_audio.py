@@ -12,7 +12,7 @@ from scipy.io import wavfile
 
 from fuzz import mutations
 from scoreforge import audio
-from scoreforge.audio import AudioError, Waveform, read_wav, write_wav
+from scoreforge.audio import AudioError, Buffer, Waveform, read_wav, write_wav
 
 _SCALES = {np.dtype(np.uint8): (128.0, 2 ** 7), np.dtype(np.int16): (0.0, 2 ** 15),
            np.dtype(np.int32): (0.0, 2 ** 31)}
@@ -188,6 +188,40 @@ MALFORMED = {
 }
 
 
+class TestBuffer:
+    def test_views_grow_and_zero(self):
+        buffer = Buffer()
+        first = buffer.take(5)
+        first[:] = 7.0
+        assert np.shares_memory(buffer.take(3), first)
+        assert np.array_equal(buffer.take(4, zero=True), np.zeros(4))
+        assert first[4] == 7.0  # past the n zeroed
+        # a longer n reallocates, at twice the length when that is more
+        assert len(buffer.take(6)) == 6 and len(buffer.array) == 10
+        assert not np.shares_memory(buffer.take(6), first)
+        assert len(buffer.take(25)) == 25 and len(buffer.array) == 25
+
+    def test_dtype(self):
+        assert Buffer("<f4").take(3).dtype == np.dtype("<f4")
+        assert Buffer().take(3).dtype == np.float64
+
+    def test_write_into_a_reused_buffer(self, tmp_path):
+        """A longer file after a shorter one, and a shorter after a longer:
+        each has the bytes and returns the samples of a write with no
+        buffer."""
+        out = Buffer("<f4")
+        rng = np.random.default_rng(3)
+        for i, length in enumerate((40, 301, 7, 301, 0)):
+            wave = Waveform(rng.uniform(-1, 1, length), 22050)
+            alone, reused = tmp_path / f"alone{i}.wav", tmp_path / f"reused{i}.wav"
+            expected = write_wav(alone, wave)
+            written = write_wav(reused, wave, out)
+            assert reused.read_bytes() == alone.read_bytes()
+            assert written.dtype == np.dtype("<f4")
+            assert np.array_equal(written, expected)
+            assert length == 0 or np.shares_memory(written, out.array)
+
+
 class TestMalformed:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_audio_error_names_the_file(self, tmp_path, case):
@@ -207,6 +241,20 @@ FUZZ_SOURCES = [
     riff(fmt(0xFFFE, 1, 8000, 8, 64, subformat=3),
          chunk(b"data", np.linspace(-1, 1, 4).astype("<f8").tobytes())),
 ]
+
+
+class TestSignallingNan:
+    """A float sample whose bits are a signalling NaN reads as a NaN, with
+    no floating-point warning (which the tests raise as an error)."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_reads_as_nan(self, tmp_path, channels):
+        data = np.repeat(np.array([0x3F800000, 0x7FA00000], "<u4"), channels)
+        path = tmp_path / "snan.wav"
+        path.write_bytes(riff(fmt(3, channels, 8000, 4, 32),
+                              chunk(b"data", data.tobytes())))
+        samples = read_wav(path).samples
+        assert samples[0] == 1.0 and np.isnan(samples[1])
 
 
 class TestMutatedFiles:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import operator
 import pickle
 import re
 import shutil
@@ -55,6 +56,7 @@ from scoreforge.smf import (
     NoteOff,
     NoteOn,
     SetTempo,
+    TempoMap,
     Track,
     TrackName,
     parse_smf,
@@ -891,6 +893,89 @@ def test_synth_stems_equal_reference(pipeline_out, reference_stems, tmp_path,
         assert_snr(samples, reference_stems[key], key)
 
 
+class TestRenderBuffers:
+    """synth-test renders every piece of a process into the same reused
+    buffers, so a piece's bytes must not depend on what was rendered, or
+    failed to render, before it; a defect ends the command."""
+
+    def test_long_short_long_around_a_failed_render(self, pipeline_out,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        def seconds(path):
+            piece = parse_smf(path.read_bytes())
+            return TempoMap.from_piece(piece).seconds_at(piece.end_tick())
+
+        by_length = sorted((pipeline_out / "30_annotated").glob("*.mid"),
+                           key=seconds)
+        # the failing piece is the longest, so the short one after it reads
+        # buffers it filled further than the short one needs
+        pieces = {"a_long": by_length[-2], "b_fails": by_length[-1],
+                  "c_short": by_length[0], "d_long": by_length[-3]}
+        assert seconds(pieces["c_short"]) < seconds(pieces["d_long"])
+        source = tmp_path / "in"
+        source.mkdir()
+        for name, path in pieces.items():
+            shutil.copy(path, source / f"{name}.mid")
+        write_wav = scoreforge.cli.write_wav
+        writes = []
+
+        def fail_second_stem(path, *args):
+            if path.parent.name == "b_fails":
+                writes.append(path)
+                if len(writes) == 2:
+                    raise OSError("disk full")
+            return write_wav(path, *args)
+
+        monkeypatch.setattr(scoreforge.cli, "write_wav", fail_second_stem)
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(source), "--out", str(audio),
+                            "--jobs", "1"]) == 0
+        assert capsys.readouterr().err == "skip b_fails: OSError: disk full\n"
+        assert not (audio / "b_fails").exists()
+        report = json.loads((audio / "synth_report.json").read_text())
+        assert sorted(report["pieces"]) == ["a_long", "c_short", "d_long"]
+        for name in report["pieces"]:
+            alone = tmp_path / name
+            alone.mkdir()
+            shutil.copy(source / f"{name}.mid", alone)
+            assert run_command(["synth-test", str(alone), "--out",
+                                str(alone / "audio")]) == 0
+            assert tree_bytes(audio / name) == \
+                tree_bytes(alone / "audio" / name), name
+            alone_report = json.loads(
+                (alone / "audio" / "synth_report.json").read_text())
+            assert report["pieces"][name] == alone_report["pieces"][name]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_defect_is_not_a_skip(self, pipeline_out, tmp_path,
+                                    monkeypatch, jobs):
+        def defect(*args, **kwargs):
+            raise ZeroDivisionError("a defect in the render path")
+
+        monkeypatch.setattr(scoreforge.cli, "test_synthesize", defect)
+        # forked workers run the patched module
+        pool_starting_by("fork", monkeypatch)
+        with pytest.raises(ZeroDivisionError):
+            run_command(["synth-test", str(pipeline_out / "30_annotated"),
+                         "--out", str(tmp_path / "audio"), "--jobs", jobs])
+
+    def test_a_piece_too_long_for_memory_is_a_skip(self, pipeline_out,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        def too_long(*args, **kwargs):
+            raise MemoryError("Unable to allocate 44.8 GiB")
+
+        monkeypatch.setattr(scoreforge.cli, "test_synthesize", too_long)
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(pipeline_out / "30_annotated"),
+                            "--out", str(audio), "--strict"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 10
+        assert all(line.endswith(": MemoryError: Unable to allocate 44.8 GiB")
+                   for line in lines)
+        assert not [p for p in audio.iterdir() if p.is_dir()]
+
+
 class TestPipeline:
     def test_all_stages_present(self, pipeline_out):
         names = {p.name for p in pipeline_out.iterdir() if p.is_dir()}
@@ -1367,6 +1452,15 @@ def pool_starting_by(method: str, monkeypatch) -> None:
 START_METHODS = ("fork", "forkserver", "spawn")
 
 
+class PickleCount(int):
+    """An int that counts its pickles in this process; unpickles as an int."""
+    count = 0
+
+    def __reduce__(self):
+        type(self).count += 1
+        return int, (int(self),)
+
+
 class TestStartMethods:
     """The parent loads the config files once and hands them to each
     worker, so a pool gives the same tree and the same skip lines however
@@ -1412,6 +1506,37 @@ class TestStartMethods:
                                 str(tmp_path / method), "--jobs", "2"]) == 0
             assert capsys.readouterr().err == (
                 "skip piano: track 0 ('Piano'): instrument out of scope\n")
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_fn_is_sent_once_per_worker(self, monkeypatch, method):
+        """A pool gets its function when each worker starts (never, under
+        fork), not with each of its 32 chunks of items."""
+        pool_starting_by(method, monkeypatch)
+        monkeypatch.setattr(PickleCount, "count", 0)
+        fn = partial(operator.add, PickleCount(5))
+        results = scoreforge.cli._map_jobs(fn, list(range(64)), 2)
+        assert list(results) == [5 + i for i in range(64)]
+        assert PickleCount.count <= (0 if method == "fork" else 2)
+
+    def test_pipeline_and_synth_trees(self, six_strings, tmp_path,
+                                      monkeypatch):
+        """pipeline --jobs 2, then synth-test --jobs 2 over its annotated
+        output, give the trees of --jobs 1 however the workers start: each
+        worker gets the chain's config files once, and renders into
+        buffers of its own that start empty."""
+        def trees(name, jobs):
+            run, audio = tmp_path / name / "run", tmp_path / name / "audio"
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(run), "--jobs", jobs]) == 0
+            assert run_command(["synth-test", str(run / "30_annotated"),
+                                "--out", str(audio), "--jobs", jobs]) == 0
+            return tree_bytes(run), tree_bytes(audio)
+
+        serial = trees("serial", "1")
+        assert len(serial[1]) > 6 * 3  # every piece rendered
+        for method in START_METHODS:
+            pool_starting_by(method, monkeypatch)
+            assert trees(method, "2") == serial, method
 
 
 class TestChainWriter:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scoreforge import renderkit
-from scoreforge.audio import AudioError, Waveform
+from scoreforge.audio import AudioError, Buffer, Waveform
 from scoreforge.expressive import (
     AnnotationParams,
     annotate,
@@ -183,6 +183,33 @@ class TestSynthesizer:
         a = synthesize(piece).samples
         b = synthesize(piece).samples
         assert np.array_equal(a, b)
+
+    def test_direct_calls_own_their_arrays(self):
+        piece = MidiPiece(480, [
+            conductor(960),
+            fixed_track("viola", 0, [(0, 900, 60, 90)]),
+        ])
+        a, b = synthesize(piece).samples, synthesize(piece).samples
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
+    def test_into_a_reused_buffer(self):
+        """A shorter piece after a longer one into one buffer: its bits are
+        those of a render with no buffer, and no sample of the longer one
+        is left in it."""
+        long_piece = MidiPiece(480, [
+            conductor(1920),
+            fixed_track("cello", 0, [(0, 1900, 48, 100)]),
+        ])
+        short_piece = MidiPiece(480, [
+            conductor(960),
+            fixed_track("violin", 0, [(480, 900, 76, 60)]),
+        ])
+        out = Buffer()
+        for piece in (long_piece, short_piece, long_piece):
+            rendered = synthesize(piece, out=out).samples
+            assert np.shares_memory(rendered, out.array)
+            assert np.array_equal(rendered, synthesize(piece).samples)
 
 
 def reference_piece(piece, track_selection=None,
@@ -544,6 +571,37 @@ class TestMixing:
         assert np.array_equal(result.waveform.samples,
                               np.array([1.75, 0.25, 0.5]))
         assert result.peak == 1.75
+
+    def test_peak_of_a_negative_extreme(self):
+        result = mix_stems([Waveform(np.array([0.25, -0.75, 0.5]), 22050),
+                            Waveform(np.array([0.0, -0.125]), 22050)])
+        assert result.peak == 0.875
+
+    def test_peak_is_the_largest_magnitude_to_the_bit(self):
+        rng = np.random.default_rng(19)
+        for trial in range(50):
+            stems = [Waveform(rng.standard_normal(n) * rng.uniform(0.1, 3),
+                              22050)
+                     for n in rng.integers(1, 400, rng.integers(1, 5))]
+            result = mix_stems(stems)
+            expected = float(np.max(np.abs(result.waveform.samples)))
+            assert np.float64(result.peak).tobytes() == \
+                np.float64(expected).tobytes(), trial
+
+    def test_into_a_reused_buffer(self):
+        """Mixes into one buffer, longer then shorter then with a stem
+        longer than the first: each equals the mix with no buffer."""
+        rng = np.random.default_rng(5)
+        out = Buffer()
+        for lengths in ((9, 9), (4, 2, 4), (3, 8), (9, 9)):
+            stems = [Waveform(rng.standard_normal(n), 22050) for n in lengths]
+            reused, alone = mix_stems(stems, out), mix_stems(stems)
+            assert np.array_equal(reused.waveform.samples,
+                                  alone.waveform.samples)
+            assert reused.peak == alone.peak
+            # the sum is in the buffer unless a later stem outgrew the first
+            assert np.shares_memory(reused.waveform.samples, out.array) == \
+                (max(lengths) == lengths[0])
 
 
 class TestStemRules:
