@@ -64,8 +64,10 @@ _SUBTYPE_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # Sample width in bytes -> (stored dtype, offset, scale) for integer PCM.
 _PCM_WIDTHS = {1: ("<u1", 128.0, 2 ** 7), 2: ("<i2", 0.0, 2 ** 15),
                3: ("<i4", 0.0, 2 ** 31), 4: ("<i4", 0.0, 2 ** 31)}
-_RIFF_LIMIT = 0xFFFFFFFF  # largest size a 32-bit RIFF header can state
 _FLOAT_HEADER = struct.Struct("<4sI4s 4sIHHIIHHH 4sII 4sI")
+# the most frames whose float32 file size, less 8, fits the RIFF header's
+# 32-bit size field
+MAX_WAV_FRAMES = (0xFFFFFFFF - (_FLOAT_HEADER.size - 8)) // 4
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -145,10 +147,10 @@ def write_wav(path: str | Path, waveform: Waveform,
     written, rounded to little-endian float32, in ``out`` if given."""
     frames = len(waveform)
     nbytes = 4 * frames
-    riff_size = _FLOAT_HEADER.size - 8 + nbytes
-    if riff_size > _RIFF_LIMIT:
+    if frames > MAX_WAV_FRAMES:
         raise AudioError(f"{path}: {nbytes} bytes of samples exceed the RIFF "
                          "size limit")
+    riff_size = _FLOAT_HEADER.size - 8 + nbytes
     rate = waveform.sample_rate
     header = _FLOAT_HEADER.pack(b"RIFF", riff_size, b"WAVE",
                                 b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,

@@ -65,12 +65,14 @@ from .datasetkit import (
 from .evalkit import (
     FRAME_SECONDS,
     SILENCE_DBFS,
+    EvalError,
     SdrParameters,
     SdrReport,
     evaluate_piece,
 )
 from .expressive import (
     AnnotationParams,
+    ExpressiveError,
     annotate,
     from_dict,
     load_articulation_tables,
@@ -353,10 +355,10 @@ REDUCER_FILES = {"fix": "fix_report.json", "stats": "stats.json",
 _STEP_ERRORS = {
     "fix": ((SmfError, PieceRejected, OSError), False),
     "normalize": ((SmfError, OSError), False),
-    "annotate": (Exception, True),
+    "annotate": ((SmfError, ExpressiveError, OSError), True),
     "stats": ((SmfError, OSError), False),
     "split": ((SmfError, OSError), False),
-    "manifest": (Exception, True),
+    "manifest": ((SmfError, RenderError, OSError), True),
 }
 
 
@@ -614,7 +616,7 @@ def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
         frames = evaluate_piece(references, estimates, frame_len_s,
                                 silence_threshold_dbfs, projection)
         return {"id": piece_id, "errors": {}, "frames": frames}
-    except Exception as exc:
+    except (AudioError, EvalError, OSError) as exc:
         return failed(f"{type(exc).__name__}: {exc}")
 
 

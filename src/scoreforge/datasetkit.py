@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .gmfix import InstrumentId, track_instruments
-from .smf import MidiPiece, TempoMap, note_pairs
+from .smf import MidiPiece, TempoMap, track_notes
 
 SPLIT_NAMES = ("train", "eval", "test")
 DEFAULT_RATIOS = (0.7, 0.1, 0.2)
@@ -58,7 +58,7 @@ def instrument_intervals(piece: MidiPiece) -> Intervals:
     for track, iid in zip(piece.tracks, track_instruments(piece)):
         if iid is not None:
             raw.setdefault(iid, []).extend(
-                (on, off) for on, off, *_ in note_pairs(track) if off > on)
+                (on, off) for on, off, *_ in track_notes(track) if off > on)
     seconds = TempoMap.from_piece(piece).exact_seconds_at
     merged = {}
     for iid, intervals in raw.items():

@@ -111,6 +111,8 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
         if residual <= 0.0:
             out.append(SDR_CAP_DB)
             continue
+        if residual == math.inf:  # an infinite estimate sample: no SDR
+            raise EvalError(f"frame {i}: the estimate's error is infinite")
         sdr = 10.0 * math.log10(signal_power / residual)
         out.append(min(sdr, SDR_CAP_DB))
     return out

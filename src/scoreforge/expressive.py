@@ -41,8 +41,8 @@ from .smf import (
     TempoMap,
     Track,
     has_notes,
-    note_pairs,
     track_name,
+    track_notes,
 )
 
 # one interval per this many quarter notes, on average, at the upper bound
@@ -399,7 +399,7 @@ def apply_dynamics(piece: MidiPiece,
 
 
 def _active_span(track: Track) -> tuple[int, int] | None:
-    pairs = note_pairs(track)
+    pairs = track_notes(track)
     if not pairs:
         return None
     return (min(p[0] for p in pairs), max(p[1] for p in pairs))

@@ -27,8 +27,8 @@ from .smf import (
     SetTempo,
     Track,
     has_notes,
-    note_pairs,
     track_name,
+    track_notes,
 )
 
 NORMALIZED_VELOCITY = 75
@@ -310,7 +310,7 @@ def note_fingerprint(piece: MidiPiece) -> str:
         else:
             label = iid.name
         rows += [(on, off - on, pitch, label)
-                 for on, off, _, pitch, _ in note_pairs(track)]
+                 for on, off, _, pitch, _ in track_notes(track)]
     rows.sort()
     # each row as its repr, from one template; one update over the
     # concatenation hashes the same as one per row

@@ -22,11 +22,12 @@ premise of source separation data is that stems add up to the mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .audio import AudioError, Buffer, Waveform
+from .audio import MAX_WAV_FRAMES, AudioError, Buffer, Waveform
 from .expressive import ArticulationTable
 from .gmfix import track_instruments
 from .smf import (
@@ -273,11 +274,15 @@ def test_synthesize(piece: MidiPiece,
     velocity/127, and a 10 ms linear attack and release. The partials are
     read from a one-period wavetable per harmonic count, with at least 60 dB
     SNR against summing them sample by sample. Deliberately crude, but
-    deterministic, which is what the downstream SDR checks need.
+    deterministic, which is what the downstream SDR checks need. A piece
+    too long for one WAV file raises RenderError before it allocates.
     """
     tempo_map = TempoMap.from_piece(piece)
     total_seconds = tempo_map.seconds_at(piece.end_tick())
     n_samples = max(int(round(total_seconds * sample_rate)), 1)
+    if n_samples > MAX_WAV_FRAMES:  # as from a corrupt delta time
+        raise RenderError(f"{n_samples} samples exceed the {MAX_WAV_FRAMES} "
+                          "frames a WAV file holds")
     stem = (out or Buffer()).take(n_samples, zero=True)
     indices = (range(len(piece.tracks)) if track_selection is None
                else track_selection)
@@ -287,18 +292,20 @@ def test_synthesize(piece: MidiPiece,
     nyquist = sample_rate / 2.0
 
     for index in indices:
-        for note in track_notes(piece.tracks[index]):
-            start = int(round(tempo_map.seconds_at(note.tick_on) * sample_rate))
-            stop = int(round(tempo_map.seconds_at(note.tick_off) * sample_rate))
+        # by onset, pitch and release: float sums depend on their order
+        notes = sorted(track_notes(piece.tracks[index]), key=itemgetter(0, 3, 1))
+        for tick_on, tick_off, _, pitch, velocity in notes:
+            start = int(round(tempo_map.seconds_at(tick_on) * sample_rate))
+            stop = int(round(tempo_map.seconds_at(tick_off) * sample_rate))
             stop = min(stop, n_samples)
             if stop <= start:
                 continue
             length = stop - start
-            frequency = _pitch_to_hz(note.pitch)
+            frequency = _pitch_to_hz(pitch)
             harmonics = min(int(nyquist / frequency), MAX_HARMONICS)
             if harmonics < 1:
                 continue
-            seg = _oscillate(length, SYNTH_GAIN * (note.velocity / 127.0),
+            seg = _oscillate(length, SYNTH_GAIN * (velocity / 127.0),
                              frequency, harmonics, sample_rate, _notes)
             _apply_envelope(seg, attack, release, ramps)
             stem[start:stop] += seg

@@ -6,10 +6,10 @@ canonical byte form (no running status, minimal-length VLQs, explicit
 end-of-track), so ``write(parse(write(p)))`` is byte-identical to
 ``write(p)``.
 
-Events and paired notes are immutable records: tuples with named fields, so
-they are cheap to build, but compared like dataclasses. A record equals only
-a record of the same type with equal fields, never a plain tuple; it hashes
-like its fields; its fields cannot be assigned; and records have no order.
+Events are immutable records: tuples with named fields, so they are cheap to
+build, but compared like dataclasses. A record equals only a record of the
+same type with equal fields, never a plain tuple; it hashes like its fields;
+its fields cannot be assigned; and records have no order.
 
 SMPTE time divisions and SMF format 2 are rejected.
 """
@@ -21,7 +21,6 @@ from bisect import bisect_right
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Union
 
 DEFAULT_TEMPO_US = 500_000  # 120 BPM; SMF default before the first tempo event
@@ -152,8 +151,8 @@ def track_name(track: Track) -> str:
 
 
 def has_notes(track: Track) -> bool:
-    """Whether the track has a note-on: ``track_notes`` gives a note for
-    each, so this is its truth value."""
+    """Whether the track has a note-on: ``track_notes`` pairs each one, so
+    this is the truth value of its list."""
     return any(type(ev) is NoteOn for ev in track.events)
 
 
@@ -165,12 +164,6 @@ class MidiPiece:
 
     def end_tick(self) -> int:
         return max((t.end_tick() for t in self.tracks), default=0)
-
-
-class Note(_Record, namedtuple("Note", "tick_on tick_off channel pitch velocity")):
-    """A paired note-on/note-off within one track."""
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +594,7 @@ class TempoMap:
 # Note pairing
 # ---------------------------------------------------------------------------
 
-def note_pairs(track: Track) -> list[tuple[int, int, int, int, int]]:
+def track_notes(track: Track) -> list[tuple[int, int, int, int, int]]:
     """``(tick_on, tick_off, channel, pitch, velocity)`` for every note of
     ``track``, unsorted: note-ons pair with note-offs FIFO per
     (channel, pitch), and notes still open at the end are closed at the
@@ -629,11 +622,3 @@ def note_pairs(track: Track) -> list[tuple[int, int, int, int, int]]:
                 pairs.append((on_tick, max(close, on_tick), channel, pitch, velocity))
     return pairs
 
-
-def track_notes(track: Track) -> list[Note]:
-    """The notes of ``track`` (see ``note_pairs``), ordered by onset, pitch
-    and release."""
-    new = tuple.__new__
-    notes = [new(Note, pair) for pair in note_pairs(track)]
-    notes.sort(key=attrgetter("tick_on", "pitch", "tick_off"))
-    return notes

@@ -12,7 +12,14 @@ from scipy.io import wavfile
 
 from fuzz import mutations
 from scoreforge import audio
-from scoreforge.audio import AudioError, Buffer, Waveform, read_wav, write_wav
+from scoreforge.audio import (
+    MAX_WAV_FRAMES,
+    AudioError,
+    Buffer,
+    Waveform,
+    read_wav,
+    write_wav,
+)
 
 _SCALES = {np.dtype(np.uint8): (128.0, 2 ** 7), np.dtype(np.int16): (0.0, 2 ** 15),
            np.dtype(np.int32): (0.0, 2 ** 31)}
@@ -74,7 +81,9 @@ class TestWrite:
         assert len(ours.read_bytes()) == 58 + 4 * length
 
     def test_riff_size_limit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(audio, "_RIFF_LIMIT", 50 + 4 * 10)
+        # the RIFF size field states 50 header bytes plus 4 bytes a frame
+        assert 50 + 4 * MAX_WAV_FRAMES <= 0xFFFFFFFF < 50 + 4 * (MAX_WAV_FRAMES + 1)
+        monkeypatch.setattr(audio, "MAX_WAV_FRAMES", 10)
         path = tmp_path / "big.wav"
         write_wav(path, Waveform(np.zeros(10), 8000))
         with pytest.raises(AudioError, match="RIFF size limit"):

@@ -62,7 +62,7 @@ from scoreforge.smf import (
     parse_smf,
     write_smf,
 )
-from test_renderkit import assert_snr, reference_piece
+from test_renderkit import assert_snr, conductor, fixed_track, reference_piece
 
 
 STAGE_DIRS = {"fix": "10_fixed", "normalize": "20_normalized",
@@ -974,6 +974,59 @@ class TestRenderBuffers:
         assert all(line.endswith(": MemoryError: Unable to allocate 44.8 GiB")
                    for line in lines)
         assert not [p for p in audio.iterdir() if p.is_dir()]
+
+    def test_a_piece_longer_than_a_wav_file_is_a_skip(self, pipeline_out,
+                                                      tmp_path, capsys):
+        source = tmp_path / "in"
+        source.mkdir()
+        for path in sorted((pipeline_out / "30_annotated").glob("*.mid"))[:2]:
+            shutil.copy(path, source)
+        alone = tmp_path / "alone"
+        assert run_command(["synth-test", str(source), "--out",
+                            str(alone)]) == 0
+        # one note-off 0x0FFFFFFF ticks in, as a corrupt delta time makes it:
+        # about 6.2e9 samples at 120 BPM
+        long_piece = MidiPiece(480, [
+            conductor(0),
+            fixed_track("violin", 0, [(0, MAX_VLQ_VALUE, 69, 80)]),
+        ])
+        (source / "long.mid").write_bytes(write_smf(long_piece))
+        capsys.readouterr()
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(source), "--out",
+                            str(audio)]) == 0
+        assert re.fullmatch(r"skip long: RenderError: \d+ samples exceed the "
+                            r"\d+ frames a WAV file holds\n",
+                            capsys.readouterr().err)
+        assert not (audio / "long").exists()
+        assert tree_bytes(audio) == tree_bytes(alone)
+
+
+class TestStepDefects:
+    """Each per-piece step reports only the errors its method raises as a
+    piece's skip; a defect in the package, such as a ZeroDivisionError,
+    ends the command at any --jobs, and no process outlives it."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, function, tree", [
+        ("annotate", "annotate", "20_normalized"),
+        ("manifest", "emit_manifest", "30_annotated"),
+        ("eval", "evaluate_piece", None),
+    ])
+    def test_a_defect_is_not_a_skip(self, pipeline_out, audio_tree, tmp_path,
+                                    monkeypatch, command, function, tree,
+                                    jobs):
+        def defect(*args, **kwargs):
+            raise ZeroDivisionError(f"a defect in {function}")
+
+        monkeypatch.setattr(scoreforge.cli, function, defect)
+        # forked workers run the patched module
+        pool_starting_by("fork", monkeypatch)
+        source = audio_tree if tree is None else pipeline_out / tree
+        with pytest.raises(ZeroDivisionError, match=function):
+            run_command([command, str(source), "--out", str(tmp_path / "out"),
+                         "--jobs", jobs])
+        assert multiprocessing.active_children() == []
 
 
 class TestPipeline:

@@ -122,6 +122,14 @@ class TestFrameSdr:
         with pytest.raises(EvalError):
             frame_sdr(ref, ref, projection="mad")
 
+    def test_infinite_estimate_is_an_eval_error(self):
+        # its SDR would be 10 log10(0): an EvalError, so eval skips the piece
+        ref = sine(seconds=1.0)
+        estimate = ref.samples.copy()
+        estimate[5] = np.inf
+        with pytest.raises(EvalError, match="infinite"):
+            frame_sdr(ref, Waveform(estimate, SR))
+
 
 def loop_frame_sdr(reference, estimate, projection):
     """The frame-by-frame np.dot formulation frame_sdr replaced."""

@@ -355,7 +355,7 @@ class TestArticulations:
                          if r.length_class == LENGTH_LONG)
         short_code = next(r.cc32 for r in table.rows
                           if r.length_class == LENGTH_SHORT)
-        end = max(n.tick_off for n in track_notes(piece.tracks[1]))
+        end = max(off for _, off, *_ in track_notes(piece.tracks[1]))
         plan = [
             ArticulationInterval(1, 0, 16 * tpq, long_code, "Long"),
             ArticulationInterval(1, 16 * tpq, end, short_code, "Short"),

@@ -352,15 +352,15 @@ class TestFingerprint:
 
 
 def reference_fingerprint(piece):
-    """note_fingerprint's formula spelled out: Note objects from track_notes,
-    then one sha256 update per sorted row."""
+    """note_fingerprint's formula spelled out: rows from track_notes's
+    tuples, then one sha256 update per sorted row."""
     rows = []
     for track, iid in zip(piece.tracks, track_instruments(piece)):
         if iid is None and not any(isinstance(ev, NoteOn) for ev in track.events):
             continue
         label = "?" if iid is None else iid.name
-        rows += [(n.tick_on, n.tick_off - n.tick_on, n.pitch, label)
-                 for n in track_notes(track)]
+        rows += [(on, off - on, pitch, label)
+                 for on, off, _, pitch, _ in track_notes(track)]
     digest = hashlib.sha256()
     for row in sorted(rows):
         digest.update(repr(row).encode("ascii"))
@@ -394,8 +394,8 @@ class TestFingerprintGolden:
                                 EndOfTrack(700)])
         piece = MidiPiece(480, [*fixed.tracks, unknown])
         assert track_instruments(piece)[2] is None
-        assert [n.tick_off for n in track_notes(piece.tracks[0])
-                if n.pitch == 64] == [480, 480]
+        assert [off for _, off, _, pitch, _ in track_notes(piece.tracks[0])
+                if pitch == 64] == [480, 480]
         assert note_fingerprint(piece) == reference_fingerprint(piece)
         assert note_fingerprint(piece) != note_fingerprint(fixed)
 

@@ -4,12 +4,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from scoreforge import renderkit
-from scoreforge.audio import AudioError, Buffer, Waveform
+from scoreforge.audio import MAX_WAV_FRAMES, AudioError, Buffer, Waveform
 from scoreforge.expressive import (
     AnnotationParams,
     annotate,
@@ -24,6 +25,7 @@ from scoreforge.renderkit import (
     RELEASE_SECONDS,
     SYNTH_GAIN,
     WAVETABLE_SIZE,
+    RenderError,
     SampleRateMismatch,
     UngroupableTrack,
     emit_manifest,
@@ -211,6 +213,48 @@ class TestSynthesizer:
             assert np.shares_memory(rendered, out.array)
             assert np.array_equal(rendered, synthesize(piece).samples)
 
+    def test_notes_summed_by_onset_pitch_and_release(self):
+        """Float sums depend on their order, so a stem is its notes added
+        by onset, pitch and release, not in the order they pair (by
+        note-off)."""
+        notes = [(0, 960, 60, 127), (240, 720, 67, 101), (360, 600, 72, 37)]
+
+        def piece(notes):
+            return MidiPiece(480, [conductor(960),
+                                   fixed_track("viola", 0, notes)])
+
+        paired = track_notes(piece(notes).tracks[1])
+        assert [pitch for _, _, _, pitch, _ in paired] == [72, 67, 60]
+        alone = {note[2]: synthesize(piece([note])).samples for note in notes}
+
+        def summed(pitches):
+            total = np.zeros(len(alone[60]))
+            for pitch in pitches:
+                total += alone[pitch]
+            return total.view(np.uint64)
+
+        stem = synthesize(piece(notes)).samples.view(np.uint64)
+        assert np.array_equal(stem, summed([60, 67, 72]))
+        assert not np.array_equal(stem, summed([72, 67, 60]))
+
+    def test_longer_than_a_wav_file_holds(self):
+        """A corrupt delta time can make a piece hours long: it is a
+        RenderError before any sample is taken, however much memory the
+        machine would give."""
+
+        class Probe(Buffer):
+            def take(self, n, zero=False):
+                assert n <= MAX_WAV_FRAMES, f"took {n} samples"
+                return super().take(n, zero)
+
+        # 0x0FFFFFFF ticks at 480 per quarter and 120 BPM: about 6.2e9 samples
+        piece = MidiPiece(480, [
+            conductor(0),
+            fixed_track("violin", 0, [(0, 0x0FFFFFFF, 69, 80)]),
+        ])
+        with pytest.raises(RenderError, match="frames a WAV file holds"):
+            synthesize(piece, out=Probe())
+
 
 def reference_piece(piece, track_selection=None,
                     sample_rate=DEFAULT_SAMPLE_RATE):
@@ -222,11 +266,12 @@ def reference_piece(piece, track_selection=None,
     indices = (range(len(piece.tracks)) if track_selection is None
                else track_selection)
     for index in indices:
-        for note in track_notes(piece.tracks[index]):
-            out += reference_note(note.pitch, note.velocity,
-                                  tempo_map.seconds_at(note.tick_on),
-                                  tempo_map.seconds_at(note.tick_off),
-                                  sample_rate, total_s)
+        # onset, pitch, release
+        notes = sorted(track_notes(piece.tracks[index]), key=itemgetter(0, 3, 1))
+        for on, off, _, pitch, velocity in notes:
+            out += reference_note(pitch, velocity, tempo_map.seconds_at(on),
+                                  tempo_map.seconds_at(off), sample_rate,
+                                  total_s)
     return out
 
 

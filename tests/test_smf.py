@@ -37,7 +37,6 @@ from scoreforge.smf import (
     InvariantViolation,
     MalformedHeader,
     MidiPiece,
-    Note,
     NoteOff,
     NoteOn,
     OtherChannel,
@@ -548,7 +547,7 @@ RECORDS = [
     NoteOn(1, 2, 3, 4), NoteOff(1, 2, 3, 4), ControlChange(1, 2, 3, 4),
     ProgramChange(1, 2, 3), SetTempo(1, 500000), TrackName(1, "Violin"),
     EndOfTrack(1), OtherMeta(1, 0x7F, b"\x00\x01"),
-    OtherChannel(1, 0xE0, b"\x00\x40"), Note(1, 2, 3, 4, 5),
+    OtherChannel(1, 0xE0, b"\x00\x40"),
 ]
 each_record = pytest.mark.parametrize("record", RECORDS,
                                       ids=lambda r: type(r).__name__)
@@ -603,7 +602,6 @@ class TestRecords:
             "EndOfTrack(tick=1)",
             "OtherMeta(tick=1, meta_type=127, data=b'\\x00\\x01')",
             "OtherChannel(tick=1, status=224, data=b'\\x00@')",
-            "Note(tick_on=1, tick_off=2, channel=3, pitch=4, velocity=5)",
         ]
 
     @each_record
@@ -619,12 +617,12 @@ class TestTrackNotes:
             NoteOff(20, 0, 60, 0), NoteOff(40, 0, 60, 0),
         ])
         assert track_notes(track) == [
-            Note(0, 20, 0, 60, 80), Note(10, 40, 0, 60, 90),
+            (0, 20, 0, 60, 80), (10, 40, 0, 60, 90),
         ]
 
     def test_unterminated_closed_at_end(self):
         track = Track(events=[NoteOn(0, 0, 60, 80), EndOfTrack(100)])
-        assert track_notes(track) == [Note(0, 100, 0, 60, 80)]
+        assert track_notes(track) == [(0, 100, 0, 60, 80)]
 
     def test_orphan_off_ignored(self):
         track = Track(events=[NoteOff(50, 0, 60, 0)])
@@ -636,7 +634,8 @@ class TestTrackNotes:
             NoteOff(10, 1, 60, 0), NoteOff(30, 0, 60, 0),
         ])
         notes = track_notes(track)
-        assert {(n.channel, n.tick_off) for n in notes} == {(0, 30), (1, 10)}
+        assert {(channel, off) for _, off, channel, _, _ in notes} == \
+            {(0, 30), (1, 10)}
 
 
 @pytest.fixture(scope="module")
