@@ -98,6 +98,12 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
 
     out: list[float | None] = []
     for i, signal_power in enumerate(signal_powers):
+        # a NaN or infinite sample (or a power past float range): no SDR
+        error = residuals[i] if projection == "plain" else estimate_powers[i]
+        if not math.isfinite(signal_power + error):
+            signal = "reference" if not math.isfinite(signal_power) else "estimate"
+            raise EvalError(f"frame {i}: the {signal} holds a NaN or "
+                            f"infinite sample")
         if math.sqrt(signal_power / frame) < threshold:
             out.append(SILENT)
             continue
@@ -111,8 +117,6 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
         if residual <= 0.0:
             out.append(SDR_CAP_DB)
             continue
-        if residual == math.inf:  # an infinite estimate sample: no SDR
-            raise EvalError(f"frame {i}: the estimate's error is infinite")
         sdr = 10.0 * math.log10(signal_power / residual)
         out.append(min(sdr, SDR_CAP_DB))
     return out

@@ -183,11 +183,7 @@ class ArticulationTable:
         self.probabilities = np.array([row.weight / total for row in rows])
         self._by_cc32 = {row.cc32: row for row in rows}
 
-    def sample(self, rng: np.random.Generator) -> ArticulationRow:
-        index = int(rng.choice(len(self.rows), p=self.probabilities))
-        return self.rows[index]
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> list[ArticulationRow]:
+    def sample(self, rng: np.random.Generator, count: int) -> list[ArticulationRow]:
         indices = rng.choice(len(self.rows), size=count, p=self.probabilities)
         return [self.rows[i] for i in indices]
 
@@ -314,20 +310,9 @@ def apply_tempo(piece: MidiPiece,
     for index, track in enumerate(piece.tracks):
         events = [ev for ev in track.events if not isinstance(ev, SetTempo)]
         if index == 0:
-            events = _settle_order(events + tempo_events)
+            events = _merge_before_noteons(events, tempo_events)
         new_tracks.append(replace(track, events=events))
     return replace(piece, tracks=new_tracks)
-
-
-def _settle_order(events: list) -> list:
-    """Stable-sort by tick with meta/CC events ahead of note-ons at the same
-    tick. The end-of-track goes last, moved to the last event's tick when
-    the new events reach past it (a conductor track that ends early)."""
-    body = [ev for ev in events if not isinstance(ev, EndOfTrack)]
-    body.sort(key=lambda e: (e.tick, isinstance(e, NoteOn)))
-    if len(body) < len(events):
-        body.append(EndOfTrack(max(ev.tick for ev in events)))
-    return body
 
 
 def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
@@ -447,8 +432,7 @@ def plan_articulations(piece: MidiPiece,
         span = _active_span(track)
         bounds = _draw_bounds(span[0], span[1], piece.ticks_per_quarter,
                               params.min_tempo_intervals, rng)
-        for start, stop in bounds:
-            row = table.sample(rng)
+        for (start, stop), row in zip(bounds, table.sample(rng, len(bounds))):
             out.append(ArticulationInterval(index, start, stop, row.cc32,
                                             row.articulation))
     return out
@@ -482,21 +466,24 @@ def apply_articulations(piece: MidiPiece,
 
 
 def _merge_before_noteons(events: list, inserts: list) -> list:
-    """Merge tick-sorted inserts into tick-sorted events, placing each insert
-    before the first same-tick note-on (or before later-tick events)."""
+    """Merge tick-sorted inserts into a track's tick-sorted events, which
+    keep their own order: each insert goes before the first same-tick
+    note-on (or before later-tick events). The end-of-track stays last,
+    moved to the last insert's tick when the inserts reach past it (a
+    conductor track that ends early)."""
+    end = events[-1] if events and isinstance(events[-1], EndOfTrack) else None
     out: list = []
-    pending = iter(sorted(inserts, key=lambda e: e.tick))
-    nxt = next(pending, None)
-    for ev in events:
-        while nxt is not None and (
-                ev.tick > nxt.tick
-                or (ev.tick == nxt.tick and isinstance(ev, NoteOn))):
-            out.append(nxt)
-            nxt = next(pending, None)
+    i = 0
+    for ev in events if end is None else events[:-1]:
+        while i < len(inserts) and (
+                ev.tick > inserts[i].tick
+                or (ev.tick == inserts[i].tick and isinstance(ev, NoteOn))):
+            out.append(inserts[i])
+            i += 1
         out.append(ev)
-    while nxt is not None:
-        out.append(nxt)
-        nxt = next(pending, None)
+    out += inserts[i:]
+    if end is not None:
+        out.append(EndOfTrack(max(end.tick, out[-1].tick)) if out else end)
     return out
 
 

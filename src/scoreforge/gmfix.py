@@ -15,7 +15,6 @@ import hashlib
 import unicodedata
 from dataclasses import dataclass, replace
 from importlib import resources
-from operator import attrgetter
 from pathlib import Path
 
 from .smf import (
@@ -238,7 +237,6 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
                 ev = type(ev)(ev.tick, target, ev.pitch, ev.velocity)
         events.append(ev)
     events.insert(0, ProgramChange(0, target, iid.gm_program))
-    events.sort(key=attrgetter("tick"))
     return replace(track, events=events)
 
 

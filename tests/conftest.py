@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +18,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 import corpus  # noqa: E402
+
+# GitHub Actions sets CI. There a failing property prints the
+# @reproduce_failure blob that replays its draw, on any Hypothesis release:
+# the profile adds print_blob to the active one (the built-in "ci" profile
+# of recent releases), whose example counts, deadline and health checks stay.
+if "CI" in os.environ:
+    settings.register_profile("ci-blob", settings(), print_blob=True)
+    settings.load_profile("ci-blob")
 
 
 @pytest.fixture(scope="session")

@@ -86,7 +86,7 @@ def test_articulation_draw_frequencies():
         n = 100_000
         for name in sorted(tables):
             table = tables[name]
-            counts = Counter(row.cc32 for row in table.sample_many(rng, n))
+            counts = Counter(row.cc32 for row in table.sample(rng, n))
             observed = np.array([counts.get(r.cc32, 0) for r in table.rows])
             for row, prob, got in zip(table.rows, table.probabilities, observed):
                 assert abs(got / n - prob) <= 0.005, (name, row.articulation)

@@ -6,10 +6,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "scoreforge"
 
 # qualified name -> why it stays with no caller in src/
-NO_CALLER = {
-    "ArticulationTable.sample_many": "the 100k-draw acceptance test draws "
-                                     "through it within its time budget",
-}
+NO_CALLER: dict[str, str] = {}
 
 
 def definitions(tree: ast.Module):

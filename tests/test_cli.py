@@ -46,7 +46,8 @@ from scoreforge.gmfix import (
     fix_piece,
     normalize,
 )
-from scoreforge.audio import read_wav
+from scoreforge.audio import Waveform, read_wav, write_wav
+from scoreforge.evalkit import FRAME_SECONDS
 from scoreforge.renderkit import emit_manifest
 from scoreforge.smf import (
     MAX_VLQ_VALUE,
@@ -60,6 +61,7 @@ from scoreforge.smf import (
     Track,
     TrackName,
     parse_smf,
+    track_notes,
     write_smf,
 )
 from test_renderkit import assert_snr, conductor, fixed_track, reference_piece
@@ -709,6 +711,32 @@ class TestSynthAndEval:
         assert b"null" in data  # a silent frame is pinned too
         assert hashlib.sha256(data).hexdigest() == EVAL_REPORT_DIGEST
 
+    def test_eval_skips_a_nan_stem(self, audio_tree, tmp_path, capsys):
+        """A NaN sample in a stem makes its piece a skip, so the report
+        holds no NaN token and stays JSON."""
+        tree = tmp_path / "tree"
+        shutil.copytree(audio_tree, tree)
+        piece_dir = sorted(p for p in tree.iterdir() if p.is_dir())[0]
+        stem = next(p for p in sorted(piece_dir.glob("*.wav"))
+                    if p.stem != "mixture")
+        wave = read_wav(stem)
+        frame = round(FRAME_SECONDS * wave.sample_rate)
+        scored = len(wave) // frame * frame  # the samples eval reads
+        samples = wave.samples.copy()
+        samples[np.argmax(np.abs(samples[:scored]))] = np.nan
+        write_wav(stem, Waveform(samples, wave.sample_rate))
+        out = tmp_path / "eval"
+        assert run_command(["eval", str(tree), "--out", str(out)]) == 0
+        assert f"skip {piece_dir.name}: EvalError: " in capsys.readouterr().err
+
+        def no_constants(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads((out / "eval_report.json").read_text(),
+                            parse_constant=no_constants)
+        assert piece_dir.name not in report["pieces"]
+        assert report["pieces"]
+
     def test_synth_tree_bytes_pinned(self, audio_tree, tmp_path):
         # provenance.json is left out: it records the version and the
         # configuration, not what was synthesized
@@ -1060,6 +1088,26 @@ class TestPipeline:
         assert {name: tree_digest(pipeline_out / name)
                 for name in STRINGS_PIPELINE_DIGESTS} \
             == STRINGS_PIPELINE_DIGESTS
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_annotate_keeps_a_grace_note(self, tmp_path, jobs):
+        """A zero-length note in track 0 keeps its note-off through
+        annotate: the tempo events go in without moving it."""
+        source = tmp_path / "in"
+        source.mkdir()
+        (source / "grace.mid").write_bytes(two_part_piece("Violin I", "Viola", [
+            NoteOn(2400, 0, 80, 80), NoteOff(2400, 0, 80, 0),
+            NoteOn(4800, 0, 80, 80), NoteOff(5200, 0, 80, 0)]))
+        out = tmp_path / "out"
+        assert run_command(["pipeline", str(source), "--out", str(out),
+                            "--jobs", jobs]) == 0
+
+        def notes(step):
+            piece = parse_smf((out / step / "grace.mid").read_bytes())
+            return sorted(note[:4] for note in track_notes(piece.tracks[0]))
+
+        assert (2400, 2400, 0, 80) in notes("20_normalized")
+        assert notes("30_annotated") == notes("20_normalized")
 
     def test_missing_corpus_dir(self, tmp_path):
         rc = run_command(["pipeline", str(tmp_path / "nope"), "--out",

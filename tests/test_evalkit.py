@@ -130,6 +130,20 @@ class TestFrameSdr:
         with pytest.raises(EvalError, match="infinite"):
             frame_sdr(ref, Waveform(estimate, SR))
 
+    @pytest.mark.parametrize("projection", ["plain", "scalar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("signal", ["reference", "estimate"])
+    def test_non_finite_sample_is_an_eval_error(self, projection, value,
+                                                signal):
+        """No frame reads NaN, or 0 dB, from a NaN or infinite sample; the
+        message names the signal that holds it."""
+        signals = {"reference": sine().samples,
+                   "estimate": sine(frequency=300.0).samples}
+        signals[signal][SR + 5] = value  # in the second frame
+        with pytest.raises(EvalError, match=f"{signal} holds a NaN or infinite"):
+            frame_sdr(Waveform(signals["reference"], SR),
+                      Waveform(signals["estimate"], SR), projection=projection)
+
 
 def loop_frame_sdr(reference, estimate, projection):
     """The frame-by-frame np.dot formulation frame_sdr replaced."""

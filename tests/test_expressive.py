@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scoreforge.expressive import (
     DYNAMIC_MARKS,
@@ -120,7 +122,7 @@ class TestArticulationTables:
     def test_sampling_prefers_heaviest_row(self, tables):
         table = tables["violin"]
         rng = np.random.default_rng(7)
-        drawn = table.sample_many(rng, 4000)
+        drawn = table.sample(rng, 4000)
         counts = {}
         for row in drawn:
             counts[row.articulation] = counts.get(row.articulation, 0) + 1
@@ -454,6 +456,95 @@ class TestAnnotateChain:
 
         assert controllers(by_name, 32) == controllers(by_program, 32)
         assert controllers(by_name, 1) == controllers(by_program, 1) != []
+
+
+def grace_note_piece():
+    """Two tracks, violin first: track 0 carries the tempo and a zero-length
+    grace note of pitch 80 at tick 2400, which shares its tick with a
+    quarter note; a later note of pitch 80 sounds over [4800, 5200)."""
+    tpq = 480
+    piece = make_piece(quarters=16, tpq=tpq, instruments=("violin", "cello"))
+    _, violin, cello = piece.tracks
+    extra = [NoteOn(2400, 0, 80, 75), NoteOff(2400, 0, 80, 0),
+             NoteOn(4800, 0, 80, 75), NoteOff(5200, 0, 80, 0)]
+    events = sorted(violin.events[:2] + [SetTempo(0, 500000)]
+                    + violin.events[2:] + extra, key=lambda ev: ev.tick)
+    return MidiPiece(tpq, [Track(events=events), cello])
+
+
+def notes_without_velocity(piece):
+    return [sorted(note[:4] for note in track_notes(track))
+            for track in piece.tracks]
+
+
+def without_inserts(events):
+    """The events annotate neither adds nor replaces, velocities zeroed:
+    it rewrites every SetTempo and adds CC#32 and CC#1."""
+    return [ev._replace(velocity=0) if isinstance(ev, NoteOn) else ev
+            for ev in events
+            if not isinstance(ev, SetTempo)
+            and not (isinstance(ev, ControlChange) and ev.controller in (1, 32))]
+
+
+@st.composite
+def note_track_pieces(draw):
+    """Normalized string pieces, notes in track 0: each track has a note of
+    positive length, and zero-length notes and controllers that may share
+    a tick with a note-on, in any order within a tick."""
+    tpq = 96
+    end = draw(st.integers(3, 12)) * tpq
+    names = draw(st.lists(st.sampled_from(STRINGS), min_size=1, max_size=3))
+    tracks = []
+    for channel, name in enumerate(names):
+        tick = st.integers(0, end - 1)
+        pitch = st.integers(40, 90)
+        body = [NoteOn(0, channel, 60, 75), NoteOff(tpq, channel, 60, 0)]
+        for on, length, p in draw(st.lists(
+                st.tuples(tick, st.sampled_from([0, 0, 1, tpq]), pitch),
+                max_size=8)):
+            off = min(on + length, end)
+            body += [NoteOn(on, channel, p, 75), NoteOff(off, channel, p, 0)]
+        for at, controller in draw(st.lists(
+                st.tuples(tick, st.sampled_from([7, 10, 64])), max_size=4)):
+            body.append(ControlChange(at, channel, controller, 64))
+        # a random order within each tick
+        keys = draw(st.lists(st.integers(0, 3), min_size=len(body),
+                             max_size=len(body)))
+        order = sorted(range(len(body)), key=lambda i: (body[i].tick, keys[i], i))
+        body = [body[i] for i in order]
+        program = REGISTRY[name].gm_program
+        tracks.append(Track(events=[TrackName(0, name),
+                                    ProgramChange(0, channel, program)]
+                            + body + [EndOfTrack(end)]))
+    return normalize(MidiPiece(tpq, tracks))
+
+
+class TestEventOrderKept:
+    """annotate adds tempo, CC#32 and CC#1 events and changes note-on
+    velocities; it never moves a track's own events."""
+
+    def test_apply_tempo_keeps_a_grace_note(self):
+        piece = grace_note_piece()
+        assert (2400, 2400, 0, 80) in notes_without_velocity(piece)[0]
+        out = apply_tempo(piece, [TempoInterval(0, 2400, 100.0),
+                                  TempoInterval(2400, 16 * 480, 160.0)])
+        assert notes_without_velocity(out) == notes_without_velocity(piece)
+        write_smf(out)
+
+    def test_annotate_keeps_a_grace_note(self, tables):
+        piece = grace_note_piece()
+        out, _ = annotate(piece, tables, AnnotationParams(), 4)
+        assert notes_without_velocity(out) == notes_without_velocity(piece)
+        write_smf(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(piece=note_track_pieces(), seed=st.integers(0, 2**32))
+    @example(piece=normalize(grace_note_piece()), seed=4)
+    def test_annotate_only_adds_and_revalues(self, tables, piece, seed):
+        out, _ = annotate(piece, tables, AnnotationParams(), seed)
+        assert [without_inserts(t.events) for t in out.tracks] == \
+            [without_inserts(t.events) for t in piece.tracks]
+        write_smf(out)
 
 
 class TestAnnotateFailureOrder:
