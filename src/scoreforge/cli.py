@@ -80,6 +80,7 @@ from .expressive import (
 )
 from .gmfix import (
     Deduper,
+    GmFixError,
     InstrumentDictionary,
     PieceRejected,
     admit_piece,
@@ -326,7 +327,7 @@ def _config_files(steps: tuple[str, ...], config: PipelineConfig,
                 and not {"annotate", "manifest"}.isdisjoint(steps)):
             path = config.articulation_tables
             tables = load_articulation_tables(path)
-    except Exception as exc:
+    except (OSError, ValueError, GmFixError) as exc:
         raise ConfigError(f"cannot load {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
     return dictionary, tables

@@ -19,19 +19,17 @@ All sampling flows through one seeded generator per piece, so identical
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, is_dataclass, replace
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .gmfix import track_instruments
+from .gmfix import DATA, read_table, track_instruments
 from .smf import (
     ControlChange,
     EndOfTrack,
@@ -172,8 +170,9 @@ class ArticulationTable:
             if row.cc32 in seen:
                 raise ValueError(f"{instrument}: duplicate cc32 value {row.cc32}")
             seen.add(row.cc32)
-            if row.weight < 0:
-                raise ValueError(f"{instrument}: negative weight for {row.articulation}")
+            if not 0 <= row.weight < math.inf:
+                raise ValueError(f"{instrument}: bad weight for {row.articulation}: "
+                                 f"{row.weight}")
             if row.length_class not in (LENGTH_LONG, LENGTH_SHORT):
                 raise ValueError(f"{instrument}: bad length class {row.length_class!r}")
         total = sum(row.weight for row in rows)
@@ -196,15 +195,10 @@ def load_articulation_tables(path: str | Path | None = None,
                              ) -> dict[str, ArticulationTable]:
     """Load tables from CSV (columns: instrument, articulation, cc32, weight,
     length_class); defaults to the bundled string-section tables."""
-    if path is None:
-        ref = resources.files("scoreforge").joinpath("data/articulations_strings.csv")
-        with ref.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+    source = DATA / "articulations_strings.csv" if path is None else Path(path)
     grouped: dict[str, list[ArticulationRow]] = {}
-    for row in rows:
+    for row in read_table(source, ("instrument", "articulation", "cc32",
+                                   "weight", "length_class")):
         grouped.setdefault(row["instrument"].strip(), []).append(
             ArticulationRow(
                 articulation=row["articulation"].strip(),

@@ -34,6 +34,7 @@ NORMALIZED_VELOCITY = 75
 NORMALIZED_TEMPO_US = 500_000  # 120 BPM
 PERCUSSION_CHANNEL = 9
 STRIPPED_CONTROLLERS = frozenset({1, 11, 32})
+DATA = resources.files("scoreforge").joinpath("data")  # the bundled tables
 
 class GmFixError(Exception):
     pass
@@ -102,6 +103,33 @@ _PROGRAM_TO_INSTRUMENT = {
 }
 
 
+def read_table(source: Path | resources.abc.Traversable,
+               columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of the UTF-8 CSV table ``source``, a file path or a bundled
+    resource, each keyed by the header's column names; blank lines are
+    skipped. A header without one of ``columns``, a row whose field count
+    is not the header's, and a NUL byte are each a ValueError that names
+    the line, as is a line the csv module rejects."""
+    with source.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if missing := [name for name in columns if name not in header]:
+                raise ValueError(f"line 1: missing column {', '.join(missing)}")
+            rows = []
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise ValueError(f"line {reader.line_num}: expected "
+                                     f"{len(header)} fields, got {len(fields)}")
+                # Python 3.10's csv rejects NUL itself, later releases keep it
+                if any("\0" in field for field in fields):
+                    raise ValueError(f"line {reader.line_num}: line contains NUL")
+                rows.append(dict(zip(header, fields)))
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return rows
+
+
 def normalize_name(raw: str) -> str:
     """Fold case, strip diacritics, collapse whitespace."""
     decomposed = unicodedata.normalize("NFKD", raw)
@@ -121,21 +149,18 @@ class InstrumentDictionary:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "InstrumentDictionary":
-        with open(path, newline="", encoding="utf-8") as fh:
-            return cls._from_rows(csv.DictReader(fh), str(path))
+        return cls._from_table(Path(path), str(path))
 
     @classmethod
     def default(cls) -> "InstrumentDictionary":
-        ref = resources.files("scoreforge").joinpath("data/instrument_names.csv")
-        with ref.open("r", encoding="utf-8", newline="") as fh:
-            return cls._from_rows(csv.DictReader(fh), "builtin")
+        return cls._from_table(DATA / "instrument_names.csv", "builtin")
 
     @classmethod
-    def _from_rows(cls, rows, source: str) -> "InstrumentDictionary":
+    def _from_table(cls, table, source: str) -> "InstrumentDictionary":
         """Rows may repeat a name (after normalize_name) only with the same
         instrument; a name mapped to two is a GmFixError."""
         entries: dict[str, InstrumentId | _Excluded] = {}
-        for row in rows:
+        for row in read_table(table, ("name", "instrument")):
             key = normalize_name(row["name"])
             target = row["instrument"].strip()
             value = EXCLUDED if target == "excluded" else REGISTRY.get(target)

@@ -341,6 +341,41 @@ class TestConfigErrorsExitBeforeOutput:
         self.run(tmp_path, ["pipeline", str(strings_corpus_dir)],
                  {"dictionary": str(names)})
 
+    @pytest.mark.parametrize("key", ["dictionary", "articulation_tables"])
+    @pytest.mark.parametrize("defect", ["short row", "long row", "missing column",
+                                        "NUL", "undecodable"])
+    def test_malformed_table(self, strings_corpus_dir, tmp_path, capsys,
+                             key, defect):
+        """Each defect in either table is a config error that names the
+        line it is on, where the text decodes."""
+        header, row = {
+            "dictionary": ("name,instrument", "Violin I,violin"),
+            "articulation_tables": ("instrument,articulation,cc32,weight,"
+                                    "length_class", "violin,legato,1,1.0,long"),
+        }[key]
+        columns = header.split(",")
+        good = f"{header}\n{row}\n".encode()
+        data, message = {
+            "short row": (good + row.rsplit(",", 1)[0].encode() + b"\n",
+                          f"ValueError: line 3: expected {len(columns)} fields, "
+                          f"got {len(columns) - 1}"),
+            "long row": (good + row.encode() + b",x\n",
+                         f"ValueError: line 3: expected {len(columns)} fields, "
+                         f"got {len(columns) + 1}"),
+            "missing column": (good.replace(columns[-1].encode(), b"other", 1),
+                               f"ValueError: line 1: missing column {columns[-1]}"),
+            "NUL": (good + b"\0" + row.encode() + b"\n",
+                    "ValueError: line 3: line contains NUL"),
+            "undecodable": (good + b"\xff" + row.encode() + b"\n",
+                            "UnicodeDecodeError: 'utf-8' codec can't decode byte "
+                            f"0xff in position {len(good)}: invalid start byte"),
+        }[defect]
+        table = tmp_path / "table.csv"
+        table.write_bytes(data)
+        self.run(tmp_path, ["pipeline", str(strings_corpus_dir)], {key: str(table)})
+        assert capsys.readouterr().err == (
+            f"config error: cannot load {table}: {message}\n")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_conflicting_dictionary_rows(self, raw_corpus_dir, tmp_path,
                                          capsys, jobs):

@@ -147,6 +147,8 @@ class TestArticulationTables:
             "x,A,1,50,long\nx,B,1,50,short\n",      # duplicate cc32
             "x,A,0,100,long\n",                     # cc32 out of range
             "x,A,1,-1,long\n",                      # negative weight
+            "x,A,1,nan,long\nx,B,2,1,long\n",       # weight not a number
+            "x,A,1,inf,long\nx,B,2,1,long\n",       # infinite weight
             "x,A,1,100,medium\n",                   # unknown length class
             "x,A,1,0,long\nx,B,2,0,short\n",        # all weights zero
         ]:

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from scoreforge.expressive import load_articulation_tables
 from scoreforge.gmfix import (
+    DATA,
     EXCLUDED,
     NORMALIZED_TEMPO_US,
     NORMALIZED_VELOCITY,
@@ -23,6 +25,7 @@ from scoreforge.gmfix import (
     normalize,
     normalize_name,
     note_fingerprint,
+    read_table,
     track_instruments,
 )
 from scoreforge.smf import (
@@ -102,6 +105,73 @@ class TestNames:
     def test_registry_families(self):
         assert REGISTRY["violin"].gm_program == 40
         assert REGISTRY["french_horn"].gm_program == 60
+
+
+# each bundled table and the loader that reads one like it
+TABLE_LOADERS = {"instrument_names.csv": InstrumentDictionary.from_csv,
+                 "articulations_strings.csv": load_articulation_tables}
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to four edits, each a truncation, a dropped or
+    duplicated comma-separated field, or one byte set to any value."""
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["truncate", "drop", "duplicate", "byte"]))
+        if edit == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif edit == "byte":
+            if data:
+                at = draw(st.integers(0, len(data) - 1))
+                data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        else:
+            lines = data.split(b"\n")
+            line = draw(st.integers(0, len(lines) - 1))
+            fields = lines[line].split(b",")
+            field = draw(st.integers(0, len(fields) - 1))
+            if edit == "drop":
+                del fields[field]
+            else:
+                fields.insert(field, fields[field])
+            lines[line] = b",".join(fields)
+            data = b"\n".join(lines)
+    return data
+
+
+class TestTables:
+    def test_rows_keyed_by_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('b,a\n\n2,"x,y"\n\n')
+        assert read_table(path, ("a",)) == [{"b": "2", "a": "x,y"}]
+
+    # the CLI tests cover each defect in each table; these are the cases
+    # they do not: an empty file, a line count past a blank line, and a
+    # line the csv module itself rejects
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing column a, b"),
+        ("a,b\n1,2\n\n1,2,3\n", "line 4: expected 2 fields, got 3"),
+        ("a,b\n1," + "2" * 200_000 + "\n",
+         "line 2: field larger than field limit (131072)"),
+    ])
+    def test_malformed_table_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_table(path, ("a", "b"))
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(TABLE_LOADERS)), data=st.data())
+    def test_mutated_table_loads_or_raises_a_declared_error(
+            self, tmp_path_factory, name, data):
+        """A malformed table is an OSError, a ValueError or a GmFixError,
+        the classes the CLI reports as a config error."""
+        path = tmp_path_factory.mktemp("table") / name
+        path.write_bytes(data.draw(mutated((DATA / name).read_bytes())))
+        try:
+            TABLE_LOADERS[name](path)
+        except (OSError, ValueError, GmFixError):
+            pass
 
 
 class TestMapInstrument:
