@@ -19,12 +19,15 @@ The MIDI subcommands from fix to manifest are ranges of one per-piece chain,
 run in the workers on each file, parsed once and kept in memory between
 steps. The parent first removes what an earlier run into the same
 directories left of this run's files. It takes the pieces' results in
-piece-id order: it dedupes each piece as it arrives and writes its fix,
-normalize and annotate files, so at --jobs N it writes while the pool still
-works; at --jobs 1 it computes the chain and hands the files to a writer
-process. At the end it reports the failures and runs the corpus reducers
-(fix report, stats totals, the split, the manifests). `pipeline` is the
-whole range.
+piece-id order: it dedupes each piece as it arrives and writes every file
+the piece made (fix, normalize and annotate MIDI, the plan sidecar, the
+manifest) through one write function, chosen once per command. At --jobs N
+the parent writes them itself while the pool still works; a --jobs 1
+command that starts with a chain step computes the chain and hands the
+files to a writer process; a standalone stats, split or manifest at --jobs 1
+writes its own. At the end it reports the failures and runs the corpus
+reducers (fix report, stats totals, the split). `pipeline` is the whole
+range.
 
 All randomness flows from one master seed; each piece gets its own generator
 seeded from (master seed, piece id), so results do not depend on file
@@ -248,42 +251,40 @@ def _write_loop(conn: Connection, parent_end: Connection) -> None:
 
 
 @contextlib.contextmanager
-def _chain_writer(jobs: int) -> Iterator[Callable[[Path, bytes], None]]:
-    """A function that writes (path, bytes). At jobs 1 it sends them to a
-    writer process, started on the first file with the default start method,
-    so the kernel creates the files on another core while the caller
-    computes; the writer's OSError is raised by the next call or on leaving
-    the block, with nothing written after it, and the writer never outlives
-    the block. At jobs > 1 the caller only waits on its pool and writes the
-    files itself: a writer forked there would copy a process that runs the
-    pool's thread, and it measured no faster."""
-    if jobs > 1:
+def _chain_writer(jobs: int, steps: tuple[str, ...],
+                  ) -> Iterator[Callable[[Path, bytes], None]]:
+    """A function that writes (path, bytes), chosen from ``jobs`` and the
+    command's range of ``steps``. A jobs 1 command that starts with a chain
+    step sends them to a writer process, started with the default start
+    method as the block opens, so the kernel creates the files on another
+    core while the caller computes; the writer's OSError is raised by the
+    next call or on leaving the block, with nothing written after it, and
+    the writer never outlives the block. Otherwise the caller writes the
+    files itself: at jobs > 1 it only waits on its pool, and a writer forked
+    there would copy a process that runs the pool's thread and measured no
+    faster; a standalone stats, split or manifest computes little per file,
+    and a writer process made its manifests slower."""
+    if jobs > 1 or steps[0] not in CHAIN_STEPS:
         yield partial(_write_file, set())
         return
-    conn = writer = None
+    conn, child_end = Pipe()
+    writer = Process(target=_write_loop, args=(child_end, conn))
+    writer.start()
+    child_end.close()
 
     def send(path: Path, data: bytes) -> None:
-        nonlocal conn, writer
-        if writer is None:
-            conn, child_end = Pipe()
-            process = Process(target=_write_loop, args=(child_end, conn))
-            process.start()
-            writer = process
-            child_end.close()
-        elif conn.poll():
+        if conn.poll():
             raise conn.recv()
         conn.send((str(path), data))
 
     try:
         yield send
-        if writer is not None:
-            conn.send(None)
-            if (error := conn.recv()) is not None:
-                raise error
+        conn.send(None)
+        if (error := conn.recv()) is not None:
+            raise error
     finally:
-        if writer is not None:
-            conn.close()
-            writer.join()
+        conn.close()
+        writer.join()
 
 
 class _Failures:
@@ -456,25 +457,19 @@ def _clear_outputs(in_dir: Path, inputs: list[Path],
             out_dir.rmdir()
 
 
-def _write_piece(write: Callable[[Path, bytes], None], out_dir: Path,
-                 step: str, result: dict) -> None:
-    """Write the files ``step`` made for ``result``'s piece into ``out_dir``,
-    named as PIECE_FILES says, and drop their bytes from ``result``."""
-    for suffix, key in PIECE_FILES[step].items():
-        write(out_dir / (result["id"] + suffix), result.pop(key))
-
-
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                jobs: int, failures: _Failures) -> int:
     """Map the chain over the files of ``in_dir`` for the steps that key
     ``out_dirs`` (a range of STEPS), after clearing what an earlier run
     left of this run's files. Each piece's result is deduped (after fix)
-    and its chain files written as it arrives, their bytes then dropped;
-    after the map, each step in order reports its failures and runs its
-    corpus reducer (fix report, stats totals, split, manifests). Stops with
-    exit code 1 when a chain step leaves no piece for the steps after it,
-    whose directories then hold nothing: a piece writes to one only after
-    passing the steps before it."""
+    as it arrives, and every file it made (PIECE_FILES) goes through the
+    one write that ``_chain_writer`` picks for the command, its bytes then
+    dropped. After the map, so after any failed write, each step in order
+    reports its failures and runs its corpus reducer (fix report, stats
+    totals, split) and writes its provenance. Stops with exit code 1 when a
+    chain step leaves no piece for the steps after it, whose directories
+    then hold nothing: a piece writes to one only after passing the steps
+    before it."""
     steps = tuple(out_dirs)
     dictionary, tables = _config_files(steps, config)
     inputs = _midi_files(in_dir)
@@ -483,14 +478,15 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                      dictionary=dictionary, tables=tables)
     deduper = Deduper()
     alive = []  # every result but the duplicates', in piece-id order
-    with _chain_writer(jobs) as write:
+    with _chain_writer(jobs, steps) as write:
         for r in _map_jobs(worker, [str(p) for p in inputs], jobs):
             if "fix" in r and not deduper.admit(r["id"], r["fingerprint"]):
                 continue
             alive.append(r)
-            for step in CHAIN_STEPS:
-                if step in r:
-                    _write_piece(write, out_dirs[step], step, r)
+            for step, files in PIECE_FILES.items():
+                if step in r:  # the step made its files
+                    for suffix, key in files.items():
+                        write(out_dirs[step] / (r["id"] + suffix), r.pop(key))
     for step in steps:
         out_dir = out_dirs[step]
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,9 +523,6 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
                            for name in ("train", "eval", "test")},
                 "balance_report": result.balance_report,
             })
-        else:
-            for r in ok:
-                _write_piece(Path.write_bytes, out_dir, step, r)
         _write_provenance(out_dir, step, config)
         if not alive and step != steps[-1]:
             print(f"no pieces left after {step}", file=sys.stderr)

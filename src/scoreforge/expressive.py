@@ -157,24 +157,13 @@ class ArticulationTable:
     """Per-instrument articulation distribution keyed to CC#32 values.
 
     Raw weights are kept for inspection; sampling always uses probabilities
-    renormalized to sum 1 (published tables carry rounding residue).
+    renormalized to sum 1 (published tables carry rounding residue). Each
+    row's values are checked where they are read, in load_articulation_tables.
     """
 
     def __init__(self, instrument: str, rows: Sequence[ArticulationRow]):
         if not rows:
             raise ValueError(f"{instrument}: empty articulation table")
-        seen = set()
-        for row in rows:
-            if not 1 <= row.cc32 <= 127:
-                raise ValueError(f"{instrument}: cc32 out of range: {row.cc32}")
-            if row.cc32 in seen:
-                raise ValueError(f"{instrument}: duplicate cc32 value {row.cc32}")
-            seen.add(row.cc32)
-            if not 0 <= row.weight < math.inf:
-                raise ValueError(f"{instrument}: bad weight for {row.articulation}: "
-                                 f"{row.weight}")
-            if row.length_class not in (LENGTH_LONG, LENGTH_SHORT):
-                raise ValueError(f"{instrument}: bad length class {row.length_class!r}")
         total = sum(row.weight for row in rows)
         if total <= 0:
             raise ValueError(f"{instrument}: no positive weights")
@@ -194,19 +183,30 @@ class ArticulationTable:
 def load_articulation_tables(path: str | Path | None = None,
                              ) -> dict[str, ArticulationTable]:
     """Load tables from CSV (columns: instrument, articulation, cc32, weight,
-    length_class); defaults to the bundled string-section tables."""
+    length_class); defaults to the bundled string-section tables. A bad
+    value in a row is a ValueError that names its line."""
     source = DATA / "articulations_strings.csv" if path is None else Path(path)
-    grouped: dict[str, list[ArticulationRow]] = {}
-    for row in read_table(source, ("instrument", "articulation", "cc32",
-                                   "weight", "length_class")):
-        grouped.setdefault(row["instrument"].strip(), []).append(
-            ArticulationRow(
-                articulation=row["articulation"].strip(),
-                cc32=int(row["cc32"]),
-                weight=float(row["weight"]),
-                length_class=row["length_class"].strip(),
-            ))
-    return {name: ArticulationTable(name, rows) for name, rows in grouped.items()}
+    grouped: dict[str, dict[int, ArticulationRow]] = {}  # rows by cc32
+    for line, row in read_table(source, ("instrument", "articulation", "cc32",
+                                         "weight", "length_class")):
+        instrument = row["instrument"].strip()
+        rows = grouped.setdefault(instrument, {})
+        try:
+            new = ArticulationRow(row["articulation"].strip(), int(row["cc32"]),
+                                  float(row["weight"]), row["length_class"].strip())
+            if not 1 <= new.cc32 <= 127:
+                raise ValueError(f"cc32 out of range: {new.cc32}")
+            if new.cc32 in rows:
+                raise ValueError(f"duplicate cc32 value {new.cc32}")
+            if not 0 <= new.weight < math.inf:
+                raise ValueError(f"bad weight for {new.articulation}: {new.weight}")
+            if new.length_class not in (LENGTH_LONG, LENGTH_SHORT):
+                raise ValueError(f"bad length class {new.length_class!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {instrument}: {exc}") from None
+        rows[new.cc32] = new
+    return {name: ArticulationTable(name, list(rows.values()))
+            for name, rows in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +223,6 @@ def piece_seed(master_seed: int, piece_id: str) -> int:
 # Interval planning
 # ---------------------------------------------------------------------------
 
-def _quarter_cuts(start: int, end: int, tpq: int) -> np.ndarray:
-    """Quarter-note grid ticks strictly inside (start, end)."""
-    first = (start // tpq + 1) * tpq
-    return np.arange(first, end, tpq, dtype=np.int64)
-
-
 def _draw_bounds(start: int, end: int, tpq: int, min_intervals: int,
                  rng: np.random.Generator) -> list[tuple[int, int]]:
     """Divide [start, end) into a random number of beat-aligned intervals.
@@ -239,13 +233,15 @@ def _draw_bounds(start: int, end: int, tpq: int, min_intervals: int,
     """
     span_quarters = (end - start) // tpq
     max_n = max(min_intervals, span_quarters // INTERVAL_QUARTERS)
-    cuts_available = _quarter_cuts(start, end, tpq)
-    max_n = min(max_n, len(cuts_available) + 1)
+    # the cuts: quarter-grid ticks strictly inside (start, end), by index
+    first = (start // tpq + 1) * tpq
+    grid = len(range(first, end, tpq))
+    max_n = min(max_n, grid + 1)
     min_n = min(min_intervals, max_n)
     n = int(rng.integers(min_n, max_n + 1))
     if n > 1:
-        chosen = rng.choice(cuts_available, size=n - 1, replace=False)
-        cuts = sorted(int(c) for c in chosen)
+        chosen = rng.choice(grid, size=n - 1, replace=False)
+        cuts = sorted(first + tpq * int(i) for i in chosen)
     else:
         cuts = []
     bounds = [start] + cuts + [end]

@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .smf import (
+    MAX_VLQ_VALUE,
     ControlChange,
     MidiPiece,
     NoteOn,
@@ -104,13 +105,14 @@ _PROGRAM_TO_INSTRUMENT = {
 
 
 def read_table(source: Path | resources.abc.Traversable,
-               columns: tuple[str, ...]) -> list[dict[str, str]]:
+               columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
     """The rows of the UTF-8 CSV table ``source``, a file path or a bundled
-    resource, each keyed by the header's column names; blank lines are
-    skipped. A header without one of ``columns``, a row whose field count
-    is not the header's, and a NUL byte are each a ValueError that names
-    the line, as is a line the csv module rejects."""
-    with source.open(encoding="utf-8", newline="") as fh:
+    resource, each as its line number and its fields keyed by the header's
+    column names; a leading byte-order mark and blank lines are skipped. A
+    header without one of ``columns``, a row whose field count is not the
+    header's, and a NUL byte are each a ValueError that names the line, as
+    is a line the csv module rejects."""
+    with source.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -124,7 +126,7 @@ def read_table(source: Path | resources.abc.Traversable,
                 # Python 3.10's csv rejects NUL itself, later releases keep it
                 if any("\0" in field for field in fields):
                     raise ValueError(f"line {reader.line_num}: line contains NUL")
-                rows.append(dict(zip(header, fields)))
+                rows.append((reader.line_num, dict(zip(header, fields))))
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows
@@ -158,20 +160,21 @@ class InstrumentDictionary:
     @classmethod
     def _from_table(cls, table, source: str) -> "InstrumentDictionary":
         """Rows may repeat a name (after normalize_name) only with the same
-        instrument; a name mapped to two is a GmFixError."""
+        instrument; a name mapped to two is a GmFixError that names the
+        second row's line, as is an unknown instrument."""
         entries: dict[str, InstrumentId | _Excluded] = {}
-        for row in read_table(table, ("name", "instrument")):
+        for line, row in read_table(table, ("name", "instrument")):
             key = normalize_name(row["name"])
             target = row["instrument"].strip()
             value = EXCLUDED if target == "excluded" else REGISTRY.get(target)
             if value is None:
-                raise GmFixError(
-                    f"{source}: unknown instrument {target!r} for name {row['name']!r}")
+                raise GmFixError(f"{source}: line {line}: unknown instrument "
+                                 f"{target!r} for name {row['name']!r}")
             first = entries.setdefault(key, value)
             if first is not value:
                 was = "excluded" if first is EXCLUDED else first.name
-                raise GmFixError(
-                    f"{source}: name {key!r} maps to both {was} and {target}")
+                raise GmFixError(f"{source}: line {line}: name {key!r} maps "
+                                 f"to both {was} and {target}")
         return cls(entries)
 
     def lookup(self, raw_name: str) -> InstrumentId | _Excluded | None:
@@ -344,17 +347,23 @@ def note_fingerprint(piece: MidiPiece) -> str:
 def admit_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
                 ) -> tuple[MidiPiece, list[InstrumentId]]:
     """fix_piece, then the corpus rules: the piece must have note-bearing
-    tracks of at least two distinct instruments.
+    tracks of at least two distinct instruments, and span no more ticks
+    than one delta time holds.
 
     Monotimbral pieces are useless for separation training, so they are
-    rejected alongside pieces with unmappable or out-of-scope tracks. Raises
-    PieceRejected (UnknownInstrument for track-level causes) with the reason.
+    rejected alongside pieces with unmappable or out-of-scope tracks; the
+    span bound keeps any delta time that a later step merges encodable.
+    Raises PieceRejected (UnknownInstrument for track-level causes) with the
+    reason.
     """
     fixed, instruments = fix_piece(piece, dictionary)
     if not instruments:
         raise PieceRejected("no note-bearing tracks")
     if len(set(instruments)) < 2:
         raise PieceRejected(f"monotimbral: only {instruments[0].name}")
+    if (end := fixed.end_tick()) > MAX_VLQ_VALUE:
+        raise PieceRejected(f"spans {end} ticks, more than one delta time "
+                            f"holds ({MAX_VLQ_VALUE})")
     return fixed, instruments
 
 

@@ -56,7 +56,9 @@ from scoreforge.smf import (
     MidiPiece,
     NoteOff,
     NoteOn,
+    OtherMeta,
     SetTempo,
+    SmfError,
     TempoMap,
     Track,
     TrackName,
@@ -384,8 +386,8 @@ class TestConfigErrorsExitBeforeOutput:
         self.run(tmp_path, ["fix", str(raw_corpus_dir), "--jobs", jobs],
                  {"dictionary": str(names)})
         assert capsys.readouterr().err == (
-            f"config error: cannot load {names}: GmFixError: {names}: name "
-            "'violin i' maps to both violin and viola\n")
+            f"config error: cannot load {names}: GmFixError: {names}: line 3: "
+            "name 'violin i' maps to both violin and viola\n")
 
     def test_tables_out_of_range(self, pipeline_out, tmp_path):
         tables = tmp_path / "tables.csv"
@@ -506,6 +508,22 @@ class TestFixCommand:
         rc = run_command(["fix", str(raw_corpus_dir), "--out",
                           str(tmp_path / "out"), "--strict"])
         assert rc == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_span_past_one_delta_time_rejected(self, six_strings, tmp_path,
+                                               capsys, jobs):
+        """A piece too long for later steps to write is a fix rejection,
+        with its reason, not a normalize failure."""
+        (six_strings / "m-vlq.mid").write_bytes(vlq_piece())
+        out = tmp_path / "run"
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        reason = (f"spans {2 * MAX_VLQ_VALUE} ticks, more than one delta "
+                  f"time holds ({MAX_VLQ_VALUE})")
+        report = json.loads((out / "10_fixed" / "fix_report.json").read_text())
+        assert report["rejected"] == {"m-vlq": reason}
+        assert capsys.readouterr().err == f"skip m-vlq: {reason}\n"
+        assert not list(out.rglob("m-vlq*"))
 
     def test_missing_input_dir(self, tmp_path):
         rc = run_command(["fix", str(tmp_path / "nowhere"), "--out",
@@ -1361,15 +1379,37 @@ def rejected_piece() -> bytes:
 
 
 def vlq_piece() -> bytes:
-    """A piece that passes fix and fails normalize: stripping its CC#1
-    leaves a delta past the VLQ range."""
+    """A piece that spans more ticks than one delta time holds, so fix
+    rejects it: stripping its CC#1 would leave a delta past the VLQ range."""
     return two_part_piece("Violin I", "Viola", [
         ControlChange(MAX_VLQ_VALUE, 0, 1, 64),
         NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)])
 
 
+NORMALIZE_FAILS = OtherMeta(0, 0x01, b"normalize fails")  # a text event
+
+
+def normalize_fails_piece() -> bytes:
+    """A piece that passes fix and fails normalize under
+    ``make_normalize_fail``."""
+    return two_part_piece("Violin I", "Viola", [NORMALIZE_FAILS])
+
+
+def failing_normalize(piece):
+    if NORMALIZE_FAILS in piece.tracks[0].events:
+        raise SmfError("normalize failed")
+    return normalize(piece)
+
+
+def make_normalize_fail(monkeypatch) -> None:
+    """Make the chain's normalize fail on ``normalize_fails_piece()``, in
+    this process and in pool workers, which fork from it to see the patch."""
+    pool_starting_by("fork", monkeypatch)
+    monkeypatch.setattr(scoreforge.cli, "normalize", failing_normalize)
+
+
 class TestStreamedWrites:
-    """At --jobs N the parent writes each piece's chain files as the pool
+    """At --jobs N the parent writes each piece's files as the pool
     delivers it, in piece-id order; the output and stderr are those of
     --jobs 1."""
 
@@ -1383,7 +1423,7 @@ class TestStreamedWrites:
             "a-b": strings[0],  # a duplicate; before a by path, after by id
             "b": strings[1],
             "c": strings[2],
-            "m-vlq": vlq_piece(),  # normalize fails
+            "m-normalize": normalize_fails_piece(),  # normalize fails
             "unknown": rejected_piece(),  # fix fails
             "z-garbage": b"not a MIDI file",
         }
@@ -1402,16 +1442,18 @@ class TestStreamedWrites:
         assert errs["1"] == errs["2"]
         return tmp_path / "jobs1", errs["1"]
 
-    def test_mixed_corpus(self, mixed_corpus, tmp_path, capsys):
+    def test_mixed_corpus(self, mixed_corpus, tmp_path, capsys, monkeypatch):
+        make_normalize_fail(monkeypatch)
         out, err = self.run_jobs(mixed_corpus, tmp_path, capsys, 0)
         assert sorted(p.name for p in out.iterdir()) == sorted(
             STAGE_DIRS.values())
         report = json.loads((out / "10_fixed" / "fix_report.json").read_text())
-        assert sorted(report["kept"]) == ["0-flute", "a", "b", "c", "m-vlq"]
+        assert sorted(report["kept"]) == ["0-flute", "a", "b", "c",
+                                          "m-normalize"]
         assert sorted(report["rejected"]) == ["unknown", "z-garbage"]
         assert [(d["kept"], d["dropped"]) for d in report["duplicates"]] == [
             ("a", "a-b")]
-        written = {"10_fixed": ["0-flute", "a", "b", "c", "m-vlq"],
+        written = {"10_fixed": ["0-flute", "a", "b", "c", "m-normalize"],
                    "20_normalized": ["0-flute", "a", "b", "c"],
                    "30_annotated": ["a", "b", "c"]}
         for directory, ids in written.items():
@@ -1422,8 +1464,9 @@ class TestStreamedWrites:
             "provenance.json"]
         # failures are reported step by step, each step's in piece-id order
         assert [line.split(":")[0] for line in err.splitlines()] == [
-            "skip unknown", "skip z-garbage", "skip m-vlq", "skip 0-flute"]
-        assert "skip m-vlq: VLQ value out of range" in err
+            "skip unknown", "skip z-garbage", "skip m-normalize",
+            "skip 0-flute"]
+        assert "skip m-normalize: normalize failed" in err
         assert "skip 0-flute: MissingTable" in err
 
     @pytest.mark.parametrize("kept, last_step", [
@@ -1456,7 +1499,8 @@ class TestStaleFiles:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_rerun_drops_stale_chain_files(self, six_strings, tmp_path,
-                                           capsys, jobs):
+                                           capsys, monkeypatch, jobs):
+        make_normalize_fail(monkeypatch)
         out = tmp_path / "run"
         assert run_command(["pipeline", str(six_strings), "--out", str(out),
                             "--jobs", jobs]) == 0
@@ -1466,7 +1510,7 @@ class TestStaleFiles:
         (six_strings / f"{ids[0]}.mid").write_bytes(rejected_piece())
         shutil.copy(six_strings / f"{ids[1]}.mid",
                     six_strings / f"{ids[2]}.mid")  # deduped after ids[1]
-        (six_strings / f"{ids[3]}.mid").write_bytes(vlq_piece())
+        (six_strings / f"{ids[3]}.mid").write_bytes(normalize_fails_piece())
         fresh = tmp_path / "fresh"
         for target in (out, fresh):
             assert run_command(["pipeline", str(six_strings), "--out",
@@ -1476,7 +1520,7 @@ class TestStaleFiles:
         assert not (out / "20_normalized" / f"{ids[3]}.mid").exists()
         assert not (out / "30_annotated" / f"{ids[0]}.plan.json").exists()
         err = capsys.readouterr().err
-        assert err.count(f"skip {ids[3]}: VLQ value out of range") == 2
+        assert err.count(f"skip {ids[3]}: normalize failed") == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_rerun_that_stops_drops_later_stages(self, six_strings, tmp_path,
@@ -1580,9 +1624,12 @@ class TestConfigFilesReread:
 
 
 def pool_starting_by(method: str, monkeypatch) -> None:
-    """Make the CLI's process pools start their workers by ``method``."""
-    monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor", partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    """Make the CLI's process pools and its --jobs 1 writer start their
+    processes by ``method``."""
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=context))
+    monkeypatch.setattr(scoreforge.cli, "Process", context.Process)
 
 
 START_METHODS = ("fork", "forkserver", "spawn")
@@ -1674,11 +1721,25 @@ class TestStartMethods:
             pool_starting_by(method, monkeypatch)
             assert trees(method, "2") == serial, method
 
+    def test_writer_trees(self, six_strings, tmp_path, monkeypatch):
+        """pipeline --jobs 1 gives the --jobs 2 tree however its writer
+        process starts."""
+        pool = tmp_path / "pool"
+        assert run_command(["pipeline", str(six_strings), "--out", str(pool),
+                            "--jobs", "2"]) == 0
+        for method in START_METHODS:
+            pool_starting_by(method, monkeypatch)
+            out = tmp_path / method
+            assert run_command(["pipeline", str(six_strings), "--out",
+                                str(out), "--jobs", "1"]) == 0
+            assert tree_bytes(out) == tree_bytes(pool), method
+
 
 class TestChainWriter:
-    """At --jobs 1 the parent computes the chain and a writer process
-    creates the chain's files; what it leaves, whatever happens, is what
-    --jobs N leaves, and it never outlives the command."""
+    """At --jobs 1 a command that starts with a chain step computes the
+    chain in the parent, and a writer process, started with the command,
+    creates every file of the pieces; what it leaves, whatever happens, is
+    what --jobs N leaves, and it never outlives the command."""
 
     def test_jobs_1_streams(self):
         calls = []
@@ -1700,11 +1761,12 @@ class TestChainWriter:
 
     @pytest.mark.parametrize("case, rc, starts_writer", [
         ("whole chain", 0, True),
-        ("no pieces left after fix", 1, False),
+        ("no pieces left after fix", 1, True),
         ("no pieces left after annotate", 1, True),
         ("no usable pieces", 2, True),
         ("write fails", 1, True),
         ("map raises", None, True),
+        ("--jobs 2", 0, False),
     ])
     def test_no_writer_outlives_the_command(self, six_strings, tmp_path,
                                             monkeypatch, capsys, writers,
@@ -1731,6 +1793,8 @@ class TestChainWriter:
 
             monkeypatch.setattr(scoreforge.cli, "normalize", normalize_twice)
         argv = ["pipeline", str(six_strings), "--out", str(out)]
+        if case == "--jobs 2":
+            argv += ["--jobs", "2"]
         if rc is None:
             with pytest.raises(RuntimeError, match="normalize broke"):
                 run_command(argv)
@@ -1745,8 +1809,8 @@ class TestChainWriter:
 
     def test_failed_write(self, six_strings, tmp_path, capsys):
         """A chain write that fails stops the command with exit code 1
-        before any report: the files of the pieces before it in id order are
-        written, nothing after it, at any --jobs."""
+        before any report: the files of the pieces before it in id order
+        are written, manifests included, nothing after it, at any --jobs."""
         ids = sorted(p.stem for p in six_strings.glob("*.mid"))
         clean = tmp_path / "clean"
         assert run_command(["pipeline", str(six_strings), "--out",
@@ -1756,7 +1820,8 @@ class TestChainWriter:
             Path(directory, f"{piece_id}{suffix}") for piece_id in ids[:2]
             for directory, suffix in [
                 ("10_fixed", ".mid"), ("20_normalized", ".mid"),
-                ("30_annotated", ".mid"), ("30_annotated", ".plan.json")]}
+                ("30_annotated", ".mid"), ("30_annotated", ".plan.json"),
+                ("60_manifests", ".manifest.json")]}
         trees = {}
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
@@ -1768,7 +1833,7 @@ class TestChainWriter:
                 == f"error: [Errno 21] Is a directory: '{blocked}'\n"
             trees[jobs] = tree_bytes(out)
             assert sorted(p.name for p in out.iterdir()) == [
-                "10_fixed", "20_normalized", "30_annotated"]
+                "10_fixed", "20_normalized", "30_annotated", "60_manifests"]
         assert trees["1"] == trees["2"]
         assert set(trees["1"]) == expected
         clean_files = tree_bytes(clean)
@@ -1781,7 +1846,7 @@ class TestChainWriter:
         blocked = tmp_path / "a" / "blocked.mid"
         blocked.mkdir(parents=True)
         with pytest.raises(IsADirectoryError):
-            with scoreforge.cli._chain_writer(1) as write:
+            with scoreforge.cli._chain_writer(1, ("fix",)) as write:
                 write(tmp_path / "a" / "first.mid", b"1")
                 write(blocked, b"2")
                 deadline = time.monotonic() + 30
@@ -1792,3 +1857,50 @@ class TestChainWriter:
         assert (tmp_path / "a" / "first.mid").read_bytes() == b"1"
         assert not (tmp_path / "b").exists()
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_parent_writes_only_the_corpus_files(self, six_strings, tmp_path,
+                                                 monkeypatch, writers, jobs):
+        """pipeline --jobs 1 sends every file of the pieces, manifests
+        included, to its writer process, and writes only the corpus files
+        itself; at --jobs 2 no writer starts and the parent writes all."""
+        written = []
+        write_bytes = Path.write_bytes
+
+        def recording(path, data):  # a forked writer records in its copy
+            written.append(path)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", recording)
+        out = tmp_path / "run"
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        tree = set(tree_bytes(out))
+        assert len([p for p in tree if p.suffixes == [".manifest", ".json"]]) \
+            == 6
+        corpus_files = {p for p in tree if p.name in (
+            "fix_report.json", "stats.json", "split.json", "provenance.json")}
+        assert {p.relative_to(out) for p in written} \
+            == (corpus_files if jobs == "1" else tree)
+        assert len(writers) == int(jobs == "1")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_writer_only_for_chain_commands_at_jobs_1(
+            self, pipeline_out, six_strings, tmp_path, writers, jobs):
+        """A writer process starts for fix, normalize and annotate at
+        --jobs 1, and for no other command or --jobs."""
+        annotated = pipeline_out / "30_annotated"
+        inputs = {"fix": six_strings, "normalize": pipeline_out / "10_fixed",
+                  "annotate": pipeline_out / "20_normalized",
+                  "stats": annotated, "split": annotated,
+                  "manifest": annotated}
+        started = {}
+        for command, source in inputs.items():
+            before = len(writers)
+            assert run_command([command, str(source), "--out",
+                                str(tmp_path / command), "--jobs", jobs]) == 0
+            started[command] = len(writers) - before
+        chain = int(jobs == "1")
+        assert started == {"fix": chain, "normalize": chain,
+                           "annotate": chain, "stats": 0, "split": 0,
+                           "manifest": 0}

@@ -22,6 +22,7 @@ from scoreforge.expressive import (
     NonTilingIntervals,
     PieceTooShort,
     TempoInterval,
+    _draw_bounds,
     annotate,
     apply_articulations,
     apply_dynamics,
@@ -157,6 +158,27 @@ class TestArticulationTables:
             with pytest.raises(ValueError):
                 load_articulation_tables(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("x,B,60.00,1,long\n",
+         "line 3: x: invalid literal for int() with base 10: '60.00'"),
+        ("x,B,2,heavy,long\n",
+         "line 3: x: could not convert string to float: 'heavy'"),
+        ("x,A,200,1,long\n", "line 3: x: cc32 out of range: 200"),
+        ("x,B,2,-1,long\n", "line 3: x: bad weight for B: -1.0"),
+        ("x,B,2,1,medium\n", "line 3: x: bad length class 'medium'"),
+        ("y,B,1,1,long\n\nx,C,1,1,short\n",
+         "line 5: x: duplicate cc32 value 1"),
+        # a check over a whole table names the instrument only
+        ("y,B,1,0,long\n", "y: no positive weights"),
+    ])
+    def test_bad_value_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("instrument,articulation,cc32,weight,length_class\n"
+                        "x,A,1,1,long\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_articulation_tables(path)
+        assert str(info.value) == message
+
 
 class TestSeeding:
     def test_piece_seed_stable_and_distinct(self):
@@ -164,6 +186,36 @@ class TestSeeding:
         assert piece_seed(0, "raw_001") != piece_seed(0, "raw_002")
         assert piece_seed(0, "raw_001") != piece_seed(1, "raw_001")
         assert 0 <= piece_seed(12345, "x") < 2 ** 64
+
+
+def grid_bounds(start, end, tpq, min_intervals, rng):
+    """``_draw_bounds`` as it was, drawing the cuts from an array of every
+    quarter tick strictly inside (start, end)."""
+    max_n = max(min_intervals, (end - start) // tpq // INTERVAL_QUARTERS)
+    grid = np.arange((start // tpq + 1) * tpq, end, tpq, dtype=np.int64)
+    max_n = min(max_n, len(grid) + 1)
+    n = int(rng.integers(min(min_intervals, max_n), max_n + 1))
+    cuts = sorted(int(c) for c in rng.choice(grid, size=n - 1, replace=False)
+                  ) if n > 1 else []
+    bounds = [start] + cuts + [end]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestDrawBounds:
+    def test_equals_the_grid_draw(self):
+        """Drawing the cut indices draws the same cuts as a choice over the
+        grid, and leaves the generator in the same state."""
+        cases = np.random.default_rng(0)
+        for _ in range(400):
+            tpq = int(cases.integers(1, 1000))
+            start = int(cases.integers(0, 10 * tpq))
+            end = start + int(cases.integers(1, [60, 5_000, 3_000_000][_ % 3]))
+            low = int(cases.integers(1, 6))
+            seed = int(cases.integers(0, 2 ** 32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _draw_bounds(start, end, tpq, low, ours) \
+                == grid_bounds(start, end, tpq, low, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestTempoPlanning:

@@ -29,6 +29,7 @@ from scoreforge.gmfix import (
     track_instruments,
 )
 from scoreforge.smf import (
+    MAX_VLQ_VALUE,
     ControlChange,
     EndOfTrack,
     MidiPiece,
@@ -92,7 +93,15 @@ class TestNames:
         path.write_text("name,instrument\n" + rows)
         with pytest.raises(GmFixError) as info:
             InstrumentDictionary.from_csv(path)
-        assert str(info.value) == f"{path}: {message}"
+        assert str(info.value) == f"{path}: line 3: {message}"
+
+    def test_unknown_instrument_names_its_line(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text("name,instrument\nViolin I,violin\n\nFiddle,fiddle\n")
+        with pytest.raises(GmFixError) as info:
+            InstrumentDictionary.from_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 4: unknown instrument 'fiddle' for name 'Fiddle'")
 
     def test_repeated_row_with_one_instrument_allowed(self, tmp_path):
         path = tmp_path / "names.csv"
@@ -142,7 +151,18 @@ class TestTables:
     def test_rows_keyed_by_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('b,a\n\n2,"x,y"\n\n')
-        assert read_table(path, ("a",)) == [{"b": "2", "a": "x,y"}]
+        assert read_table(path, ("a",)) == [(3, {"b": "2", "a": "x,y"})]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_LOADERS))
+    def test_byte_order_mark_skipped(self, tmp_path, name):
+        """A table saved as spreadsheet "CSV UTF-8", with a byte-order mark,
+        reads as the same table without one."""
+        data = (DATA / name).read_bytes()
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        columns = tuple(data.split(b"\n", 1)[0].decode().split(","))
+        assert read_table(path, columns) == read_table(DATA / name, columns)
+        assert len(TABLE_LOADERS[name](path)) > 0
 
     # the CLI tests cover each defect in each table; these are the cases
     # they do not: an empty file, a line count past a blank line, and a
@@ -499,6 +519,22 @@ class TestCorpusOps:
         assert list(kept) == ["good"]
         assert set(reasons) == {"mono", "bad", "vocal", "empty"}
         assert "monotimbral" in reasons["mono"]
+
+    def test_span_past_one_delta_time_rejected(self, dictionary):
+        """A piece longer than one delta time can hold is rejected, so a
+        step that strips events can never merge a delta past the VLQ range;
+        one exactly that long is kept."""
+        def piece(end):
+            return MidiPiece(480, [named_track("Flute 1"), named_track(
+                "Viola", channel=1, extra=[NoteOn(end - 1, 1, 62, 80),
+                                           NoteOff(end, 1, 62, 0)])])
+
+        kept, reasons = admit_all({"edge": piece(MAX_VLQ_VALUE),
+                                   "long": piece(MAX_VLQ_VALUE + 1)},
+                                  dictionary)
+        assert kept == ["edge"]
+        assert reasons == {"long": f"spans {MAX_VLQ_VALUE + 1} ticks, more "
+                                   f"than one delta time holds ({MAX_VLQ_VALUE})"}
 
     def test_dedupe_first_wins(self, dictionary):
         base = MidiPiece(480, [named_track("Oboe")])
