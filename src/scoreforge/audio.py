@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+DEFAULT_SAMPLE_RATE = 22_050
+
 
 class AudioError(Exception):
     pass

@@ -98,7 +98,7 @@ from .renderkit import (
     mix_stems,
     test_synthesize,
 )
-from .smf import SmfError, parse_smf, write_smf
+from .smf import SmfError, TempoMap, parse_smf, write_smf
 
 MIXTURE_STEM = "mixture"
 
@@ -550,11 +550,14 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int,
         clear()
         piece = parse_smf(path.read_bytes())
         manifest = emit_manifest(piece, None, piece_id, sample_rate)
+        # the manifest's tempo points rebuild the piece's map: one per piece
+        tempo_map = TempoMap(piece.ticks_per_quarter, manifest.tempo)
         piece_dir.mkdir(parents=True, exist_ok=True)
 
         def render(entry: StemEntry) -> Waveform:
             tracks = [tr.track_index for tr in entry.tracks]
-            stem = test_synthesize(piece, tracks, sample_rate, stem_buffer)
+            stem = test_synthesize(piece, tempo_map, tracks, sample_rate,
+                                   stem_buffer)
             # storage precision is float32; the stem takes the values
             # written, so the written stems sum exactly to the written
             # mixture

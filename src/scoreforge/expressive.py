@@ -296,13 +296,11 @@ def apply_tempo(piece: MidiPiece,
     tempo_events = [
         SetTempo(iv.start_tick, round(60_000_000 / iv.bpm)) for iv in intervals
     ]
-    new_tracks: list[Track] = []
-    for index, track in enumerate(piece.tracks):
-        events = [ev for ev in track.events if not isinstance(ev, SetTempo)]
-        if index == 0:
-            events = _merge_before_noteons(events, tempo_events)
-        new_tracks.append(replace(track, events=events))
-    return replace(piece, tracks=new_tracks)
+    # tiled intervals span ticks, so the piece has a track 0
+    tracks = [[ev for ev in track if not isinstance(ev, SetTempo)]
+              for track in piece.tracks]
+    tracks[0] = _merge_before_noteons(tracks[0], tempo_events)
+    return replace(piece, tracks=tracks)
 
 
 def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
@@ -362,15 +360,10 @@ def apply_dynamics(piece: MidiPiece,
                 return max(1, min(127, int(round(value))))
         return iv.target_velocity
 
-    new_tracks: list[Track] = []
-    for track in piece.tracks:
-        events = [
-            NoteOn(ev.tick, ev.channel, ev.pitch, velocity_at(ev.tick))
-            if isinstance(ev, NoteOn) else ev
-            for ev in track.events
-        ]
-        new_tracks.append(replace(track, events=events))
-    return replace(piece, tracks=new_tracks)
+    return replace(piece, tracks=[
+        [NoteOn(ev.tick, ev.channel, ev.pitch, velocity_at(ev.tick))
+         if isinstance(ev, NoteOn) else ev for ev in track]
+        for track in piece.tracks])
 
 
 def _active_span(track: Track) -> tuple[int, int] | None:
@@ -444,14 +437,12 @@ def apply_articulations(piece: MidiPiece,
         track_intervals = sorted(track_intervals, key=lambda iv: iv.start_tick)
         _check_tiling(track_intervals, span[0], span[1])
         # a track with a span has a note-on; the inserts take its channel
-        channel = next(ev.channel for ev in track.events
-                       if isinstance(ev, NoteOn))
+        channel = next(ev.channel for ev in track if isinstance(ev, NoteOn))
         inserts = [
             ControlChange(iv.start_tick, channel, 32, iv.cc32_value)
             for iv in track_intervals
         ]
-        new_tracks[index] = replace(
-            track, events=_merge_before_noteons(track.events, inserts))
+        new_tracks[index] = _merge_before_noteons(track, inserts)
     return replace(piece, tracks=new_tracks)
 
 
@@ -495,13 +486,13 @@ def mirror_velocity_to_cc1(piece: MidiPiece,
             continue
         events: list = []
         current_class: str | None = None
-        for ev in track.events:
+        for ev in track:
             if isinstance(ev, ControlChange) and ev.controller == 32:
                 current_class = table.length_class(ev.value)
             elif isinstance(ev, NoteOn) and current_class == LENGTH_LONG:
                 events.append(ControlChange(ev.tick, ev.channel, 1, ev.velocity))
             events.append(ev)
-        new_tracks.append(replace(track, events=events))
+        new_tracks.append(events)
     return replace(piece, tracks=new_tracks)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+from .audio import DEFAULT_SAMPLE_RATE, MAX_WAV_FRAMES
 from .smf import (
     MAX_VLQ_VALUE,
     ControlChange,
@@ -36,6 +37,10 @@ NORMALIZED_TEMPO_US = 500_000  # 120 BPM
 PERCUSSION_CHANNEL = 9
 STRIPPED_CONTROLLERS = frozenset({1, 11, 32})
 DATA = resources.files("scoreforge").joinpath("data")  # the bundled tables
+# the most quarter notes a piece may span: what one WAV file holds at the
+# default sample rate and 40 BPM (1.5 s a quarter), the slowest tempo
+# annotate draws by default; 32,463 quarters, about 4.5 h at 120 BPM
+MAX_SPAN_QUARTERS = MAX_WAV_FRAMES * 40 // (DEFAULT_SAMPLE_RATE * 60)
 
 class GmFixError(Exception):
     pass
@@ -195,7 +200,7 @@ def identify_track(track: Track,
     unrecognized name returns None.
     """
     channel = program = None
-    for ev in track.events:
+    for ev in track:
         if channel is None:
             if type(ev) is OtherChannel:
                 if ev.status < 0xF0:  # pitch bend, aftertouch; not sysex
@@ -246,11 +251,10 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
     if iid.name == "untuned_percussion":
         target = PERCUSSION_CHANNEL
     else:
-        first = next((ev.channel for ev in track.events
-                      if hasattr(ev, "channel")), 0)
+        first = next((ev.channel for ev in track if hasattr(ev, "channel")), 0)
         target = first if first != PERCUSSION_CHANNEL else 0
     events = []
-    for ev in track.events:
+    for ev in track:
         channel = getattr(ev, "channel", None)
         if channel is None:
             if (isinstance(ev, OtherChannel) and 0x80 <= ev.status < 0xF0
@@ -265,7 +269,7 @@ def _retarget_track(track: Track, iid: InstrumentId) -> Track:
                 ev = type(ev)(ev.tick, target, ev.pitch, ev.velocity)
         events.append(ev)
     events.insert(0, ProgramChange(0, target, iid.gm_program))
-    return replace(track, events=events)
+    return events
 
 
 def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:
@@ -278,7 +282,7 @@ def track_instruments(piece: MidiPiece) -> list[InstrumentId | None]:
             continue
         program = None
         channel = None
-        for ev in track.events:
+        for ev in track:
             if isinstance(ev, ProgramChange) and program is None:
                 program = ev.program
             if isinstance(ev, NoteOn) and channel is None:
@@ -304,7 +308,7 @@ def normalize(piece: MidiPiece) -> MidiPiece:
     new_tracks: list[Track] = []
     for index, track in enumerate(piece.tracks):
         events = []
-        for ev in track.events:
+        for ev in track:
             cls = type(ev)
             if cls is NoteOn:
                 if ev.velocity != NORMALIZED_VELOCITY:
@@ -315,7 +319,7 @@ def normalize(piece: MidiPiece) -> MidiPiece:
             events.append(ev)
         if index == 0:
             events.insert(0, SetTempo(0, NORMALIZED_TEMPO_US))
-        new_tracks.append(replace(track, events=events))
+        new_tracks.append(events)
     return replace(piece, tracks=new_tracks)
 
 
@@ -348,12 +352,14 @@ def admit_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
                 ) -> tuple[MidiPiece, list[InstrumentId]]:
     """fix_piece, then the corpus rules: the piece must have note-bearing
     tracks of at least two distinct instruments, and span no more ticks
-    than one delta time holds.
+    than one delta time holds, nor more than MAX_SPAN_QUARTERS quarters.
 
     Monotimbral pieces are useless for separation training, so they are
     rejected alongside pieces with unmappable or out-of-scope tracks; the
-    span bound keeps any delta time that a later step merges encodable.
-    Raises PieceRejected (UnknownInstrument for track-level causes) with the
+    tick bound keeps any delta time that a later step merges encodable, and
+    the quarter bound keeps the cost of annotating and rendering a piece in
+    proportion to music, not to a few bytes of delta time. Raises
+    PieceRejected (UnknownInstrument for track-level causes) with the
     reason.
     """
     fixed, instruments = fix_piece(piece, dictionary)
@@ -361,9 +367,13 @@ def admit_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
         raise PieceRejected("no note-bearing tracks")
     if len(set(instruments)) < 2:
         raise PieceRejected(f"monotimbral: only {instruments[0].name}")
-    if (end := fixed.end_tick()) > MAX_VLQ_VALUE:
+    end, tpq = fixed.end_tick(), fixed.ticks_per_quarter
+    if end > MAX_VLQ_VALUE:
         raise PieceRejected(f"spans {end} ticks, more than one delta time "
                             f"holds ({MAX_VLQ_VALUE})")
+    if end > MAX_SPAN_QUARTERS * tpq:
+        raise PieceRejected(f"spans {end / tpq:.2f} quarter notes, more than "
+                            f"{MAX_SPAN_QUARTERS}")
     return fixed, instruments
 
 

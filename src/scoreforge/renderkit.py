@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .audio import MAX_WAV_FRAMES, AudioError, Buffer, Waveform
+from .audio import DEFAULT_SAMPLE_RATE, MAX_WAV_FRAMES, AudioError, Buffer, Waveform
 from .expressive import ArticulationTable
 from .gmfix import track_instruments
 from .smf import (
@@ -39,7 +39,6 @@ from .smf import (
     track_notes,
 )
 
-DEFAULT_SAMPLE_RATE = 22_050
 ATTACK_SECONDS = 0.010
 RELEASE_SECONDS = 0.010
 SYNTH_GAIN = 0.2
@@ -132,7 +131,7 @@ def emit_manifest(piece: MidiPiece,
         entry.tracks.append(TrackRender(
             track_index=index, instrument=iid.name, gm_program=iid.gm_program,
             schedule=sorted((ev.tick, ev.value, names.get(ev.value, ""))
-                            for ev in track.events
+                            for ev in track
                             if isinstance(ev, ControlChange)
                             and ev.controller == 32)))
 
@@ -263,11 +262,12 @@ def _apply_envelope(seg: np.ndarray, attack: int, release: int,
             1.0)
 
 
-def test_synthesize(piece: MidiPiece,
-                    track_selection: Sequence[int] | None = None,
+def test_synthesize(piece: MidiPiece, tempo_map: TempoMap,
+                    track_selection: Sequence[int],
                     sample_rate: int = DEFAULT_SAMPLE_RATE,
                     out: Buffer | None = None) -> Waveform:
-    """Render selected tracks with band-limited sawtooths, in ``out`` if given.
+    """Render the selected tracks with band-limited sawtooths, timed by
+    ``tempo_map`` (the piece's), in ``out`` if given.
 
     Each note plays its equal-tempered frequency with harmonics up to the
     Nyquist limit (at most 32 partials), amplitude proportional to
@@ -277,21 +277,18 @@ def test_synthesize(piece: MidiPiece,
     deterministic, which is what the downstream SDR checks need. A piece
     too long for one WAV file raises RenderError before it allocates.
     """
-    tempo_map = TempoMap.from_piece(piece)
     total_seconds = tempo_map.seconds_at(piece.end_tick())
     n_samples = max(int(round(total_seconds * sample_rate)), 1)
     if n_samples > MAX_WAV_FRAMES:  # as from a corrupt delta time
         raise RenderError(f"{n_samples} samples exceed the {MAX_WAV_FRAMES} "
                           "frames a WAV file holds")
     stem = (out or Buffer()).take(n_samples, zero=True)
-    indices = (range(len(piece.tracks)) if track_selection is None
-               else track_selection)
     attack = max(int(round(ATTACK_SECONDS * sample_rate)), 1)
     release = max(int(round(RELEASE_SECONDS * sample_rate)), 1)
     ramps = _envelope_ramps(attack, release)
     nyquist = sample_rate / 2.0
 
-    for index in indices:
+    for index in track_selection:
         # by onset, pitch and release: float sums depend on their order
         notes = sorted(track_notes(piece.tracks[index]), key=itemgetter(0, 3, 1))
         for tick_on, tick_off, _, pitch, velocity in notes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -133,27 +133,26 @@ Event = Union[
 ]
 
 
-@dataclass
-class Track:
-    """One MTrk chunk: its events and nothing else. What a track is named,
-    and what it plays, is read from them (``track_name``, ``has_notes``)."""
+# One MTrk chunk: the list of its events and nothing else. What a track is
+# named, and what it plays, is read from them (``track_name``, ``has_notes``).
+Track = list[Event]
 
-    events: list[Event] = field(default_factory=list)
 
-    def end_tick(self) -> int:
-        return max((ev.tick for ev in self.events), default=0)
+def track_end_tick(track: Track) -> int:
+    """The latest tick of the track's events, 0 for an empty track."""
+    return max((ev.tick for ev in track), default=0)
 
 
 def track_name(track: Track) -> str:
     """The text of the track's first non-empty TrackName, else ""."""
-    return next((ev.text for ev in track.events
+    return next((ev.text for ev in track
                  if type(ev) is TrackName and ev.text), "")
 
 
 def has_notes(track: Track) -> bool:
     """Whether the track has a note-on: ``track_notes`` pairs each one, so
     this is the truth value of its list."""
-    return any(type(ev) is NoteOn for ev in track.events)
+    return any(type(ev) is NoteOn for ev in track)
 
 
 @dataclass
@@ -163,7 +162,7 @@ class MidiPiece:
     format: int = 1
 
     def end_tick(self) -> int:
-        return max((t.end_tick() for t in self.tracks), default=0)
+        return max(map(track_end_tick, self.tracks), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,6 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
     tick = 0
     pos = 0
     running: int | None = None
-    saw_eot = False
 
     while pos < end:
         byte = chunk[pos]
@@ -328,7 +326,6 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
             pos += length
             if meta_type == 0x2F:
                 append(EndOfTrack(tick))
-                saw_eot = True
                 break
             if meta_type == 0x51 and length == 3:
                 tempo = int.from_bytes(payload, "big")
@@ -355,10 +352,9 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
             append(OtherChannel(tick, status, chunk[pos:pos + size]))
             pos += size
 
-    track = Track(events)
-    if not saw_eot:
-        events.append(EndOfTrack(track.end_tick()))
-    return track
+    if not events or type(events[-1]) is not EndOfTrack:  # no 0x2F meta
+        append(EndOfTrack(track_end_tick(events)))
+    return events
 
 
 def _data_byte_error(chunk: bytes, pos: int, index: int, base: int) -> IllegalData:
@@ -413,8 +409,8 @@ def validate_piece(piece: MidiPiece) -> None:
         raise InvariantViolation("format 0 requires exactly one track")
     for ti, track in enumerate(piece.tracks):
         last_tick = 0
-        last_index = len(track.events) - 1
-        for i, ev in enumerate(track.events):
+        last_index = len(track) - 1
+        for i, ev in enumerate(track):
             tick = ev.tick
             if tick < 0:
                 raise InvariantViolation(f"track {ti}: negative tick {tick}")
@@ -463,15 +459,14 @@ def _encode_track(track: Track) -> bytes:
     negative tick), a note or controller outside its range (one mask test),
     a rarer event that ``_check_event`` rejects, an end-of-track before the
     last event."""
-    events = track.events
-    if not events or not isinstance(events[-1], EndOfTrack):
-        events = events + [EndOfTrack(track.end_tick())]
+    if not track or not isinstance(track[-1], EndOfTrack):
+        track = track + [EndOfTrack(track_end_tick(track))]
     out: list[int] = []
     append = out.append
     extend = out.extend
     last_tick = 0
     ends = 0
-    for ev in events:
+    for ev in track:
         cls = type(ev)
         if cls is NoteOn or cls is NoteOff or cls is ControlChange:
             tick, channel, d0, d1 = ev
@@ -557,7 +552,7 @@ class TempoMap:
         changes = [
             (ev.tick, ev.microseconds_per_quarter)
             for track in piece.tracks
-            for ev in track.events
+            for ev in track
             if isinstance(ev, SetTempo)
         ]
         return cls(piece.ticks_per_quarter, changes)
@@ -601,7 +596,7 @@ def track_notes(track: Track) -> list[tuple[int, int, int, int, int]]:
     track's end so malformed corpus files still yield usable intervals."""
     pairs = []
     open_notes: dict[tuple[int, int], deque[tuple[int, int]]] = {}
-    for ev in track.events:
+    for ev in track:
         cls = type(ev)
         if cls is NoteOn:
             tick, channel, pitch, velocity = ev
@@ -616,7 +611,7 @@ def track_notes(track: Track) -> list[tuple[int, int, int, int, int]]:
                 on_tick, velocity = queue.popleft()
                 pairs.append((on_tick, tick, channel, pitch, velocity))
     if any(open_notes.values()):
-        close = track.end_tick()
+        close = track_end_tick(track)
         for (channel, pitch), queue in open_notes.items():
             for on_tick, velocity in queue:
                 pairs.append((on_tick, max(close, on_tick), channel, pitch, velocity))

@@ -41,7 +41,6 @@ from scoreforge.smf import (
     NoteOn,
     ProgramChange,
     SetTempo,
-    Track,
     TrackName,
     parse_smf,
     write_smf,
@@ -99,10 +98,10 @@ def test_normalization_contract(raw_corpus_files):
                    1.0 * len(raw_corpus_files)):
         for path in raw_corpus_files:
             piece = normalize(parse_smf(path.read_bytes()))
-            velocities = {ev.velocity for t in piece.tracks for ev in t.events
+            velocities = {ev.velocity for t in piece.tracks for ev in t
                           if isinstance(ev, NoteOn)}
             assert velocities <= {75}, path.name
-            tempos = [ev for t in piece.tracks for ev in t.events
+            tempos = [ev for t in piece.tracks for ev in t
                       if isinstance(ev, SetTempo)]
             assert tempos == [SetTempo(0, 500000)], path.name
             once = write_smf(piece)
@@ -111,14 +110,14 @@ def test_normalization_contract(raw_corpus_files):
 
 
 def _steady_piece(quarters: int, tpq: int = 480) -> MidiPiece:
-    conductor = Track(events=[TrackName(0, "conductor"),
-                              EndOfTrack(quarters * tpq)])
+    conductor = [TrackName(0, "conductor"),
+                 EndOfTrack(quarters * tpq)]
     events = [TrackName(0, "Violin"), ProgramChange(0, 0, 40)]
     for q in range(quarters):
         events.append(NoteOn(q * tpq, 0, 60 + q % 12, 75))
         events.append(NoteOff(q * tpq + tpq - 60, 0, 60 + q % 12, 0))
     events.append(EndOfTrack(quarters * tpq))
-    return MidiPiece(ticks_per_quarter=tpq, tracks=[conductor, Track(events=events)],
+    return MidiPiece(ticks_per_quarter=tpq, tracks=[conductor, events],
                      format=1)
 
 
@@ -290,9 +289,8 @@ def test_polyphony_activity_identity(raw_corpus_files):
             # each track takes the next program in turn, which is what
             # instrument_intervals reads its instrument from
             piece = replace(piece, tracks=[
-                replace(track, events=[ProgramChange(0, 0, program)] + [
-                    ev for ev in track.events
-                    if not isinstance(ev, ProgramChange)])
+                [ProgramChange(0, 0, program)] + [
+                    ev for ev in track if not isinstance(ev, ProgramChange)]
                 for track, program in zip(piece.tracks, cycle(programs))])
             intervals = instrument_intervals(piece)
             activity = activity_time(intervals)

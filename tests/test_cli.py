@@ -39,6 +39,7 @@ from scoreforge.expressive import (
 )
 from scoreforge.gmfix import (
     EXCLUDED,
+    MAX_SPAN_QUARTERS,
     NORMALIZED_VELOCITY,
     REGISTRY,
     InstrumentDictionary,
@@ -525,6 +526,26 @@ class TestFixCommand:
         assert capsys.readouterr().err == f"skip m-vlq: {reason}\n"
         assert not list(out.rglob("m-vlq*"))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_span_past_the_quarter_bound_rejected(self, six_strings,
+                                                  tmp_path, capsys, jobs):
+        """A few hundred bytes can span millions of quarter notes: such a
+        piece is a fix rejection, with its reason, before any step does
+        work in proportion to its span."""
+        data = long_span_piece()
+        assert len(data) == 314
+        (six_strings / "m-long.mid").write_bytes(data)
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        assert run_command(["pipeline", str(six_strings), "--out", str(out),
+                            "--jobs", jobs]) == 0
+        assert time.perf_counter() - start < 1.0
+        reason = f"spans 2796202.50 quarter notes, more than {MAX_SPAN_QUARTERS}"
+        report = json.loads((out / "10_fixed" / "fix_report.json").read_text())
+        assert report["rejected"] == {"m-long": reason}
+        assert capsys.readouterr().err == f"skip m-long: {reason}\n"
+        assert not list(out.rglob("m-long*"))
+
     def test_missing_input_dir(self, tmp_path):
         rc = run_command(["fix", str(tmp_path / "nowhere"), "--out",
                           str(tmp_path / "out")])
@@ -545,9 +566,9 @@ class TestNormalizeCommand:
         assert len(files) == len(list(fixed_raw.glob("*.mid")))
         piece = parse_smf(files[0].read_bytes())
         tempos = [(i, ev) for i, t in enumerate(piece.tracks)
-                  for ev in t.events if isinstance(ev, SetTempo)]
+                  for ev in t if isinstance(ev, SetTempo)]
         assert tempos == [(0, SetTempo(0, 500000))]
-        velocities = {ev.velocity for t in piece.tracks for ev in t.events
+        velocities = {ev.velocity for t in piece.tracks for ev in t
                       if isinstance(ev, NoteOn)}
         assert velocities <= {NORMALIZED_VELOCITY}
 
@@ -718,6 +739,27 @@ def audio_tree(pipeline_out, tmp_path_factory):
 
 
 class TestSynthAndEval:
+    def test_one_tempo_map_per_piece(self, six_strings, tmp_path,
+                                     monkeypatch):
+        """Every stem of a piece is timed by one map, the manifest's: a
+        piece makes one ``TempoMap.from_piece`` call, not one per stem."""
+        fixed = tmp_path / "fixed"
+        assert run_command(["fix", str(six_strings), "--out", str(fixed)]) == 0
+        from_piece = TempoMap.from_piece.__func__
+        calls = []
+
+        def counted(cls, piece):
+            calls.append(piece)
+            return from_piece(cls, piece)
+
+        monkeypatch.setattr(TempoMap, "from_piece", classmethod(counted))
+        audio = tmp_path / "audio"
+        assert run_command(["synth-test", str(fixed), "--out",
+                            str(audio)]) == 0
+        stems = list(audio.glob("*/*.wav"))
+        assert len(stems) > 2 * 6  # each piece has a mixture and 2+ stems
+        assert len(calls) == 6
+
     def test_stems_and_mixture_written(self, audio_tree):
         piece_dirs = sorted(p for p in audio_tree.iterdir() if p.is_dir())
         assert len(piece_dirs) == 2
@@ -829,9 +871,8 @@ class TestSynthAndEval:
         source.mkdir()
         good = sorted(strings_corpus_dir.glob("*.mid"))[0]
         (source / good.name).write_bytes(good.read_bytes())
-        conductor_only = MidiPiece(480, [Track(
-            events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                    EndOfTrack(480)])])
+        conductor_only = MidiPiece(480, [[
+            TrackName(0, "conductor"), SetTempo(0, 500000), EndOfTrack(480)]])
         (source / "silent.mid").write_bytes(write_smf(conductor_only))
         audio = tmp_path / "audio"
         assert run_command(["synth-test", str(source), "--out", str(audio)]) == 0
@@ -863,9 +904,8 @@ class TestSynthAndEval:
 
     def test_rerun_failed_piece_leaves_no_stale_wavs(self, pipeline_out,
                                                      tmp_path, capsys):
-        conductor_only = write_smf(MidiPiece(480, [Track(
-            events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                    EndOfTrack(480)])]))
+        conductor_only = write_smf(MidiPiece(480, [[
+            TrackName(0, "conductor"), SetTempo(0, 500000), EndOfTrack(480)]]))
         audio, _ = self.synth_twice(pipeline_out, tmp_path,
                                     lambda piece: conductor_only)
         assert capsys.readouterr().err.splitlines() == \
@@ -1386,6 +1426,23 @@ def vlq_piece() -> bytes:
         NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)])
 
 
+def long_span_piece() -> bytes:
+    """A 314-byte strings piece (conductor, Double Bass, Violin I, Violin
+    II) at 96 ticks per quarter whose conductor ends with an empty text
+    event after one delta time of 0x0FFFFFF0 ticks: a span one delta time
+    holds, of 2,796,202.5 quarter notes."""
+    tracks = [[TrackName(0, "conductor"), OtherMeta(0x0FFFFFF0, 0x01, b"")]]
+    for channel, (name, pitch) in enumerate(
+            [("Double Bass", 40), ("Violin I", 76), ("Violin II", 69)]):
+        events = [TrackName(0, name)]
+        for quarter in range(8):
+            events += [NoteOn(96 * quarter, channel, pitch + quarter % 3, 80),
+                       NoteOff(96 * quarter + 96, channel,
+                               pitch + quarter % 3, 0)]
+        tracks.append(events)
+    return write_smf(MidiPiece(96, tracks))
+
+
 NORMALIZE_FAILS = OtherMeta(0, 0x01, b"normalize fails")  # a text event
 
 
@@ -1396,7 +1453,7 @@ def normalize_fails_piece() -> bytes:
 
 
 def failing_normalize(piece):
-    if NORMALIZE_FAILS in piece.tracks[0].events:
+    if NORMALIZE_FAILS in piece.tracks[0]:
         raise SmfError("normalize failed")
     return normalize(piece)
 

@@ -25,7 +25,6 @@ from scoreforge.smf import (
     NoteOn,
     ProgramChange,
     SetTempo,
-    Track,
     TrackName,
 )
 
@@ -45,7 +44,7 @@ def note_track(channel, spans, pitch=60, instrument=None):
         events.append(NoteOff(off, channel, p, 0))
     events.sort(key=lambda e: e.tick)
     events.append(EndOfTrack(max((off for _, off in spans), default=0)))
-    return Track(events=events)
+    return events
 
 
 def piece_with(spans_by_track, tempos=((0, 500000),), tpq=480,
@@ -56,7 +55,7 @@ def piece_with(spans_by_track, tempos=((0, 500000),), tpq=480,
     conductor_events += [SetTempo(t, us) for t, us in tempos]
     end = max(off for spans in spans_by_track for _, off in spans)
     conductor_events.append(EndOfTrack(end))
-    tracks = [Track(events=conductor_events)]
+    tracks = [conductor_events]
     for channel, (spans, instrument) in enumerate(zip(
             spans_by_track, instruments or [None] * len(spans_by_track))):
         tracks.append(note_track(channel, spans, instrument=instrument))
@@ -91,8 +90,8 @@ class TestActivity:
 
     def test_reads_instruments_from_fixed_piece(self):
         from scoreforge.gmfix import InstrumentDictionary, fix_piece
-        track = Track(events=[TrackName(0, "Viola"), NoteOn(0, 2, 60, 75),
-                              NoteOff(480, 2, 60, 0), EndOfTrack(480)])
+        track = [TrackName(0, "Viola"), NoteOn(0, 2, 60, 75),
+                 NoteOff(480, 2, 60, 0), EndOfTrack(480)]
         fixed, _ = fix_piece(MidiPiece(480, [track]),
                              InstrumentDictionary.default())
         assert activity_time(instrument_intervals(fixed)) == {VIOLA: 0.5}
@@ -223,12 +222,12 @@ class TestPieceLabels:
     def test_labels_from_fixed_piece(self):
         from scoreforge.gmfix import InstrumentDictionary, fix_piece
         tracks = [
-            Track(events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                          EndOfTrack(480)]),
-            Track(events=[TrackName(0, "Violin I"), NoteOn(0, 0, 70, 75),
-                          NoteOff(480, 0, 70, 0), EndOfTrack(480)]),
-            Track(events=[TrackName(0, "Celli"), NoteOn(0, 1, 50, 75),
-                          NoteOff(480, 1, 50, 0), EndOfTrack(480)]),
+            [TrackName(0, "conductor"), SetTempo(0, 500000),
+             EndOfTrack(480)],
+            [TrackName(0, "Violin I"), NoteOn(0, 0, 70, 75),
+             NoteOff(480, 0, 70, 0), EndOfTrack(480)],
+            [TrackName(0, "Celli"), NoteOn(0, 1, 50, 75),
+             NoteOff(480, 1, 50, 0), EndOfTrack(480)],
         ]
         fixed, _ = fix_piece(MidiPiece(480, tracks),
                              InstrumentDictionary.default())

@@ -64,8 +64,8 @@ def make_piece(quarters=96, tpq=480, instruments=("violin", "cello"),
                start_quarters=None):
     """A fixed, normalized-style piece: steady quarter notes per track."""
     end = quarters * tpq
-    conductor = Track(events=[TrackName(0, "conductor"), SetTempo(0, 500000),
-                              EndOfTrack(end)])
+    conductor = [TrackName(0, "conductor"), SetTempo(0, 500000),
+                 EndOfTrack(end)]
     tracks = [conductor]
     starts = start_quarters or [0] * len(instruments)
     for i, (name, first) in enumerate(zip(instruments, starts)):
@@ -76,7 +76,7 @@ def make_piece(quarters=96, tpq=480, instruments=("violin", "cello"),
             events.append(NoteOn(q * tpq, i, pitch, 75))
             events.append(NoteOff(q * tpq + tpq - 60, i, pitch, 0))
         events.append(EndOfTrack(end))
-        tracks.append(Track(events=events))
+        tracks.append(events)
     return MidiPiece(tpq, tracks)
 
 
@@ -267,10 +267,10 @@ class TestTempoPlanning:
                      TempoInterval(8 * 480, 32 * 480, 160.0)]
         out = apply_tempo(piece, intervals)
         tempos = [(ev.tick, ev.microseconds_per_quarter)
-                  for ev in out.tracks[0].events if isinstance(ev, SetTempo)]
+                  for ev in out.tracks[0] if isinstance(ev, SetTempo)]
         assert tempos == [(0, 600000), (8 * 480, 375000)]
         for track in out.tracks[1:]:
-            assert not any(isinstance(ev, SetTempo) for ev in track.events)
+            assert not any(isinstance(ev, SetTempo) for ev in track)
         assert 60_000_000 / TempoMap.from_piece(out).tempo_at(9 * 480) == \
             pytest.approx(160.0)
         write_smf(out)  # ordering invariants hold
@@ -324,7 +324,7 @@ class TestDynamics:
         intervals = [DynamicInterval(0, 8 * tpq, "pp", 20),
                      DynamicInterval(8 * tpq, 16 * tpq, "ff", 100)]
         out = apply_dynamics(piece, intervals)
-        for ev in out.tracks[1].events:
+        for ev in out.tracks[1]:
             if isinstance(ev, NoteOn):
                 assert ev.velocity == (20 if ev.tick < 8 * tpq else 100)
 
@@ -335,7 +335,7 @@ class TestDynamics:
                      DynamicInterval(10 * tpq, 20 * tpq, "ff", 100,
                                      transition_ticks=4 * tpq)]
         out = apply_dynamics(piece, intervals)
-        by_tick = {ev.tick: ev.velocity for ev in out.tracks[1].events
+        by_tick = {ev.tick: ev.velocity for ev in out.tracks[1]
                    if isinstance(ev, NoteOn)}
         assert by_tick[9 * tpq] == 20
         assert by_tick[10 * tpq] == 20            # ramp starts at previous level
@@ -390,7 +390,7 @@ class TestArticulations:
                                   np.random.default_rng(11))
         out = apply_articulations(piece, plan)
         for index in (1, 2):
-            events = out.tracks[index].events
+            events = out.tracks[index]
             expected = sorted((iv.start_tick, iv.cc32_value) for iv in plan
                               if iv.track_index == index)
             got = [(ev.tick, ev.value) for ev in events
@@ -418,7 +418,7 @@ class TestArticulations:
         ]
         out = mirror_velocity_to_cc1(apply_articulations(piece, plan),
                                      track_tables(piece, tables))
-        events = out.tracks[1].events
+        events = out.tracks[1]
         for pos, ev in enumerate(events):
             if not isinstance(ev, NoteOn):
                 continue
@@ -433,7 +433,7 @@ class TestArticulations:
     def test_mirror_skips_tracks_without_table(self, tables):
         piece = make_piece(quarters=16, instruments=("flute",))
         out = mirror_velocity_to_cc1(piece, [None, None])
-        assert out.tracks[1].events == piece.tracks[1].events
+        assert out.tracks[1] == piece.tracks[1]
 
 
 class TestAnnotateChain:
@@ -454,13 +454,13 @@ class TestAnnotateChain:
     def test_annotation_inventory(self, tables):
         piece = make_piece(quarters=64, instruments=("violin", "cello"))
         out, plan = annotate(piece, tables, AnnotationParams(), 3)
-        tempos = [ev for ev in out.tracks[0].events if isinstance(ev, SetTempo)]
+        tempos = [ev for ev in out.tracks[0] if isinstance(ev, SetTempo)]
         assert len(tempos) == len(plan.tempo)
         assert [t.tick for t in tempos] == [iv.start_tick for iv in plan.tempo]
-        cc32 = [ev for t in out.tracks[1:] for ev in t.events
+        cc32 = [ev for t in out.tracks[1:] for ev in t
                 if isinstance(ev, ControlChange) and ev.controller == 32]
         assert len(cc32) == len(plan.articulations)
-        velocities = {ev.velocity for t in out.tracks for ev in t.events
+        velocities = {ev.velocity for t in out.tracks for ev in t
                       if isinstance(ev, NoteOn)}
         assert len(velocities) > 1  # flat 75 baseline must be gone
 
@@ -499,13 +499,13 @@ class TestAnnotateChain:
         by_program = make_piece(quarters=64, instruments=("violin", "cello"))
         by_name = make_piece(quarters=64, instruments=("violin", "cello"))
         # program 0 (piano) maps to no instrument; the track is named "cello"
-        by_name.tracks[2].events = [
+        by_name.tracks[2][:] = [
             ProgramChange(0, ev.channel, 0) if isinstance(ev, ProgramChange)
-            else ev for ev in by_name.tracks[2].events]
+            else ev for ev in by_name.tracks[2]]
 
         def controllers(piece, number):
             out, _ = annotate(piece, tables, AnnotationParams(), 9)
-            return [ev for ev in out.tracks[2].events
+            return [ev for ev in out.tracks[2]
                     if isinstance(ev, ControlChange) and ev.controller == number]
 
         assert controllers(by_name, 32) == controllers(by_program, 32)
@@ -521,9 +521,9 @@ def grace_note_piece():
     _, violin, cello = piece.tracks
     extra = [NoteOn(2400, 0, 80, 75), NoteOff(2400, 0, 80, 0),
              NoteOn(4800, 0, 80, 75), NoteOff(5200, 0, 80, 0)]
-    events = sorted(violin.events[:2] + [SetTempo(0, 500000)]
-                    + violin.events[2:] + extra, key=lambda ev: ev.tick)
-    return MidiPiece(tpq, [Track(events=events), cello])
+    events = sorted(violin[:2] + [SetTempo(0, 500000)]
+                    + violin[2:] + extra, key=lambda ev: ev.tick)
+    return MidiPiece(tpq, [events, cello])
 
 
 def notes_without_velocity(piece):
@@ -567,9 +567,9 @@ def note_track_pieces(draw):
         order = sorted(range(len(body)), key=lambda i: (body[i].tick, keys[i], i))
         body = [body[i] for i in order]
         program = REGISTRY[name].gm_program
-        tracks.append(Track(events=[TrackName(0, name),
-                                    ProgramChange(0, channel, program)]
-                            + body + [EndOfTrack(end)]))
+        tracks.append([TrackName(0, name),
+                       ProgramChange(0, channel, program)]
+                      + body + [EndOfTrack(end)])
     return normalize(MidiPiece(tpq, tracks))
 
 
@@ -596,8 +596,8 @@ class TestEventOrderKept:
     @example(piece=normalize(grace_note_piece()), seed=4)
     def test_annotate_only_adds_and_revalues(self, tables, piece, seed):
         out, _ = annotate(piece, tables, AnnotationParams(), seed)
-        assert [without_inserts(t.events) for t in out.tracks] == \
-            [without_inserts(t.events) for t in piece.tracks]
+        assert [without_inserts(t) for t in out.tracks] == \
+            [without_inserts(t) for t in piece.tracks]
         write_smf(out)
 
 
@@ -643,10 +643,10 @@ class TestAnnotateFailureOrder:
         piece = make_piece(quarters=16, instruments=("violin", "cello"))
         track = piece.tracks[2]
         # program 0 (piano) maps to no instrument, so the track's name is used
-        track.events = [TrackName(0, name) if isinstance(ev, TrackName) else
-                        ProgramChange(0, ev.channel, 0)
-                        if isinstance(ev, ProgramChange) else ev
-                        for ev in track.events]
+        track[:] = [TrackName(0, name) if isinstance(ev, TrackName) else
+                    ProgramChange(0, ev.channel, 0)
+                    if isinstance(ev, ProgramChange) else ev
+                    for ev in track]
         with pytest.raises(MissingTable) as info:
             annotate(piece, tables, AnnotationParams(), 0)
         assert info.value.instrument == reported
@@ -660,10 +660,10 @@ class TestAnnotateFailureOrder:
     def test_conductor_ending_early_stays_writable(self, tables):
         piece = make_piece(quarters=64, instruments=("violin", "cello"))
         conductor = piece.tracks[0]
-        conductor.events = [ev if not isinstance(ev, EndOfTrack) else EndOfTrack(0)
-                            for ev in conductor.events]
+        conductor[:] = [ev if not isinstance(ev, EndOfTrack) else EndOfTrack(0)
+                        for ev in conductor]
         out, plan = annotate(piece, tables, AnnotationParams(), 5)
-        events = out.tracks[0].events
+        events = out.tracks[0]
         assert events[-1] == EndOfTrack(plan.tempo[-1].start_tick)
         assert [ev.tick for ev in events if isinstance(ev, SetTempo)] == [
             iv.start_tick for iv in plan.tempo]

@@ -11,6 +11,7 @@ from scoreforge.expressive import load_articulation_tables
 from scoreforge.gmfix import (
     DATA,
     EXCLUDED,
+    MAX_SPAN_QUARTERS,
     NORMALIZED_TEMPO_US,
     NORMALIZED_VELOCITY,
     REGISTRY,
@@ -58,7 +59,14 @@ def named_track(name, channel=0, pitch=60, program=None, extra=()):
     events += [NoteOn(0, channel, pitch, 80), NoteOff(480, channel, pitch, 0)]
     events += list(extra)
     events.sort(key=lambda e: e.tick)
-    return Track(events=events)
+    return events
+
+
+def span_piece(tpq, end):
+    """A flute and viola piece whose last note-off is at tick ``end``."""
+    return MidiPiece(tpq, [named_track("Flute 1"), named_track(
+        "Viola", channel=1, extra=[NoteOn(end - 1, 1, 62, 80),
+                                   NoteOff(end, 1, 62, 0)])])
 
 
 class TestNames:
@@ -231,7 +239,7 @@ class TestFixPiece:
         piece = MidiPiece(480, [named_track("Violin I", channel=3, program=17)])
         fixed, instruments = fix_piece(piece, dictionary)
         assert [i.name for i in instruments] == ["violin"]
-        events = fixed.tracks[0].events
+        events = fixed.tracks[0]
         programs = [e for e in events if isinstance(e, ProgramChange)]
         assert programs == [ProgramChange(0, 3, 40)]
         assert all(e.channel == 3 for e in events if isinstance(e, (NoteOn, NoteOff)))
@@ -240,7 +248,7 @@ class TestFixPiece:
         piece = MidiPiece(480, [named_track("Percussion", channel=3)])
         fixed, instruments = fix_piece(piece, dictionary)
         assert instruments[0].name == "untuned_percussion"
-        ons = [e for e in fixed.tracks[0].events if isinstance(e, NoteOn)]
+        ons = [e for e in fixed.tracks[0] if isinstance(e, NoteOn)]
         assert all(e.channel == 9 for e in ons)
 
     def test_unknown_name_rejects_piece(self, dictionary):
@@ -254,11 +262,11 @@ class TestFixPiece:
             fix_piece(piece, dictionary)
 
     def test_note_free_track_passes_through(self, dictionary):
-        conductor = Track(events=[TrackName(0, "conductor"),
-                                  SetTempo(0, 600000), EndOfTrack(0)])
+        conductor = [TrackName(0, "conductor"),
+                     SetTempo(0, 600000), EndOfTrack(0)]
         piece = MidiPiece(480, [conductor, named_track("Tuba")])
         fixed, instruments = fix_piece(piece, dictionary)
-        assert fixed.tracks[0].events == conductor.events
+        assert fixed.tracks[0] == conductor
         assert [i.name for i in instruments] == ["tuba"]
 
     def test_instruments_read_back(self, dictionary):
@@ -311,7 +319,7 @@ def mixed_channel_tracks(draw):
                                        bytes([0x40] * UNTYPED_VOICE[kind])))
     events.sort(key=lambda e: e.tick)
     events.append(EndOfTrack(events[-1].tick))
-    return Track(events=events)
+    return events
 
 
 def channel_of(event):
@@ -327,7 +335,7 @@ class TestChannelProperty:
         fixed, _ = fix_piece(MidiPiece(480, tracks), dictionary)
         for track in parse_smf(write_smf(fixed)).tracks:
             assert track_notes(track)
-            channels = {channel_of(ev) for ev in track.events} - {None}
+            channels = {channel_of(ev) for ev in track} - {None}
             assert len(channels) == 1
 
     def test_raw_corpus_has_no_stray_channel_events(self, dictionary,
@@ -340,7 +348,7 @@ class TestChannelProperty:
                 continue
             for track in fixed.tracks:
                 if track_notes(track):
-                    channels = {channel_of(ev) for ev in track.events} - {None}
+                    channels = {channel_of(ev) for ev in track} - {None}
                     strays += len(channels) != 1
         assert strays == 0
 
@@ -364,35 +372,35 @@ class TestIdentifiedFromEvents:
 
 class TestNormalize:
     def build(self):
-        track0 = Track(events=[
+        track0 = [
             SetTempo(0, 430000), TrackName(0, "conductor"),
             SetTempo(960, 610000), EndOfTrack(960),
-        ])
-        track1 = Track(events=[
+        ]
+        track1 = [
             TrackName(0, "Viola"),
             ControlChange(0, 0, 1, 90), ControlChange(0, 0, 7, 100),
             ControlChange(0, 0, 11, 70), ControlChange(0, 0, 32, 5),
             NoteOn(0, 0, 60, 33), NoteOff(480, 0, 60, 0),
             NoteOn(480, 0, 62, 127), NoteOff(960, 0, 62, 0),
             EndOfTrack(960),
-        ])
+        ]
         return MidiPiece(480, [track0, track1])
 
     def test_velocity_flattened(self):
         fixed = normalize(self.build())
-        velocities = [e.velocity for t in fixed.tracks for e in t.events
+        velocities = [e.velocity for t in fixed.tracks for e in t
                       if isinstance(e, NoteOn)]
         assert velocities == [NORMALIZED_VELOCITY] * 2
 
     def test_single_tempo_at_zero(self):
         fixed = normalize(self.build())
         tempos = [(ti, e) for ti, t in enumerate(fixed.tracks)
-                  for e in t.events if isinstance(e, SetTempo)]
+                  for e in t if isinstance(e, SetTempo)]
         assert tempos == [(0, SetTempo(0, NORMALIZED_TEMPO_US))]
 
     def test_expressive_controllers_stripped_others_kept(self):
         fixed = normalize(self.build())
-        controllers = [e.controller for t in fixed.tracks for e in t.events
+        controllers = [e.controller for t in fixed.tracks for e in t
                        if isinstance(e, ControlChange)]
         assert controllers == [7]
 
@@ -405,7 +413,7 @@ class TestNormalize:
         piece = self.build()
         fixed = normalize(piece)
         def spine(p):
-            return [(e.tick, e.pitch) for t in p.tracks for e in t.events
+            return [(e.tick, e.pitch) for t in p.tracks for e in t
                     if isinstance(e, (NoteOn, NoteOff))]
         assert spine(fixed) == spine(piece)
 
@@ -426,11 +434,11 @@ class TestFingerprint:
 
     def test_sensitive_to_note_changes(self, dictionary):
         a = self.base_piece(dictionary)
-        moved = MidiPiece(480, [a.tracks[0], Track(events=[
+        moved = MidiPiece(480, [a.tracks[0], [
             ev if not (isinstance(ev, NoteOn) and ev.pitch == 48)
             else NoteOn(ev.tick, ev.channel, 50, ev.velocity)
-            for ev in a.tracks[1].events
-        ])])
+            for ev in a.tracks[1]
+        ]])
         assert note_fingerprint(a) != note_fingerprint(moved)
 
     def test_duplicate_editions_collide(self, dictionary):
@@ -446,7 +454,7 @@ def reference_fingerprint(piece):
     tuples, then one sha256 update per sorted row."""
     rows = []
     for track, iid in zip(piece.tracks, track_instruments(piece)):
-        if iid is None and not any(isinstance(ev, NoteOn) for ev in track.events):
+        if iid is None and not any(isinstance(ev, NoteOn) for ev in track):
             continue
         label = "?" if iid is None else iid.name
         rows += [(on, off - on, pitch, label)
@@ -477,11 +485,11 @@ class TestFingerprintGolden:
         fixed, _ = fix_piece(MidiPiece(480, [violin, cello]), dictionary)
         # a note-on with no note-off, closed at the track's end tick, and a
         # track whose program maps to no instrument
-        fixed.tracks[0].events[-1:-1] = [NoteOn(240, 0, 64, 80),
-                                         NoteOn(240, 0, 64, 70)]
-        unknown = Track(events=[ProgramChange(0, 2, 0), NoteOn(10, 2, 50, 60),
-                                NoteOff(90, 2, 50, 0), NoteOn(100, 2, 52, 60),
-                                EndOfTrack(700)])
+        fixed.tracks[0][-1:-1] = [NoteOn(240, 0, 64, 80),
+                                  NoteOn(240, 0, 64, 70)]
+        unknown = [ProgramChange(0, 2, 0), NoteOn(10, 2, 50, 60),
+                   NoteOff(90, 2, 50, 0), NoteOn(100, 2, 52, 60),
+                   EndOfTrack(700)]
         piece = MidiPiece(480, [*fixed.tracks, unknown])
         assert track_instruments(piece)[2] is None
         assert [off for _, off, _, pitch, _ in track_notes(piece.tracks[0])
@@ -513,7 +521,7 @@ class TestCorpusOps:
                                    named_track("Theremin Solo", channel=1)]),
             "vocal": MidiPiece(480, [named_track("Viola"),
                                      named_track("Soprano", channel=1)]),
-            "empty": MidiPiece(480, [Track(events=[EndOfTrack(0)])]),
+            "empty": MidiPiece(480, [[EndOfTrack(0)]]),
         }
         kept, reasons = admit_all(pieces, dictionary)
         assert list(kept) == ["good"]
@@ -523,18 +531,27 @@ class TestCorpusOps:
     def test_span_past_one_delta_time_rejected(self, dictionary):
         """A piece longer than one delta time can hold is rejected, so a
         step that strips events can never merge a delta past the VLQ range;
-        one exactly that long is kept."""
-        def piece(end):
-            return MidiPiece(480, [named_track("Flute 1"), named_track(
-                "Viola", channel=1, extra=[NoteOn(end - 1, 1, 62, 80),
-                                           NoteOff(end, 1, 62, 0)])])
-
-        kept, reasons = admit_all({"edge": piece(MAX_VLQ_VALUE),
-                                   "long": piece(MAX_VLQ_VALUE + 1)},
-                                  dictionary)
+        one exactly that long is kept. At the most ticks per quarter this
+        bound is tighter than the one on quarter notes."""
+        assert MAX_SPAN_QUARTERS * 0x7FFF > MAX_VLQ_VALUE
+        kept, reasons = admit_all(
+            {"edge": span_piece(0x7FFF, MAX_VLQ_VALUE),
+             "long": span_piece(0x7FFF, MAX_VLQ_VALUE + 1)}, dictionary)
         assert kept == ["edge"]
         assert reasons == {"long": f"spans {MAX_VLQ_VALUE + 1} ticks, more "
                                    f"than one delta time holds ({MAX_VLQ_VALUE})"}
+
+    def test_span_past_the_quarter_bound_rejected(self, dictionary):
+        """A piece of more than MAX_SPAN_QUARTERS quarter notes is rejected,
+        so no step does work in proportion to a span that a few bytes of
+        delta time can make; one exactly that long is kept."""
+        end = MAX_SPAN_QUARTERS * 480
+        kept, reasons = admit_all({"edge": span_piece(480, end),
+                                   "long": span_piece(480, end + 1)},
+                                  dictionary)
+        assert kept == ["edge"]
+        assert reasons == {"long": f"spans {(end + 1) / 480:.2f} quarter "
+                                   f"notes, more than {MAX_SPAN_QUARTERS}"}
 
     def test_dedupe_first_wins(self, dictionary):
         base = MidiPiece(480, [named_track("Oboe")])

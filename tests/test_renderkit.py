@@ -31,7 +31,6 @@ from scoreforge.renderkit import (
     emit_manifest,
     mix_stems,
 )
-from scoreforge.renderkit import test_synthesize as synthesize
 from scoreforge.smf import (
     ControlChange,
     EndOfTrack,
@@ -41,12 +40,19 @@ from scoreforge.smf import (
     ProgramChange,
     SetTempo,
     TempoMap,
-    Track,
     TrackName,
     parse_smf,
     track_notes,
 )
 
+
+def synthesize(piece, track_selection=None, out=None):
+    """``test_synthesize`` timed by the piece's own tempo map, over the
+    selected tracks (all by default)."""
+    if track_selection is None:
+        track_selection = range(len(piece.tracks))
+    return renderkit.test_synthesize(piece, TempoMap.from_piece(piece),
+                                     track_selection, out=out)
 
 
 def fixed_track(instrument, channel, notes, name=None):
@@ -60,14 +66,14 @@ def fixed_track(instrument, channel, notes, name=None):
         events.append(NoteOff(off, channel, pitch, 0))
     events.sort(key=lambda e: e.tick)
     events.append(EndOfTrack(max(off for _, off, _, _ in notes)))
-    return Track(events=events)
+    return events
 
 
 def conductor(end, tempos=((0, 500000),)):
     events = [TrackName(0, "conductor")]
     events += [SetTempo(t, us) for t, us in tempos]
     events.append(EndOfTrack(end))
-    return Track(events=events)
+    return events
 
 
 def reference_note(pitch, velocity, start_s, stop_s, sample_rate, total_s):
@@ -711,7 +717,7 @@ class TestManifest:
         for index, track in enumerate(annotated.tracks):
             intervals = [iv for iv in plan.articulations
                          if iv.track_index == index]
-            assert [(ev.tick, ev.value) for ev in track.events
+            assert [(ev.tick, ev.value) for ev in track
                     if isinstance(ev, ControlChange) and ev.controller == 32] \
                 == [(iv.start_tick, iv.cc32_value) for iv in intervals]
             for iv in intervals:
@@ -722,24 +728,24 @@ class TestManifest:
     def test_schedule_from_cc32_events(self):
         piece = self.build_piece()
         track = piece.tracks[1]
-        events = ([ControlChange(0, 0, 32, 5)] + list(track.events[:-1])
-                  + [ControlChange(960, 0, 32, 9), track.events[-1]])
-        piece.tracks[1] = Track(events=sorted(events, key=lambda e: e.tick))
+        events = ([ControlChange(0, 0, 32, 5)] + list(track[:-1])
+                  + [ControlChange(960, 0, 32, 9), track[-1]])
+        piece.tracks[1] = sorted(events, key=lambda e: e.tick)
         manifest = emit_manifest(piece, None)
         violin_entry = next(e for e in manifest.stems if e.stem == "violin")
         first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)
         assert first.schedule == [(0, 5, ""), (960, 9, "")]
         # with tables, a value is named by its row; one without a row is ""
         tables = load_articulation_tables()
-        piece.tracks[1].events[0] = ControlChange(0, 0, 32, 127)
+        piece.tracks[1][0] = ControlChange(0, 0, 32, 127)
         manifest = emit_manifest(piece, tables)
         violin_entry = next(e for e in manifest.stems if e.stem == "violin")
         first = next(tr for tr in violin_entry.tracks if tr.track_index == 1)
         assert first.schedule == [(0, 127, ""), (960, 9, "Short Col Legno")]
 
     def test_unidentifiable_track_raises(self):
-        bare = Track(events=[NoteOn(0, 0, 60, 75), NoteOff(480, 0, 60, 0),
-                             EndOfTrack(480)])
+        bare = [NoteOn(0, 0, 60, 75), NoteOff(480, 0, 60, 0),
+                EndOfTrack(480)]
         piece = MidiPiece(480, [conductor(480), bare])
         with pytest.raises(UngroupableTrack):
             emit_manifest(piece, None)
@@ -749,10 +755,10 @@ class TestManifest:
         # a track of only note-offs has no note; one note-on left open to
         # the end of the track is one note
         offs = fixed_track("cello", 3, [(0, 480, 48, 75)])
-        offs.events = [ev for ev in offs.events if not isinstance(ev, NoteOn)]
+        offs[:] = [ev for ev in offs if not isinstance(ev, NoteOn)]
         opened = fixed_track("viola", 4, [(0, 480, 60, 75)])
-        opened.events = [ev for ev in opened.events
-                         if not isinstance(ev, NoteOff)]
+        opened[:] = [ev for ev in opened
+                     if not isinstance(ev, NoteOff)]
         piece.tracks += [offs, opened]
         assert [len(track_notes(t)) for t in piece.tracks[-2:]] == [0, 1]
         manifest = emit_manifest(piece, None)

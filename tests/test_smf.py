@@ -60,7 +60,7 @@ from scoreforge.smf import (
 
 
 def simple_piece(tpq=480) -> MidiPiece:
-    track = Track(events=[
+    track = [
         TrackName(0, "Violin I"),
         ProgramChange(0, 0, 40),
         NoteOn(0, 0, 60, 80),
@@ -68,7 +68,7 @@ def simple_piece(tpq=480) -> MidiPiece:
         NoteOn(480, 0, 64, 90),
         NoteOff(960, 0, 64, 0),
         EndOfTrack(960),
-    ])
+    ]
     return MidiPiece(tpq, [track], format=1)
 
 
@@ -123,7 +123,7 @@ class TestParse:
                 b"\x60\x80\x3e\x00"   # explicit off
                 b"\x00\xff\x2f\x00")
         piece = parse_smf(raw_file(body=body))
-        assert piece.tracks[0].events == [
+        assert piece.tracks[0] == [
             NoteOn(0, 0, 0x3C, 0x50),
             NoteOff(0x60, 0, 0x3C, 0),
             NoteOn(0x60, 0, 0x3E, 0x40),
@@ -176,7 +176,7 @@ class TestParse:
     def test_missing_end_of_track_closed(self):
         body = b"\x00\x90\x3c\x50\x60\x80\x3c\x00"
         piece = parse_smf(raw_file(body=body))
-        assert piece.tracks[0].events[-1] == EndOfTrack(0x60)
+        assert piece.tracks[0][-1] == EndOfTrack(0x60)
 
     def test_track_name_hint(self):
         body = b"\x00\xff\x03\x05Viola\x00\xff\x2f\x00"
@@ -186,7 +186,7 @@ class TestParse:
     def test_sysex_preserved(self):
         body = b"\x00\xf0\x05\x7e\x7f\x09\x01\xf7\x00\xff\x2f\x00"
         piece = parse_smf(raw_file(body=body))
-        assert piece.tracks[0].events[0] == OtherChannel(
+        assert piece.tracks[0][0] == OtherChannel(
             0, 0xF0, b"\x7e\x7f\x09\x01\xf7")
 
     # the track body starts at byte 22 of a one-track file
@@ -223,10 +223,10 @@ class TestParse:
 
 class TestWrite:
     def test_write_appends_end_of_track(self):
-        piece = MidiPiece(480, [Track(events=[NoteOn(0, 0, 60, 75),
-                                              NoteOff(240, 0, 60, 0)])])
+        piece = MidiPiece(480, [[NoteOn(0, 0, 60, 75),
+                                 NoteOff(240, 0, 60, 0)]])
         reparsed = parse_smf(write_smf(piece))
-        assert reparsed.tracks[0].events[-1] == EndOfTrack(240)
+        assert reparsed.tracks[0][-1] == EndOfTrack(240)
 
     def test_no_running_status_in_output(self):
         piece = simple_piece()
@@ -251,46 +251,46 @@ class TestWrite:
             assert write_smf(parse_smf(first)) == first
 
     def test_rejects_unsorted_events(self):
-        track = Track(events=[NoteOn(100, 0, 60, 75), NoteOff(50, 0, 60, 0)])
+        track = [NoteOn(100, 0, 60, 75), NoteOff(50, 0, 60, 0)]
         with pytest.raises(InvariantViolation):
             write_smf(MidiPiece(480, [track]))
 
     def test_rejects_note_on_velocity_zero(self):
-        track = Track(events=[NoteOn(0, 0, 60, 0)])
+        track = [NoteOn(0, 0, 60, 0)]
         with pytest.raises(InvariantViolation):
             write_smf(MidiPiece(480, [track]))
 
     def test_rejects_bad_channel_and_range(self):
         with pytest.raises(InvariantViolation):
-            write_smf(MidiPiece(480, [Track(events=[NoteOn(0, 16, 60, 75)])]))
+            write_smf(MidiPiece(480, [[NoteOn(0, 16, 60, 75)]]))
         with pytest.raises(InvariantViolation):
-            write_smf(MidiPiece(480, [Track(events=[ControlChange(0, 0, 200, 1)])]))
+            write_smf(MidiPiece(480, [[ControlChange(0, 0, 200, 1)]]))
         with pytest.raises(InvariantViolation):
             write_smf(MidiPiece(0, []))
 
     def test_rejects_format_0_multitrack(self):
-        tracks = [Track(events=[EndOfTrack(0)]), Track(events=[EndOfTrack(0)])]
+        tracks = [[EndOfTrack(0)], [EndOfTrack(0)]]
         with pytest.raises(InvariantViolation):
             write_smf(MidiPiece(480, tracks, format=0))
 
     def test_rejects_misplaced_end_of_track(self):
-        track = Track(events=[EndOfTrack(0), NoteOn(10, 0, 60, 75)])
+        track = [EndOfTrack(0), NoteOn(10, 0, 60, 75)]
         with pytest.raises(InvariantViolation):
             write_smf(MidiPiece(480, [track]))
 
     def test_other_meta_round_trip(self):
-        track = Track(events=[
+        track = [
             OtherMeta(0, 0x58, bytes([4, 2, 24, 8])),
             OtherMeta(10, 0x7F, b"\x00" * 130),  # payload needs a 2-byte vlq
             EndOfTrack(10),
-        ])
+        ]
         piece = MidiPiece(480, [track])
-        assert parse_smf(write_smf(piece)).tracks[0].events == track.events
+        assert parse_smf(write_smf(piece)).tracks[0] == track
 
 
 def piece_of(*events, tpq=480, fmt=1):
     """A one-track piece holding ``events`` as given (no end-of-track added)."""
-    return MidiPiece(tpq, [Track(events=list(events))], format=fmt)
+    return MidiPiece(tpq, [list(events)], format=fmt)
 
 
 # one case per rule of validate_piece, with the exact message
@@ -465,7 +465,7 @@ class TestEncoderBoundaries:
         events = [NoteOn(5, 3, 60, 80), NoteOff(5 + delta, 3, 60, 64),
                   ControlChange(5 + 2 * delta, 3, 7, 1), EndOfTrack(5 + 2 * delta)]
         data = write_smf(piece_of(*events))
-        assert parse_smf(data).tracks[0].events == events
+        assert parse_smf(data).tracks[0] == events
         body = data[14 + 8:]
         vlq = encode_vlq(delta)
         assert body[4:4 + len(vlq) + 3] == vlq + bytes([0x80 | 3, 60, 64])
@@ -479,7 +479,7 @@ class TestEncoderBoundaries:
                   OtherChannel(1, 0xF0, payload), OtherChannel(2, 0xF7, payload),
                   EndOfTrack(2)]
         data = write_smf(piece_of(*events))
-        assert parse_smf(data).tracks[0].events == events
+        assert parse_smf(data).tracks[0] == events
         vlq = encode_vlq(length)  # the track name's length, after 00 ff 03
         assert data[14 + 8 + 3:14 + 8 + 3 + len(vlq)] == vlq
 
@@ -501,7 +501,7 @@ class TestEncoderBoundaries:
                                  b"\x00\x92\x3d\x01" b"\x00\xe2\x00\x40"
                                  b"\x00\xd2\x10" b"\x01\x82\x3d\x00"
                                  b"\x00\xf2\x01\x02" b"\x00\xff\x2f\x00")
-        assert parse_smf(data).tracks[0].events == events
+        assert parse_smf(data).tracks[0] == events
 
 
 class TestTempoMap:
@@ -538,7 +538,7 @@ class TestTempoMap:
 
     def test_tick_to_seconds_uses_piece_events(self):
         piece = simple_piece()
-        piece.tracks[0].events.insert(0, SetTempo(0, 1_000_000))
+        piece.tracks[0].insert(0, SetTempo(0, 1_000_000))
         assert TempoMap.from_piece(piece).seconds_at(480) == pytest.approx(1.0)
 
 
@@ -612,27 +612,27 @@ class TestRecords:
 
 class TestTrackNotes:
     def test_fifo_pairing_same_pitch(self):
-        track = Track(events=[
+        track = [
             NoteOn(0, 0, 60, 80), NoteOn(10, 0, 60, 90),
             NoteOff(20, 0, 60, 0), NoteOff(40, 0, 60, 0),
-        ])
+        ]
         assert track_notes(track) == [
             (0, 20, 0, 60, 80), (10, 40, 0, 60, 90),
         ]
 
     def test_unterminated_closed_at_end(self):
-        track = Track(events=[NoteOn(0, 0, 60, 80), EndOfTrack(100)])
+        track = [NoteOn(0, 0, 60, 80), EndOfTrack(100)]
         assert track_notes(track) == [(0, 100, 0, 60, 80)]
 
     def test_orphan_off_ignored(self):
-        track = Track(events=[NoteOff(50, 0, 60, 0)])
+        track = [NoteOff(50, 0, 60, 0)]
         assert track_notes(track) == []
 
     def test_channels_independent(self):
-        track = Track(events=[
+        track = [
             NoteOn(0, 0, 60, 80), NoteOn(0, 1, 60, 70),
             NoteOff(10, 1, 60, 0), NoteOff(30, 0, 60, 0),
-        ])
+        ]
         notes = track_notes(track)
         assert {(channel, off) for _, off, channel, _, _ in notes} == \
             {(0, 30), (1, 10)}
@@ -679,4 +679,4 @@ def test_corpus_semantic_round_trip(raw_corpus_files):
         reparsed = parse_smf(write_smf(original))
         assert reparsed.ticks_per_quarter == original.ticks_per_quarter
         assert reparsed.format == original.format
-        assert [t.events for t in reparsed.tracks] == [t.events for t in original.tracks]
+        assert reparsed.tracks == original.tracks
