@@ -42,11 +42,11 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -199,6 +199,12 @@ def _midi_files(directory: Path) -> list[Path]:
     return files
 
 
+# the pool workers and the --jobs 1 writer fork on Linux, so they inherit
+# the imported package; 3.14's default there, forkserver, imports it again
+_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux"
+                                       else None)
+
+
 def _install(fn: Callable) -> None:
     _install.fn = fn  # the pool worker's fn, which _call_installed applies
 
@@ -217,7 +223,8 @@ def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> Iterator:
         return
     # the pool starts all its workers at once, so no more than there are items
     with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
-                             initializer=_install, initargs=(fn,)) as pool:
+                             mp_context=_CONTEXT, initializer=_install,
+                             initargs=(fn,)) as pool:
         yield from pool.map(_call_installed, items,
                             chunksize=max(1, len(items) // (16 * jobs)))
 
@@ -255,8 +262,8 @@ def _chain_writer(jobs: int, steps: tuple[str, ...],
                   ) -> Iterator[Callable[[Path, bytes], None]]:
     """A function that writes (path, bytes), chosen from ``jobs`` and the
     command's range of ``steps``. A jobs 1 command that starts with a chain
-    step sends them to a writer process, started with the default start
-    method as the block opens, so the kernel creates the files on another
+    step sends them to a writer process, started from ``_CONTEXT`` as the
+    block opens, so the kernel creates the files on another
     core while the caller computes; the writer's OSError is raised by the
     next call or on leaving the block, with nothing written after it, and
     the writer never outlives the block. Otherwise the caller writes the
@@ -267,8 +274,8 @@ def _chain_writer(jobs: int, steps: tuple[str, ...],
     if jobs > 1 or steps[0] not in CHAIN_STEPS:
         yield partial(_write_file, set())
         return
-    conn, child_end = Pipe()
-    writer = Process(target=_write_loop, args=(child_end, conn))
+    conn, child_end = _CONTEXT.Pipe()
+    writer = _CONTEXT.Process(target=_write_loop, args=(child_end, conn))
     writer.start()
     child_end.close()
 

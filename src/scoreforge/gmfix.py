@@ -60,20 +60,10 @@ class InstrumentId:
     gm_program: int  # 0-based
 
 
-class _Excluded:
-    """Sentinel for names recognized as deliberately out of scope (vocals,
-    keyboards): the piece is rejected, but distinctly from unknown names."""
-
-    def __repr__(self) -> str:
-        return "EXCLUDED"
-
-    def __reduce__(self) -> str:
-        # unpickled as the module's one instance, so ``is EXCLUDED`` holds
-        # in a worker process too
-        return "EXCLUDED"
-
-
-EXCLUDED = _Excluded()
+# what the dictionary maps a name recognized as deliberately out of scope
+# (vocals, keyboards) to: the piece is rejected, but distinctly from unknown
+# names; the literal its CSV uses, so it compares equal in any process
+EXCLUDED = "excluded"
 
 REGISTRY: dict[str, InstrumentId] = {
     iid.name: iid
@@ -151,7 +141,7 @@ class InstrumentDictionary:
     that are recognized but out of scope.
     """
 
-    def __init__(self, entries: dict[str, InstrumentId | _Excluded]):
+    def __init__(self, entries: dict[str, InstrumentId | str]):
         self._entries = entries
 
     @classmethod
@@ -167,22 +157,22 @@ class InstrumentDictionary:
         """Rows may repeat a name (after normalize_name) only with the same
         instrument; a name mapped to two is a GmFixError that names the
         second row's line, as is an unknown instrument."""
-        entries: dict[str, InstrumentId | _Excluded] = {}
+        entries: dict[str, InstrumentId | str] = {}
         for line, row in read_table(table, ("name", "instrument")):
             key = normalize_name(row["name"])
             target = row["instrument"].strip()
-            value = EXCLUDED if target == "excluded" else REGISTRY.get(target)
+            value = EXCLUDED if target == EXCLUDED else REGISTRY.get(target)
             if value is None:
                 raise GmFixError(f"{source}: line {line}: unknown instrument "
                                  f"{target!r} for name {row['name']!r}")
             first = entries.setdefault(key, value)
-            if first is not value:
-                was = "excluded" if first is EXCLUDED else first.name
+            if first != value:
+                was = first if first == EXCLUDED else first.name
                 raise GmFixError(f"{source}: line {line}: name {key!r} maps "
                                  f"to both {was} and {target}")
         return cls(entries)
 
-    def lookup(self, raw_name: str) -> InstrumentId | _Excluded | None:
+    def lookup(self, raw_name: str) -> InstrumentId | str | None:
         return self._entries.get(normalize_name(raw_name))
 
     def __len__(self) -> int:
@@ -190,7 +180,7 @@ class InstrumentDictionary:
 
 
 def identify_track(track: Track,
-                   dictionary: InstrumentDictionary) -> InstrumentId | _Excluded | None:
+                   dictionary: InstrumentDictionary) -> InstrumentId | str | None:
     """Identify a track's instrument.
 
     Tracks whose first channel message, of any kind, is on channel 10, and
@@ -235,7 +225,7 @@ def fix_piece(piece: MidiPiece, dictionary: InstrumentDictionary,
         if iid is None:
             raise UnknownInstrument(
                 f"track {index} ({track_name(track)!r}): no instrument mapping")
-        if iid is EXCLUDED:
+        if iid == EXCLUDED:
             raise UnknownInstrument(
                 f"track {index} ({track_name(track)!r}): instrument out of scope")
         fixed_tracks.append(_retarget_track(track, iid))

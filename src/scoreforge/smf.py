@@ -135,12 +135,10 @@ Event = Union[
 
 # One MTrk chunk: the list of its events and nothing else. What a track is
 # named, and what it plays, is read from them (``track_name``, ``has_notes``).
+# Every track ``parse_smf`` returns is sorted by tick and ends with its one
+# EndOfTrack, and every transform in the package keeps that event last, so a
+# track ends at the tick of its last event.
 Track = list[Event]
-
-
-def track_end_tick(track: Track) -> int:
-    """The latest tick of the track's events, 0 for an empty track."""
-    return max((ev.tick for ev in track), default=0)
 
 
 def track_name(track: Track) -> str:
@@ -162,7 +160,9 @@ class MidiPiece:
     format: int = 1
 
     def end_tick(self) -> int:
-        return max(map(track_end_tick, self.tracks), default=0)
+        """The latest tick of the tracks' last events, 0 for no events."""
+        return max((track[-1].tick for track in self.tracks if track),
+                   default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def _parse_track(chunk: bytes, index: int, base: int) -> Track:
             pos += size
 
     if not events or type(events[-1]) is not EndOfTrack:  # no 0x2F meta
-        append(EndOfTrack(track_end_tick(events)))
+        append(EndOfTrack(events[-1].tick if events else 0))
     return events
 
 
@@ -373,7 +373,8 @@ def write_smf(piece: MidiPiece) -> bytes:
     """Serialize a MidiPiece to canonical SMF bytes.
 
     Canonical means: no running status, minimal VLQ delta times, an explicit
-    end-of-track on every track (appended at the maximal tick if missing).
+    end-of-track on every track (appended at the last event's tick if
+    missing).
     The encoder checks each event as it writes it; when a check or the
     encoder fails, the piece goes through ``validate_piece``, so an invalid
     piece raises the InvariantViolation naming its first fault.
@@ -460,7 +461,8 @@ def _encode_track(track: Track) -> bytes:
     a rarer event that ``_check_event`` rejects, an end-of-track before the
     last event."""
     if not track or not isinstance(track[-1], EndOfTrack):
-        track = track + [EndOfTrack(track_end_tick(track))]
+        # a track out of tick order raises below, whatever this tick is
+        track = track + [EndOfTrack(track[-1].tick if track else 0)]
     out: list[int] = []
     append = out.append
     extend = out.extend
@@ -611,7 +613,7 @@ def track_notes(track: Track) -> list[tuple[int, int, int, int, int]]:
                 on_tick, velocity = queue.popleft()
                 pairs.append((on_tick, tick, channel, pitch, velocity))
     if any(open_notes.values()):
-        close = track_end_tick(track)
+        close = track[-1].tick
         for (channel, pitch), queue in open_notes.items():
             for on_tick, velocity in queue:
                 pairs.append((on_tick, max(close, on_tick), channel, pitch, velocity))

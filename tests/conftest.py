@@ -45,3 +45,8 @@ def strings_corpus_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("strings_corpus")
     corpus.make_string_corpus(directory)
     return directory
+
+
+@pytest.fixture(scope="session")
+def strings_corpus_bytes(strings_corpus_dir) -> list[bytes]:
+    return [path.read_bytes() for path in sorted(strings_corpus_dir.glob("*.mid"))]

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -1683,10 +1682,8 @@ class TestConfigFilesReread:
 def pool_starting_by(method: str, monkeypatch) -> None:
     """Make the CLI's process pools and its --jobs 1 writer start their
     processes by ``method``."""
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(scoreforge.cli, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=context))
-    monkeypatch.setattr(scoreforge.cli, "Process", context.Process)
+    monkeypatch.setattr(scoreforge.cli, "_CONTEXT",
+                        multiprocessing.get_context(method))
 
 
 START_METHODS = ("fork", "forkserver", "spawn")
@@ -1735,7 +1732,7 @@ class TestStartMethods:
 
     def test_excluded_sentinel_crosses_processes(self, six_strings, tmp_path,
                                                  monkeypatch, capsys):
-        assert pickle.loads(pickle.dumps(EXCLUDED)) is EXCLUDED
+        assert pickle.loads(pickle.dumps(EXCLUDED)) == EXCLUDED
         source = tmp_path / "piano"
         source.mkdir()
         (source / "piano.mid").write_bytes(two_part_piece("Piano", "Violin I"))
@@ -1806,14 +1803,19 @@ class TestChainWriter:
 
     @pytest.fixture
     def writers(self, monkeypatch):
+        """The writer processes started: pool workers start from the same
+        context, so a writer is told from them by its target."""
         started = []
-        start = scoreforge.cli.Process.start
+        process = scoreforge.cli._CONTEXT.Process
+        start = process.start
 
-        def recording_start(process):
-            start(process)
-            started.append(process)
+        def recording_start(self):
+            is_writer = self._target is scoreforge.cli._write_loop
+            start(self)  # which drops the target
+            if is_writer:
+                started.append(self)
 
-        monkeypatch.setattr(scoreforge.cli.Process, "start", recording_start)
+        monkeypatch.setattr(process, "start", recording_start)
         return started
 
     @pytest.mark.parametrize("case, rc, starts_writer", [

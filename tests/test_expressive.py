@@ -2,12 +2,14 @@
 
 import json
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuzz import mutations
 from scoreforge.expressive import (
     DYNAMIC_MARKS,
     INTERVAL_QUARTERS,
@@ -18,6 +20,7 @@ from scoreforge.expressive import (
     AnnotationPlan,
     ArticulationInterval,
     DynamicInterval,
+    ExpressiveError,
     MissingTable,
     NonTilingIntervals,
     PieceTooShort,
@@ -36,7 +39,14 @@ from scoreforge.expressive import (
     plan_tempo_intervals,
     track_tables,
 )
-from scoreforge.gmfix import REGISTRY, normalize
+from scoreforge.gmfix import (
+    MAX_SPAN_QUARTERS,
+    REGISTRY,
+    InstrumentDictionary,
+    PieceRejected,
+    admit_piece,
+    normalize,
+)
 from scoreforge.smf import (
     ControlChange,
     EndOfTrack,
@@ -45,9 +55,11 @@ from scoreforge.smf import (
     NoteOn,
     ProgramChange,
     SetTempo,
+    SmfError,
     TempoMap,
     Track,
     TrackName,
+    parse_smf,
     track_notes,
     write_smf,
 )
@@ -599,6 +611,71 @@ class TestEventOrderKept:
         assert [without_inserts(t) for t in out.tracks] == \
             [without_inserts(t) for t in piece.tracks]
         write_smf(out)
+
+
+# The most intervals one draw makes: _draw_bounds makes at most
+# max(min_intervals, quarters // INTERVAL_QUARTERS), and admit_piece bounds
+# a piece's quarters by MAX_SPAN_QUARTERS.
+MAX_DRAWN_INTERVALS = max(AnnotationParams().min_tempo_intervals,
+                          MAX_SPAN_QUARTERS // INTERVAL_QUARTERS)
+# What annotate adds to a written normalized piece. An inserted event
+# costs its own bytes plus at most a 4-byte delta time: 10 for a tempo, 7
+# for a CC#32. annotate replaces the one tempo with at most
+# MAX_DRAWN_INTERVALS and adds at most MAX_DRAWN_INTERVALS CC#32 to each
+# note-bearing track, which takes at least 19 bytes (chunk header, program
+# change, note-on, end-of-track). It adds at most one CC#1 per note-on, just
+# before it at its tick: 4 bytes more per note-on, which takes at least 4.
+# It changes no event's size.
+ANNOTATED_BYTES_PER_BYTE = 2 + Fraction(7 * MAX_DRAWN_INTERVALS, 19)
+ANNOTATED_BYTES_MORE = 10 * MAX_DRAWN_INTERVALS
+
+
+class TestAnnotatedSize:
+    """No small input makes a large output: annotate's written bytes are
+    at most ANNOTATED_BYTES_PER_BYTE times the normalized piece's, plus
+    ANNOTATED_BYTES_MORE, whatever its delta times say."""
+
+    def test_bound(self):
+        assert MAX_DRAWN_INTERVALS == 4057
+        assert (ANNOTATED_BYTES_PER_BYTE, ANNOTATED_BYTES_MORE) \
+            == (Fraction(28437, 19), 40570)  # about 1496.7, and 40 KB
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_longest_admitted_span(self, tables, seed):
+        """The span that draws the most intervals: one note a track across
+        MAX_SPAN_QUARTERS quarter notes."""
+        tpq = 96
+        end = MAX_SPAN_QUARTERS * tpq
+        piece = MidiPiece(tpq, [[EndOfTrack(end)]] + [
+            [TrackName(0, name), NoteOn(0, channel, 60, 75),
+             NoteOff(end, channel, 60, 0), EndOfTrack(end)]
+            for channel, name in enumerate(["Violin I", "Cello"])])
+        fixed, _ = admit_piece(piece, InstrumentDictionary.default())
+        normalized = normalize(fixed)
+        annotated, plan = annotate(normalized, tables, AnnotationParams(),
+                                   seed)
+        assert 3 <= len(plan.tempo) <= MAX_DRAWN_INTERVALS
+        size = len(write_smf(normalized))
+        assert len(write_smf(annotated)) \
+            <= ANNOTATED_BYTES_PER_BYTE * size + ANNOTATED_BYTES_MORE
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_strings_files(self, tables, strings_corpus_bytes, data):
+        blob = data.draw(mutations(strings_corpus_bytes))
+        try:
+            fixed, _ = admit_piece(parse_smf(blob),
+                                   InstrumentDictionary.default())
+        except (SmfError, PieceRejected):
+            return
+        normalized = normalize(fixed)
+        try:
+            annotated, _ = annotate(normalized, tables, AnnotationParams(), 1)
+        except ExpressiveError:
+            return
+        size = len(write_smf(normalized))
+        assert len(write_smf(annotated)) \
+            <= ANNOTATED_BYTES_PER_BYTE * size + ANNOTATED_BYTES_MORE
 
 
 class TestAnnotateFailureOrder:

@@ -85,8 +85,8 @@ class TestNames:
             assert dictionary.lookup(raw) is REGISTRY[expected], raw
 
     def test_excluded_and_unknown(self, dictionary):
-        assert dictionary.lookup("Piano") is EXCLUDED
-        assert dictionary.lookup("Soprano") is EXCLUDED
+        assert dictionary.lookup("Piano") == EXCLUDED
+        assert dictionary.lookup("Soprano") == EXCLUDED
         assert dictionary.lookup("Theremin Solo") is None
 
     @pytest.mark.parametrize("rows, message", [
@@ -210,7 +210,7 @@ class TestMapInstrument:
     def test_unmapped_cases(self, dictionary):
         assert dictionary.lookup("") is None
         assert dictionary.lookup("Theremin Solo") is None
-        assert dictionary.lookup("Piano") is EXCLUDED
+        assert dictionary.lookup("Piano") == EXCLUDED
 
     def test_channel_10_wins_over_name(self, dictionary):
         track = named_track("Viola", channel=9)

@@ -643,6 +643,19 @@ def raw_corpus_bytes(raw_corpus_files):
     return [path.read_bytes() for path in raw_corpus_files]
 
 
+def assert_ends_at_end_of_track(piece: MidiPiece) -> None:
+    """Every track is sorted by tick and holds one EndOfTrack, its last
+    event, so at its latest tick; the piece's end is the latest tick of
+    any event (0 for a piece of no tracks)."""
+    for track in piece.tracks:
+        ticks = [ev.tick for ev in track]
+        assert ticks == sorted(ticks)
+        assert [type(ev) for ev in track].count(EndOfTrack) == 1
+        assert type(track[-1]) is EndOfTrack
+    assert piece.end_tick() == max((ev.tick for track in piece.tracks
+                                    for ev in track), default=0)
+
+
 class TestMutatedFiles:
     """A piece that parses is a piece that writes: a mutated raw file either
     raises SmfError at parse or parses to a valid piece whose canonical bytes
@@ -671,6 +684,36 @@ class TestMutatedFiles:
             annotate(normalized, every_instrument, AnnotationParams(), 1)
         except ExpressiveError:
             pass
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_every_track_ends_at_its_end_of_track(self, raw_corpus_bytes,
+                                                  strings_corpus_bytes, data):
+        """What MidiPiece.end_tick, the end-of-track fills and track_notes
+        read as a track's end is its last event's tick: so every track
+        that parse_smf, admit_piece, normalize and annotate return ends
+        with its one EndOfTrack."""
+        blob = data.draw(mutations(raw_corpus_bytes + strings_corpus_bytes))
+        try:
+            piece = parse_smf(blob)
+        except SmfError:
+            return
+        assert_ends_at_end_of_track(piece)
+        try:
+            fixed, _ = admit_piece(piece, InstrumentDictionary.default())
+        except PieceRejected:
+            return
+        assert_ends_at_end_of_track(fixed)
+        normalized = normalize(fixed)
+        assert_ends_at_end_of_track(normalized)
+        strings = load_articulation_tables()
+        every_instrument = {name: strings["violin"] for name in REGISTRY}
+        try:
+            annotated, _ = annotate(normalized, every_instrument,
+                                    AnnotationParams(), 1)
+        except ExpressiveError:
+            return
+        assert_ends_at_end_of_track(annotated)
 
 
 def test_corpus_semantic_round_trip(raw_corpus_files):
