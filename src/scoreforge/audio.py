@@ -70,6 +70,9 @@ _FLOAT_HEADER = struct.Struct("<4sI4s 4sIHHIIHHH 4sII 4sI")
 # the most frames whose float32 file size, less 8, fits the RIFF header's
 # 32-bit size field
 MAX_WAV_FRAMES = (0xFFFFFFFF - (_FLOAT_HEADER.size - 8)) // 4
+# the highest rate whose byte rate, 4 bytes a frame, fits the fmt chunk's
+# 32-bit field
+MAX_SAMPLE_RATE = 0xFFFFFFFF // 4
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -152,8 +155,11 @@ def write_wav(path: str | Path, waveform: Waveform,
     if frames > MAX_WAV_FRAMES:
         raise AudioError(f"{path}: {nbytes} bytes of samples exceed the RIFF "
                          "size limit")
-    riff_size = _FLOAT_HEADER.size - 8 + nbytes
     rate = waveform.sample_rate
+    if rate > MAX_SAMPLE_RATE:
+        raise AudioError(f"{path}: a sample rate of {rate} Hz exceeds the "
+                         f"{MAX_SAMPLE_RATE} Hz a WAV header holds")
+    riff_size = _FLOAT_HEADER.size - 8 + nbytes
     header = _FLOAT_HEADER.pack(b"RIFF", riff_size, b"WAVE",
                                 b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
                                 b"fact", 4, frames, b"data", nbytes)

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .audio import AudioError, Buffer, Waveform, read_wav, write_wav
+from .audio import MAX_SAMPLE_RATE, AudioError, Buffer, Waveform, read_wav, write_wav
 from .datasetkit import (
     DEFAULT_RATIOS,
     InvalidRatios,
@@ -150,6 +150,13 @@ class PipelineConfig:
         for name in ("sample_rate", "frame_len_s"):
             if not getattr(config, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if config.sample_rate > MAX_SAMPLE_RATE:  # what a WAV header holds
+            raise ConfigError(f"sample_rate must be at most {MAX_SAMPLE_RATE}")
+        try:  # the amplitude eval compares each frame's RMS with
+            10.0 ** (config.silence_threshold_dbfs / 20.0)
+        except OverflowError:
+            raise ConfigError("silence_threshold_dbfs is past float range "
+                              "as an amplitude") from None
         if config.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         return config

@@ -66,7 +66,11 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     if len(reference) != len(estimate):
         raise LengthMismatch(
             f"lengths differ: {len(reference)} vs {len(estimate)} samples")
-    frame = int(round(frame_len_s * reference.sample_rate))
+    samples = frame_len_s * reference.sample_rate
+    if not math.isfinite(samples):
+        raise EvalError(f"a frame of {frame_len_s} s at "
+                        f"{reference.sample_rate} Hz is past float range")
+    frame = int(round(samples))
     if frame <= 0:
         raise NonPositiveFrame(
             f"frame of {frame_len_s} s is empty at {reference.sample_rate} Hz")
@@ -75,6 +79,8 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     # Row sums of products over a (frames, frame) view. einsum's own loop
     # keeps BLAS, whose threads split dot products, out of the result.
     n_frames = len(reference) // frame
+    if n_frames == 0:  # nothing to score, nor a shape numpy could hold
+        return []
     s = reference.samples[:n_frames * frame].reshape(n_frames, frame)
     s_hat = estimate.samples[:n_frames * frame].reshape(n_frames, frame)
     signal_powers = np.einsum("ij,ij->i", s, s).tolist()

@@ -9,7 +9,8 @@ random beat-aligned intervals three ways, independently:
 * articulations: per track, each interval gets an articulation drawn from
   the instrument's weight table and announced by a CC#32 message.
 
-Finally, note velocities under long articulations are mirrored onto CC#1
+``apply_plan`` writes the three plans into the piece in one pass per track.
+There note velocities under long articulations are also mirrored onto CC#1
 (the modulation wheel), which is how sustained sampler patches expect their
 level to be driven.
 
@@ -37,7 +38,6 @@ from .smf import (
     NoteOn,
     SetTempo,
     TempoMap,
-    Track,
     has_notes,
     track_name,
     track_notes,
@@ -69,10 +69,6 @@ class ExpressiveError(Exception):
 
 
 class PieceTooShort(ExpressiveError):
-    pass
-
-
-class NonTilingIntervals(ExpressiveError):
     pass
 
 
@@ -270,40 +266,8 @@ def plan_tempo_intervals(piece: MidiPiece, params: AnnotationParams,
     return [TempoInterval(s, e, float(b)) for (s, e), b in zip(bounds, bpms)]
 
 
-def _check_tiling(intervals: Sequence, start: int, end: int) -> None:
-    if not intervals:
-        raise NonTilingIntervals("no intervals")
-    if intervals[0].start_tick != start or intervals[-1].end_tick != end:
-        raise NonTilingIntervals(
-            f"intervals cover [{intervals[0].start_tick}, {intervals[-1].end_tick}), "
-            f"expected [{start}, {end})")
-    for prev, cur in zip(intervals, intervals[1:]):
-        if cur.start_tick != prev.end_tick:
-            raise NonTilingIntervals(
-                f"gap or overlap at tick {prev.end_tick} -> {cur.start_tick}")
-    for iv in intervals:
-        if iv.start_tick >= iv.end_tick:
-            raise NonTilingIntervals(f"empty interval at tick {iv.start_tick}")
-
-
-def apply_tempo(piece: MidiPiece,
-                intervals: Sequence[TempoInterval]) -> MidiPiece:
-    """Replace all tempo events with one SetTempo per interval start.
-
-    Note ticks are untouched; only the tick→seconds mapping changes.
-    """
-    _check_tiling(intervals, 0, piece.end_tick())
-    tempo_events = [
-        SetTempo(iv.start_tick, round(60_000_000 / iv.bpm)) for iv in intervals
-    ]
-    # tiled intervals span ticks, so the piece has a track 0
-    tracks = [[ev for ev in track if not isinstance(ev, SetTempo)]
-              for track in piece.tracks]
-    tracks[0] = _merge_before_noteons(tracks[0], tempo_events)
-    return replace(piece, tracks=tracks)
-
-
-def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
+def plan_dynamic_intervals(piece: MidiPiece, tempo_map: TempoMap,
+                           params: AnnotationParams,
                            rng: np.random.Generator) -> list[DynamicInterval]:
     """Tile the piece with dynamic intervals.
 
@@ -312,8 +276,8 @@ def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
     chosen mark and a velocity uniform in the mark's range. A per-piece
     gradual share g is drawn once; each non-initial boundary becomes a
     gradual transition with probability g, its duration drawn uniformly in
-    seconds, converted to ticks at the local tempo, and clipped to half the
-    shorter adjacent interval.
+    seconds, converted to ticks at the local tempo of ``tempo_map``, and
+    clipped to half the shorter adjacent interval.
     """
     end = _require_span(piece, params)
     tpq = piece.ticks_per_quarter
@@ -324,7 +288,6 @@ def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
         lo, hi = VELOCITY_RANGES[mark]
         chosen.append((mark, int(rng.integers(lo, hi))))
     g = float(rng.uniform(*params.gradual_fraction_range))
-    tempo_map = TempoMap.from_piece(piece)
     intervals: list[DynamicInterval] = []
     for i, ((start, stop), (mark, velocity)) in enumerate(zip(bounds, chosen)):
         transition: int | None = None
@@ -337,40 +300,6 @@ def plan_dynamic_intervals(piece: MidiPiece, params: AnnotationParams,
             transition = min(ticks, min(prev_len, cur_len) // 2)
         intervals.append(DynamicInterval(start, stop, mark, velocity, transition))
     return intervals
-
-
-def apply_dynamics(piece: MidiPiece,
-                   intervals: Sequence[DynamicInterval]) -> MidiPiece:
-    """Set every note-on's velocity from its interval's target, ramping
-    linearly across gradual transition windows."""
-    _check_tiling(intervals, 0, piece.end_tick())
-
-    starts = [iv.start_tick for iv in intervals]
-
-    def velocity_at(tick: int) -> int:
-        i = min(bisect_right(starts, tick) - 1, len(intervals) - 1)
-        i = max(i, 0)
-        iv = intervals[i]
-        if i > 0 and iv.transition_ticks:
-            dur = iv.transition_ticks
-            if tick < iv.start_tick + dur:
-                prev = intervals[i - 1].target_velocity
-                ratio = (tick - iv.start_tick) / dur
-                value = prev + (iv.target_velocity - prev) * ratio
-                return max(1, min(127, int(round(value))))
-        return iv.target_velocity
-
-    return replace(piece, tracks=[
-        [NoteOn(ev.tick, ev.channel, ev.pitch, velocity_at(ev.tick))
-         if isinstance(ev, NoteOn) else ev for ev in track]
-        for track in piece.tracks])
-
-
-def _active_span(track: Track) -> tuple[int, int] | None:
-    pairs = track_notes(track)
-    if not pairs:
-        return None
-    return (min(p[0] for p in pairs), max(p[1] for p in pairs))
 
 
 def track_tables(piece: MidiPiece,
@@ -406,44 +335,24 @@ def plan_articulations(piece: MidiPiece,
     draw each interval's articulation from that table.
 
     Tracks too short for the minimum interval count get as many intervals
-    as their beat grid allows, down to one.
+    as their beat grid allows, down to one. A track whose notes all start
+    and end at one tick has no span to tile: PieceTooShort.
     """
     out: list[ArticulationInterval] = []
     for index, (track, table) in enumerate(zip(piece.tracks, tables)):
         if table is None:
             continue
-        span = _active_span(track)
-        bounds = _draw_bounds(span[0], span[1], piece.ticks_per_quarter,
+        pairs = track_notes(track)  # a track with a table has notes
+        first, last = min(p[0] for p in pairs), max(p[1] for p in pairs)
+        if first == last:  # no interval could be non-empty
+            raise PieceTooShort(f"track {index}: every note starts and ends "
+                                f"at tick {first}")
+        bounds = _draw_bounds(first, last, piece.ticks_per_quarter,
                               params.min_tempo_intervals, rng)
         for (start, stop), row in zip(bounds, table.sample(rng, len(bounds))):
             out.append(ArticulationInterval(index, start, stop, row.cc32,
                                             row.articulation))
     return out
-
-
-def apply_articulations(piece: MidiPiece,
-                        intervals: Sequence[ArticulationInterval]) -> MidiPiece:
-    """Insert a CC#32 event at each interval start, before same-tick note-ons."""
-    by_track: dict[int, list[ArticulationInterval]] = {}
-    for iv in intervals:
-        by_track.setdefault(iv.track_index, []).append(iv)
-
-    new_tracks = list(piece.tracks)
-    for index, track_intervals in by_track.items():
-        track = piece.tracks[index]
-        span = _active_span(track)
-        if span is None:
-            raise NonTilingIntervals(f"track {index} has no notes to annotate")
-        track_intervals = sorted(track_intervals, key=lambda iv: iv.start_tick)
-        _check_tiling(track_intervals, span[0], span[1])
-        # a track with a span has a note-on; the inserts take its channel
-        channel = next(ev.channel for ev in track if isinstance(ev, NoteOn))
-        inserts = [
-            ControlChange(iv.start_tick, channel, 32, iv.cc32_value)
-            for iv in track_intervals
-        ]
-        new_tracks[index] = _merge_before_noteons(track, inserts)
-    return replace(piece, tracks=new_tracks)
 
 
 def _merge_before_noteons(events: list, inserts: list) -> list:
@@ -468,32 +377,58 @@ def _merge_before_noteons(events: list, inserts: list) -> list:
     return out
 
 
-def mirror_velocity_to_cc1(piece: MidiPiece,
-                           tables: Sequence[ArticulationTable | None],
-                           ) -> MidiPiece:
-    """Emit CC#1 (modulation wheel) = note velocity before every note-on that
-    falls in a long-articulation region; short regions get none.
+def _tempo_events(tempo: Sequence[TempoInterval]) -> list[SetTempo]:
+    return [SetTempo(iv.start_tick, round(60_000_000 / iv.bpm)) for iv in tempo]
 
-    Regions are read back from the CC#32 events already present, through
-    ``tables`` (one per track, as ``track_tables`` returns them), so this
-    works on any piece that has been through apply_articulations. Tracks
-    whose table is None are left untouched.
-    """
-    new_tracks: list[Track] = []
-    for track, table in zip(piece.tracks, tables):
-        if table is None:
-            new_tracks.append(track)
-            continue
+
+def apply_plan(piece: MidiPiece, plan: AnnotationPlan,
+               per_track: Sequence[ArticulationTable | None]) -> MidiPiece:
+    """Write ``plan`` into ``piece`` in one pass per track. Track 0's tempo
+    events give way to one SetTempo per tempo interval start, and each track
+    with a table in ``per_track`` (one per track, as ``track_tables``
+    returns them) gets a CC#32 at each of its articulation intervals'
+    starts: both go in before same-tick note-ons, a tempo first. Every
+    note-on takes its dynamic interval's velocity, ramped linearly across a
+    gradual transition window, and one under a long articulation gets a
+    CC#1 (modulation wheel) of that velocity just before it. A track whose
+    table is None gets no CC#32 and no CC#1."""
+    starts = [iv.start_tick for iv in plan.dynamics]
+
+    def velocity_at(tick: int) -> int:
+        i = max(bisect_right(starts, tick) - 1, 0)
+        iv = plan.dynamics[i]
+        if i > 0 and iv.transition_ticks:
+            dur = iv.transition_ticks
+            if tick < iv.start_tick + dur:
+                prev = plan.dynamics[i - 1].target_velocity
+                ratio = (tick - iv.start_tick) / dur
+                value = prev + (iv.target_velocity - prev) * ratio
+                return max(1, min(127, int(round(value))))
+        return iv.target_velocity
+
+    tracks = []
+    for index, (track, table) in enumerate(zip(piece.tracks, per_track)):
+        inserts: list = _tempo_events(plan.tempo) if index == 0 else []
+        if table is not None:
+            # a track with a table has a note-on; the inserts take its channel
+            channel = next(ev.channel for ev in track if isinstance(ev, NoteOn))
+            inserts += [ControlChange(iv.start_tick, channel, 32, iv.cc32_value)
+                        for iv in plan.articulations if iv.track_index == index]
+        inserts.sort(key=lambda ev: ev.tick)  # stable: a tempo stays first
         events: list = []
-        current_class: str | None = None
-        for ev in track:
-            if isinstance(ev, ControlChange) and ev.controller == 32:
-                current_class = table.length_class(ev.value)
-            elif isinstance(ev, NoteOn) and current_class == LENGTH_LONG:
-                events.append(ControlChange(ev.tick, ev.channel, 1, ev.velocity))
+        length_class = None  # announced by the last CC#32 read
+        for ev in _merge_before_noteons(
+                [ev for ev in track if not isinstance(ev, SetTempo)], inserts):
+            if isinstance(ev, ControlChange) and ev.controller == 32 and table:
+                length_class = table.length_class(ev.value)
+            elif isinstance(ev, NoteOn):
+                ev = NoteOn(ev.tick, ev.channel, ev.pitch, velocity_at(ev.tick))
+                if length_class == LENGTH_LONG:
+                    events.append(ControlChange(ev.tick, ev.channel, 1,
+                                                ev.velocity))
             events.append(ev)
-        new_tracks.append(events)
-    return replace(piece, tracks=new_tracks)
+        tracks.append(events)
+    return replace(piece, tracks=tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +439,9 @@ def annotate(piece: MidiPiece,
              tables: Mapping[str, ArticulationTable],
              params: AnnotationParams,
              seed: int) -> tuple[MidiPiece, AnnotationPlan]:
-    """Run the full chain (tempo, then dynamics, then articulations, then
-    CC#1 mirroring) on a normalized piece, drawing from one generator seeded
-    with ``seed``, and return the annotated piece and the plan that
-    produced it.
+    """Plan tempo, then dynamics, then articulations on a normalized piece,
+    drawing from one generator seeded with ``seed``, write the plan in with
+    ``apply_plan``, and return the annotated piece and the plan.
 
     The checks come first and in this order: the span (PieceTooShort), then
     table coverage of every note-bearing track (MissingTable), so a piece
@@ -518,15 +452,13 @@ def annotate(piece: MidiPiece,
     per_track = track_tables(piece, tables)
     rng = np.random.default_rng(seed)
     tempo = plan_tempo_intervals(piece, params, rng)
-    with_tempo = apply_tempo(piece, tempo)
-    dynamics = plan_dynamic_intervals(with_tempo, params, rng)
-    with_dynamics = apply_dynamics(with_tempo, dynamics)
-    articulations = plan_articulations(with_dynamics, per_track, params, rng)
-    with_articulations = apply_articulations(with_dynamics, articulations)
-    final = mirror_velocity_to_cc1(with_articulations, per_track)
+    # the tempo map of the piece with the tempo plan written in
+    tempo_map = TempoMap(piece.ticks_per_quarter, _tempo_events(tempo))
+    dynamics = plan_dynamic_intervals(piece, tempo_map, params, rng)
+    articulations = plan_articulations(piece, per_track, params, rng)
     plan = AnnotationPlan(tuple(tempo), tuple(dynamics), tuple(articulations),
                           params)
-    return final, plan
+    return apply_plan(piece, plan, per_track), plan
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,33 @@
-"""Byte-level mutations of valid files, for the parser fuzz properties."""
+"""Mutations of valid files, for the parser fuzz properties."""
 
 from hypothesis import strategies as st
 
+from scoreforge.smf import MAX_VLQ_VALUE, parse_smf, write_smf
 
-def mutations(sources: list[bytes]):
+
+def mutations(sources: list[bytes], midi: bool = False):
     """Hypothesis strategy: one of ``sources`` with 1-4 bytes overwritten,
-    truncated, with 1-3 bytes inserted, or with 1-3 bytes deleted."""
+    truncated, with 1-3 bytes inserted, or with 1-3 bytes deleted. With
+    ``midi`` (the sources are MIDI files), a mutation may also delay one
+    event of one track, and every later event of that track, by up to the
+    most ticks its delta time holds: one small change of bytes that makes a
+    long span."""
 
     @st.composite
     def mutated(draw):
         data = bytearray(draw(st.sampled_from(sources)))
         kind = draw(st.sampled_from(["overwrite", "truncate", "insert",
-                                     "delete"]))
+                                     "delete"] + (["delay"] if midi else [])))
+        if kind == "delay":
+            piece = parse_smf(bytes(data))
+            track = piece.tracks[draw(st.integers(0, len(piece.tracks) - 1))]
+            at = draw(st.integers(0, len(track) - 1))
+            delta = track[at].tick - (track[at - 1].tick if at else 0)
+            most = MAX_VLQ_VALUE - delta
+            # the most, often: past one delta time's span, unless at tick 0
+            shift = draw(st.integers(0, most) | st.just(most))
+            track[at:] = [ev._replace(tick=ev.tick + shift) for ev in track[at:]]
+            return write_smf(piece)
         at = draw(st.integers(0, len(data) - 1))
         if kind == "overwrite":
             data[at] = draw(st.integers(0, 255))

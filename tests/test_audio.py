@@ -13,6 +13,7 @@ from scipy.io import wavfile
 from fuzz import mutations
 from scoreforge import audio
 from scoreforge.audio import (
+    MAX_SAMPLE_RATE,
     MAX_WAV_FRAMES,
     AudioError,
     Buffer,
@@ -89,6 +90,17 @@ class TestWrite:
         with pytest.raises(AudioError, match="RIFF size limit"):
             write_wav(tmp_path / "bigger.wav", Waveform(np.zeros(11), 8000))
         assert not (tmp_path / "bigger.wav").exists()
+
+    def test_sample_rate_limit(self, tmp_path):
+        # the fmt chunk's 32-bit byte rate field states 4 bytes a frame
+        assert 4 * MAX_SAMPLE_RATE <= 0xFFFFFFFF < 4 * (MAX_SAMPLE_RATE + 1)
+        path = tmp_path / "fast.wav"
+        write_wav(path, Waveform(np.zeros(1), MAX_SAMPLE_RATE))
+        assert read_wav(path).sample_rate == MAX_SAMPLE_RATE
+        with pytest.raises(AudioError, match="a WAV header holds"):
+            write_wav(tmp_path / "faster.wav",
+                      Waveform(np.zeros(1), MAX_SAMPLE_RATE + 1))
+        assert not (tmp_path / "faster.wav").exists()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50),

@@ -1,6 +1,7 @@
 """Every function, class and method of the package is used by the package."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scoreforge"
@@ -38,3 +39,17 @@ def test_every_definition_has_a_caller():
                       if not (name.startswith("__") and name.endswith("__"))
                       and name not in used)
     assert uncalled == sorted(NO_CALLER)
+
+
+def test_readme_names_only_defined_code():
+    """Every backticked call form in README.md, such as `track_tables(` or
+    `MidiPiece.end_tick(`, names a function, class or method that src/
+    defines: by its qualified name, or by a method's own name."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, name in definitions(tree):
+            names |= {qualified, name}
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    called = set(re.findall(r"`([A-Za-z_][\w.]*)\(", readme))
+    assert called and sorted(called - names) == []

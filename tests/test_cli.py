@@ -46,7 +46,7 @@ from scoreforge.gmfix import (
     fix_piece,
     normalize,
 )
-from scoreforge.audio import Waveform, read_wav, write_wav
+from scoreforge.audio import MAX_SAMPLE_RATE, Waveform, read_wav, write_wav
 from scoreforge.evalkit import FRAME_SECONDS
 from scoreforge.renderkit import emit_manifest
 from scoreforge.smf import (
@@ -57,6 +57,7 @@ from scoreforge.smf import (
     NoteOff,
     NoteOn,
     OtherMeta,
+    ProgramChange,
     SetTempo,
     SmfError,
     TempoMap,
@@ -446,6 +447,34 @@ class TestConfigErrorsExitBeforeOutput:
         self.run(tmp_path, ["eval", str(audio_tree)],
                  {"silence_threshold_dbfs": float("nan")})
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_sample_rate_past_the_wav_header(self, tmp_path, capsys, jobs,
+                                             given):
+        """A rate whose byte rate, 4 bytes a frame, is past 32 bits: once
+        a traceback from write_wav on a piece of zero-length notes."""
+        source = tmp_path / "input"
+        source.mkdir()
+        (source / "grace.mid").write_bytes(zero_length_notes_piece())
+        rate = MAX_SAMPLE_RATE + 1
+        argv = ["synth-test", str(source), "--jobs", jobs]
+        if given == "flag":
+            self.run(tmp_path, [*argv, "--sample-rate", str(rate)])
+        else:
+            self.run(tmp_path, argv, {"sample_rate": rate})
+        assert capsys.readouterr().err == (
+            f"config error: sample_rate must be at most {MAX_SAMPLE_RATE}\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_eval_silence_threshold_past_float_range(self, audio_tree,
+                                                     tmp_path, capsys, jobs):
+        """Once an OverflowError traceback from frame_sdr."""
+        self.run(tmp_path, ["eval", str(audio_tree), "--jobs", jobs],
+                 {"silence_threshold_dbfs": 10000})
+        assert capsys.readouterr().err == (
+            "config error: silence_threshold_dbfs is past float range as an "
+            "amplitude\n")
+
     def test_annotate_nan_tempo_std(self, pipeline_out, tmp_path):
         self.run(tmp_path, ["annotate", str(pipeline_out / "20_normalized")],
                  {"annotation": {"tempo_std": float("nan")}})
@@ -797,6 +826,22 @@ class TestSynthAndEval:
         report = json.loads((out / "eval_report.json").read_text())
         for value in report["corpus_medians"].values():
             assert value < 30.0  # the raw mixture is a poor estimate
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_eval_frame_past_float_range_is_a_skip(self, audio_tree, tmp_path,
+                                                   capsys, jobs):
+        """A frame length whose sample count at the file's rate is past
+        float range: once an OverflowError traceback from frame_sdr."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"frame_len_s": 1e305}))
+        out = tmp_path / "eval"
+        assert run_command(["eval", str(audio_tree), "--out", str(out),
+                            "--config", str(config), "--jobs", jobs]) == 0
+        pieces = sorted(p.name for p in audio_tree.iterdir() if p.is_dir())
+        assert capsys.readouterr().err.splitlines() == [
+            f"skip {piece}: EvalError: a frame of 1e+305 s at 22050 Hz is "
+            "past float range" for piece in pieces]
+        assert json.loads((out / "eval_report.json").read_text())["pieces"] == {}
 
     def test_eval_report_bytes_pinned(self, audio_tree, tmp_path):
         out = tmp_path / "eval"
@@ -1423,6 +1468,15 @@ def vlq_piece() -> bytes:
     return two_part_piece("Violin I", "Viola", [
         ControlChange(MAX_VLQ_VALUE, 0, 1, 64),
         NoteOff(2 * MAX_VLQ_VALUE, 0, 61, 0)])
+
+
+def zero_length_notes_piece() -> bytes:
+    """A violin and a cello track, each one note that starts and ends at
+    tick 0: a piece of one sample at any rate."""
+    return write_smf(MidiPiece(480, [[EndOfTrack(0)]] + [
+        [ProgramChange(0, channel, REGISTRY[name].gm_program),
+         NoteOn(0, channel, 60, 75), NoteOff(0, channel, 60, 0), EndOfTrack(0)]
+        for channel, name in enumerate(["violin", "cello"])]))
 
 
 def long_span_piece() -> bytes:

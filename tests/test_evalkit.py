@@ -122,6 +122,14 @@ class TestFrameSdr:
         with pytest.raises(EvalError):
             frame_sdr(ref, ref, projection="mad")
 
+    def test_frame_past_float_range_is_an_eval_error(self):
+        # 1e305 s at 22,050 Hz is an infinite sample count
+        ref = sine(seconds=1.0)
+        with pytest.raises(EvalError, match="past float range"):
+            frame_sdr(ref, ref, frame_len_s=1e305)
+        # no whole frame, in a frame of more samples than an array holds
+        assert frame_sdr(ref, ref, frame_len_s=1e300) == []
+
     def test_infinite_estimate_is_an_eval_error(self):
         # its SDR would be 10 log10(0): an EvalError, so eval skips the piece
         ref = sine(seconds=1.0)

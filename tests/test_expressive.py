@@ -1,6 +1,7 @@
 """Annotation planning and application: tempo, dynamics, articulations."""
 
 import json
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -22,17 +23,13 @@ from scoreforge.expressive import (
     DynamicInterval,
     ExpressiveError,
     MissingTable,
-    NonTilingIntervals,
     PieceTooShort,
     TempoInterval,
     _draw_bounds,
     annotate,
-    apply_articulations,
-    apply_dynamics,
-    apply_tempo,
+    apply_plan,
     from_dict,
     load_articulation_tables,
-    mirror_velocity_to_cc1,
     piece_seed,
     plan_articulations,
     plan_dynamic_intervals,
@@ -41,6 +38,7 @@ from scoreforge.expressive import (
 )
 from scoreforge.gmfix import (
     MAX_SPAN_QUARTERS,
+    NORMALIZED_VELOCITY,
     REGISTRY,
     InstrumentDictionary,
     PieceRejected,
@@ -90,6 +88,17 @@ def make_piece(quarters=96, tpq=480, instruments=("violin", "cello"),
         events.append(EndOfTrack(end))
         tracks.append(events)
     return MidiPiece(tpq, tracks)
+
+
+def plan_with(piece, tempo=(), dynamics=(), articulations=()):
+    """A plan for ``apply_plan`` that leaves alone what it is not given:
+    one 120 BPM tempo interval and one dynamic interval at the normalized
+    velocity over the piece, and no articulations."""
+    end = piece.end_tick()
+    return AnnotationPlan(
+        tuple(tempo) or (TempoInterval(0, end, 120.0),),
+        tuple(dynamics) or (DynamicInterval(0, end, "mf", NORMALIZED_VELOCITY),),
+        tuple(articulations), AnnotationParams())
 
 
 class TestVelocityMarks:
@@ -277,7 +286,8 @@ class TestTempoPlanning:
         piece = make_piece(quarters=32)
         intervals = [TempoInterval(0, 8 * 480, 100.0),
                      TempoInterval(8 * 480, 32 * 480, 160.0)]
-        out = apply_tempo(piece, intervals)
+        out = apply_plan(piece, plan_with(piece, tempo=intervals),
+                         [None] * len(piece.tracks))
         tempos = [(ev.tick, ev.microseconds_per_quarter)
                   for ev in out.tracks[0] if isinstance(ev, SetTempo)]
         assert tempos == [(0, 600000), (8 * 480, 375000)]
@@ -287,21 +297,14 @@ class TestTempoPlanning:
             pytest.approx(160.0)
         write_smf(out)  # ordering invariants hold
 
-    def test_apply_rejects_gaps(self):
-        piece = make_piece(quarters=32)
-        with pytest.raises(NonTilingIntervals):
-            apply_tempo(piece, [TempoInterval(0, 480, 100.0),
-                                TempoInterval(960, 32 * 480, 100.0)])
-        with pytest.raises(NonTilingIntervals):
-            apply_tempo(piece, [TempoInterval(0, 480, 100.0)])
-
 
 class TestDynamics:
     def test_marks_and_velocities_in_range(self):
         piece = make_piece(quarters=80)
         params = AnnotationParams()
         for seed in range(30):
-            for iv in plan_dynamic_intervals(piece, params, np.random.default_rng(seed)):
+            for iv in plan_dynamic_intervals(piece, TempoMap.from_piece(piece),
+                                             params, np.random.default_rng(seed)):
                 lo, hi = VELOCITY_RANGES[iv.mark]
                 assert lo <= iv.target_velocity < hi
 
@@ -309,11 +312,14 @@ class TestDynamics:
         piece = make_piece(quarters=80)
         always = AnnotationParams(gradual_fraction_range=(1.0, 1.0))
         never = AnnotationParams(gradual_fraction_range=(0.0, 0.0))
+        tempo_map = TempoMap.from_piece(piece)
         for seed in range(10):
-            plan = plan_dynamic_intervals(piece, always, np.random.default_rng(seed))
+            plan = plan_dynamic_intervals(piece, tempo_map, always,
+                                          np.random.default_rng(seed))
             assert plan[0].transition_ticks is None  # nothing to ramp from
             assert all(iv.transition_ticks is not None for iv in plan[1:])
-            plan = plan_dynamic_intervals(piece, never, np.random.default_rng(seed))
+            plan = plan_dynamic_intervals(piece, tempo_map, never,
+                                          np.random.default_rng(seed))
             assert all(iv.transition_ticks is None for iv in plan)
 
     def test_transition_ticks_at_known_tempo(self):
@@ -324,7 +330,8 @@ class TestDynamics:
         tpq = piece.ticks_per_quarter
         unclipped = round(seconds * 1e6 * tpq / 500000)
         for seed in range(20):
-            plan = plan_dynamic_intervals(piece, params, np.random.default_rng(seed))
+            plan = plan_dynamic_intervals(piece, TempoMap.from_piece(piece),
+                                          params, np.random.default_rng(seed))
             for prev, cur in zip(plan, plan[1:]):
                 cap = min(prev.end_tick - prev.start_tick,
                           cur.end_tick - cur.start_tick) // 2
@@ -335,7 +342,8 @@ class TestDynamics:
         tpq = piece.ticks_per_quarter
         intervals = [DynamicInterval(0, 8 * tpq, "pp", 20),
                      DynamicInterval(8 * tpq, 16 * tpq, "ff", 100)]
-        out = apply_dynamics(piece, intervals)
+        out = apply_plan(piece, plan_with(piece, dynamics=intervals),
+                         [None, None])
         for ev in out.tracks[1]:
             if isinstance(ev, NoteOn):
                 assert ev.velocity == (20 if ev.tick < 8 * tpq else 100)
@@ -346,7 +354,8 @@ class TestDynamics:
         intervals = [DynamicInterval(0, 10 * tpq, "pp", 20),
                      DynamicInterval(10 * tpq, 20 * tpq, "ff", 100,
                                      transition_ticks=4 * tpq)]
-        out = apply_dynamics(piece, intervals)
+        out = apply_plan(piece, plan_with(piece, dynamics=intervals),
+                         [None, None])
         by_tick = {ev.tick: ev.velocity for ev in out.tracks[1]
                    if isinstance(ev, NoteOn)}
         assert by_tick[9 * tpq] == 20
@@ -356,11 +365,6 @@ class TestDynamics:
         assert by_tick[13 * tpq] == 80
         assert by_tick[14 * tpq] == 100           # window over
         assert by_tick[19 * tpq] == 100
-
-    def test_apply_requires_tiling(self):
-        piece = make_piece(quarters=8)
-        with pytest.raises(NonTilingIntervals):
-            apply_dynamics(piece, [DynamicInterval(0, 480, "mf", 70)])
 
 
 class TestArticulations:
@@ -398,9 +402,10 @@ class TestArticulations:
     def test_apply_inserts_cc32_before_same_tick_noteons(self, tables):
         piece = make_piece(quarters=48, instruments=("violin", "viola"))
         params = AnnotationParams()
-        plan = plan_articulations(piece, track_tables(piece, tables), params,
+        per_track = track_tables(piece, tables)
+        plan = plan_articulations(piece, per_track, params,
                                   np.random.default_rng(11))
-        out = apply_articulations(piece, plan)
+        out = apply_plan(piece, plan_with(piece, articulations=plan), per_track)
         for index in (1, 2):
             events = out.tracks[index]
             expected = sorted((iv.start_tick, iv.cc32_value) for iv in plan
@@ -428,8 +433,8 @@ class TestArticulations:
             ArticulationInterval(1, 0, 16 * tpq, long_code, "Long"),
             ArticulationInterval(1, 16 * tpq, end, short_code, "Short"),
         ]
-        out = mirror_velocity_to_cc1(apply_articulations(piece, plan),
-                                     track_tables(piece, tables))
+        out = apply_plan(piece, plan_with(piece, articulations=plan),
+                         track_tables(piece, tables))
         events = out.tracks[1]
         for pos, ev in enumerate(events):
             if not isinstance(ev, NoteOn):
@@ -442,9 +447,27 @@ class TestArticulations:
             else:
                 assert not mirrored
 
+    def test_track_without_a_span_is_too_short(self, tables):
+        """A track whose notes all start and end at one tick has no span
+        for its articulation intervals to tile."""
+        piece = make_piece(quarters=8, instruments=("violin",))
+        program = REGISTRY["cello"].gm_program
+        piece.tracks.append([TrackName(0, "cello"), ProgramChange(0, 1, program),
+                             NoteOn(960, 1, 50, 75), NoteOff(960, 1, 50, 0),
+                             EndOfTrack(8 * 480)])
+        with pytest.raises(PieceTooShort, match="^track 2: every note starts "
+                                                "and ends at tick 960$"):
+            annotate(piece, tables, AnnotationParams(), 0)
+
     def test_mirror_skips_tracks_without_table(self, tables):
         piece = make_piece(quarters=16, instruments=("flute",))
-        out = mirror_velocity_to_cc1(piece, [None, None])
+        # an articulation the track could take if it had a table
+        long_code = next(r.cc32 for r in tables["violin"].rows
+                         if r.length_class == LENGTH_LONG)
+        articulations = [ArticulationInterval(1, 0, piece.end_tick(),
+                                              long_code, "Long")]
+        out = apply_plan(piece, plan_with(piece, articulations=articulations),
+                         [None, None])
         assert out.tracks[1] == piece.tracks[1]
 
 
@@ -585,6 +608,53 @@ def note_track_pieces(draw):
     return normalize(MidiPiece(tpq, tracks))
 
 
+@pytest.fixture(scope="module")
+def normalized_strings(strings_corpus_bytes):
+    return [normalize(admit_piece(parse_smf(blob),
+                                  InstrumentDictionary.default())[0])
+            for blob in strings_corpus_bytes]
+
+
+def assert_tiles(intervals, start, end):
+    """``intervals`` cover [start, end), each non-empty and each starting
+    where the one before ended."""
+    ticks = [start] + [iv.end_tick for iv in intervals]
+    assert [iv.start_tick for iv in intervals] == ticks[:-1]
+    assert ticks[-1] == end
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+class TestPlanTiles:
+    """The plan annotate returns tiles its spans, which apply_plan relies
+    on: tempo and dynamics each tile the piece, and each track with a table
+    has articulation intervals that tile its note span."""
+
+    def check(self, tables, piece, seed):
+        _, plan = annotate(piece, tables, AnnotationParams(), seed)
+        assert_tiles(plan.tempo, 0, piece.end_tick())
+        assert_tiles(plan.dynamics, 0, piece.end_tick())
+        for index, (track, table) in enumerate(
+                zip(piece.tracks, track_tables(piece, tables))):
+            drawn = [iv for iv in plan.articulations if iv.track_index == index]
+            if table is None:
+                assert drawn == []
+                continue
+            notes = track_notes(track)
+            assert_tiles(drawn, min(n[0] for n in notes),
+                         max(n[1] for n in notes))
+
+    @settings(max_examples=150, deadline=None)
+    @given(piece=note_track_pieces(), seed=st.integers(0, 2**64 - 1))
+    def test_note_track_pieces(self, tables, piece, seed):
+        self.check(tables, piece, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_strings_corpus(self, tables, normalized_strings, data):
+        self.check(tables, data.draw(st.sampled_from(normalized_strings)),
+                   data.draw(st.integers(0, 2**64 - 1)))
+
+
 class TestEventOrderKept:
     """annotate adds tempo, CC#32 and CC#1 events and changes note-on
     velocities; it never moves a track's own events."""
@@ -592,9 +662,41 @@ class TestEventOrderKept:
     def test_apply_tempo_keeps_a_grace_note(self):
         piece = grace_note_piece()
         assert (2400, 2400, 0, 80) in notes_without_velocity(piece)[0]
-        out = apply_tempo(piece, [TempoInterval(0, 2400, 100.0),
-                                  TempoInterval(2400, 16 * 480, 160.0)])
+        tempo = [TempoInterval(0, 2400, 100.0),
+                 TempoInterval(2400, 16 * 480, 160.0)]
+        out = apply_plan(piece, plan_with(piece, tempo=tempo), [None, None])
         assert notes_without_velocity(out) == notes_without_velocity(piece)
+        write_smf(out)
+
+    def test_inserts_at_a_shared_tick(self, tables):
+        """Where a tempo interval and a long articulation interval start at
+        a note-on of track 0, the events at that tick read: the track's own
+        non-note event, the tempo, the CC#32, the CC#1, the note-on."""
+        tpq = 480
+        _, violin, cello = make_piece(quarters=16, tpq=tpq).tracks
+        tick = 8 * tpq
+        note_on = next(ev for ev in violin
+                       if isinstance(ev, NoteOn) and ev.tick == tick)
+        violin.insert(violin.index(note_on), ControlChange(tick, 0, 7, 100))
+        piece = MidiPiece(tpq, [violin, cello])
+        rows = tables["violin"].rows
+        long_code = next(r.cc32 for r in rows if r.length_class == LENGTH_LONG)
+        short_code = next(r.cc32 for r in rows if r.length_class == LENGTH_SHORT)
+        last = max(off for _, off, *_ in track_notes(violin))
+        plan = plan_with(
+            piece,
+            tempo=[TempoInterval(0, tick, 100.0),
+                   TempoInterval(tick, piece.end_tick(), 160.0)],
+            articulations=[ArticulationInterval(0, 0, tick, short_code, "Short"),
+                           ArticulationInterval(0, tick, last, long_code, "Long")])
+        out = apply_plan(piece, plan, track_tables(piece, tables))
+        assert [ev for ev in out.tracks[0] if ev.tick == tick] == [
+            ControlChange(tick, 0, 7, 100),
+            SetTempo(tick, 375000),
+            ControlChange(tick, 0, 32, long_code),
+            ControlChange(tick, 0, 1, NORMALIZED_VELOCITY),
+            note_on,
+        ]
         write_smf(out)
 
     def test_annotate_keeps_a_grace_note(self, tables):
@@ -662,7 +764,7 @@ class TestAnnotatedSize:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_mutated_strings_files(self, tables, strings_corpus_bytes, data):
-        blob = data.draw(mutations(strings_corpus_bytes))
+        blob = data.draw(mutations(strings_corpus_bytes, midi=True))
         try:
             fixed, _ = admit_piece(parse_smf(blob),
                                    InstrumentDictionary.default())
@@ -670,9 +772,14 @@ class TestAnnotatedSize:
             return
         normalized = normalize(fixed)
         try:
-            annotated, _ = annotate(normalized, tables, AnnotationParams(), 1)
+            annotated, plan = annotate(normalized, tables, AnnotationParams(),
+                                       1)
         except ExpressiveError:
             return
+        # the count the bound rests on: no draw makes more intervals
+        draws = Counter(iv.track_index for iv in plan.articulations)
+        assert max(len(plan.tempo), len(plan.dynamics), *draws.values()) \
+            <= MAX_DRAWN_INTERVALS
         size = len(write_smf(normalized))
         assert len(write_smf(annotated)) \
             <= ANNOTATED_BYTES_PER_BYTE * size + ANNOTATED_BYTES_MORE
@@ -689,7 +796,7 @@ class TestAnnotateFailureOrder:
             raise AssertionError("planned before the checks")
 
         for name in ("plan_tempo_intervals", "plan_dynamic_intervals",
-                     "apply_tempo", "apply_dynamics"):
+                     "apply_plan"):
             monkeypatch.setattr(expressive, name, planned)
 
     def test_too_short_wins_over_uncovered(self, tables, no_planning):

@@ -665,7 +665,7 @@ class TestMutatedFiles:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_parse_write_and_chain(self, raw_corpus_bytes, data):
-        blob = data.draw(mutations(raw_corpus_bytes))
+        blob = data.draw(mutations(raw_corpus_bytes, midi=True))
         try:
             piece = parse_smf(blob)
         except SmfError:
@@ -693,7 +693,8 @@ class TestMutatedFiles:
         read as a track's end is its last event's tick: so every track
         that parse_smf, admit_piece, normalize and annotate return ends
         with its one EndOfTrack."""
-        blob = data.draw(mutations(raw_corpus_bytes + strings_corpus_bytes))
+        blob = data.draw(mutations(raw_corpus_bytes + strings_corpus_bytes,
+                                   midi=True))
         try:
             piece = parse_smf(blob)
         except SmfError:
