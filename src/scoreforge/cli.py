@@ -423,13 +423,12 @@ def _chain_worker(path_str: str, steps: tuple[str, ...],
                 out["annotate"] = write_smf(piece)
                 out["plan"] = _json_bytes(sidecar)
             elif step == "stats":
-                intervals = instrument_intervals(piece)
+                # exact totals; int / int is correctly rounded
+                intervals, unit = instrument_intervals(piece)
                 out["stats"] = {
-                    "activity_seconds": {iid.name: float(seconds)
-                                         for iid, seconds
+                    "activity_seconds": {iid.name: total / unit for iid, total
                                          in activity_time(intervals).items()},
-                    "polyphony_seconds": {str(level): float(seconds)
-                                          for level, seconds
+                    "polyphony_seconds": {str(level): total / unit for level, total
                                           in polyphony_histogram(intervals).items()},
                 }
             elif step == "split":

@@ -2,14 +2,14 @@
 
 Activity and polyphony statistics are measured on an exact sweep line over
 note-interval boundaries: intervals live in integer ticks and are converted
-to seconds as exact rationals under the tempo map, so identities such as
+to exact integer times in the tempo map's ``unit``, so identities such as
 
     sum over levels of level * time(level) == sum of per-instrument activity
 
 hold exactly, not merely to rounding. ``instrument_intervals`` builds a
-piece's merged intervals once; ``activity_time`` and ``polyphony_histogram``
-reduce them to these rationals (``Fraction`` seconds), and a caller that
-writes JSON converts them with ``float``.
+piece's merged intervals once, with their unit; ``activity_time`` and
+``polyphony_histogram`` reduce them to integer totals, and a caller that
+writes JSON divides each by the unit.
 
 Splitting uses iterative stratification over instrument-presence labels:
 the rarest label is processed first, and each of its examples goes to the
@@ -47,19 +47,19 @@ class InvalidRatios(DatasetError):
 # Activity and polyphony
 # ---------------------------------------------------------------------------
 
-# instrument -> its merged sounding intervals, (start, stop) in exact seconds
-Intervals = Mapping[InstrumentId, Sequence[tuple[Fraction, Fraction]]]
+# instrument -> its merged sounding intervals, (start, stop) in 1 / unit seconds
+Intervals = Mapping[InstrumentId, Sequence[tuple[int, int]]]
 
 
-def instrument_intervals(piece: MidiPiece) -> Intervals:
-    """Each instrument's sounding intervals, merged (unioned) in ticks across
-    its tracks, each boundary then converted once to exact seconds."""
+def instrument_intervals(piece: MidiPiece) -> tuple[Intervals, int]:
+    """Each instrument's sounding intervals, merged in ticks across its tracks,
+    each bound then made exact by ``TempoMap.elapsed_at``; and its ``unit``."""
     raw: dict[InstrumentId, list[tuple[int, int]]] = {}
     for track, iid in zip(piece.tracks, track_instruments(piece)):
         if iid is not None:
             raw.setdefault(iid, []).extend(
                 (on, off) for on, off, *_ in track_notes(track) if off > on)
-    seconds = TempoMap.from_piece(piece).exact_seconds_at
+    tempo = TempoMap.from_piece(piece)
     merged = {}
     for iid, intervals in raw.items():
         intervals.sort()
@@ -69,34 +69,33 @@ def instrument_intervals(piece: MidiPiece) -> Intervals:
                 out[-1] = (out[-1][0], max(out[-1][1], stop))
             else:
                 out.append((start, stop))
-        merged[iid] = [(seconds(start), seconds(stop)) for start, stop in out]
-    return merged
+        merged[iid] = [(tempo.elapsed_at(a), tempo.elapsed_at(b)) for a, b in out]
+    return merged, tempo.unit
 
 
-def activity_time(intervals: Intervals) -> dict[InstrumentId, Fraction]:
-    """Seconds each instrument actually sounds (union of its note intervals,
-    overlaps counted once), from ``instrument_intervals``."""
-    return {iid: sum((stop - start for start, stop in spans), Fraction(0))
+def activity_time(intervals: Intervals) -> dict[InstrumentId, int]:
+    """Time each instrument actually sounds (union of its note intervals,
+    overlaps counted once), from ``instrument_intervals``, in its unit."""
+    return {iid: sum(stop - start for start, stop in spans)
             for iid, spans in intervals.items()}
 
 
-def polyphony_histogram(intervals: Intervals) -> dict[int, Fraction]:
-    """Seconds spent at each polyphony level >= 1, where the level counts
+def polyphony_histogram(intervals: Intervals) -> dict[int, int]:
+    """Time spent at each polyphony level >= 1, where the level counts
     distinct instruments with at least one sounding note, from
-    ``instrument_intervals``."""
-    deltas: dict[Fraction, int] = {}
+    ``instrument_intervals``, in its unit."""
+    deltas: dict[int, int] = {}
     for spans in intervals.values():
         # spans are already per-instrument unions, so each contributes at
         # most one simultaneous voice
         for start, stop in spans:
             deltas[start] = deltas.get(start, 0) + 1
             deltas[stop] = deltas.get(stop, 0) - 1
-    histogram: dict[int, Fraction] = {}
-    level = 0
-    previous = Fraction(0)
+    histogram: dict[int, int] = {}
+    level = previous = 0
     for moment in sorted(deltas):
         if level >= 1:
-            histogram[level] = histogram.get(level, Fraction(0)) + (moment - previous)
+            histogram[level] = histogram.get(level, 0) + (moment - previous)
         level += deltas[moment]
         previous = moment
     return histogram

@@ -74,7 +74,11 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     if frame <= 0:
         raise NonPositiveFrame(
             f"frame of {frame_len_s} s is empty at {reference.sample_rate} Hz")
-    threshold = 10.0 ** (silence_threshold_dbfs / 20.0)
+    try:
+        threshold = 10.0 ** (silence_threshold_dbfs / 20.0)
+    except OverflowError:
+        raise EvalError(f"a silence threshold of {silence_threshold_dbfs} dBFS "
+                        "is past float range as an amplitude") from None
 
     # Row sums of products over a (frames, frame) view. einsum's own loop
     # keeps BLAS, whose threads split dot products, out of the result.

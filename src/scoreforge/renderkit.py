@@ -243,16 +243,16 @@ def _envelope_ramps(attack: int, release: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_envelope(seg: np.ndarray, attack: int, release: int,
-                    ramps: tuple[np.ndarray, np.ndarray]) -> None:
+                    ramps: tuple[np.ndarray, np.ndarray] | None) -> None:
     """Multiply seg by the linear attack/release envelope,
     min((n + 1) / attack, (length - n) / release, 1.0) at sample n. Past the
     first and before the last max(attack, release) samples it is exactly
     1.0, so a note longer than twice that has only its edges multiplied, by
-    ``ramps``, which is ``_envelope_ramps(attack, release)``."""
+    ``ramps``, ``_envelope_ramps(attack, release)``; no other note reads them."""
     length = len(seg)
-    head, tail = ramps
-    edge = len(head)
+    edge = max(attack, release)
     if length > 2 * edge:
+        head, tail = ramps
         seg[:edge] *= head
         seg[length - edge:] *= tail
     else:
@@ -285,7 +285,7 @@ def test_synthesize(piece: MidiPiece, tempo_map: TempoMap,
     stem = (out or Buffer()).take(n_samples, zero=True)
     attack = max(int(round(ATTACK_SECONDS * sample_rate)), 1)
     release = max(int(round(RELEASE_SECONDS * sample_rate)), 1)
-    ramps = _envelope_ramps(attack, release)
+    ramps = None  # built at the first note long enough to read them
     nyquist = sample_rate / 2.0
 
     for index in track_selection:
@@ -304,6 +304,8 @@ def test_synthesize(piece: MidiPiece, tempo_map: TempoMap,
                 continue
             seg = _oscillate(length, SYNTH_GAIN * (velocity / 127.0),
                              frequency, harmonics, sample_rate, _notes)
+            if ramps is None and length > 2 * max(attack, release):
+                ramps = _envelope_ramps(attack, release)
             _apply_envelope(seg, attack, release, ramps)
             stem[start:stop] += seg
     return Waveform(stem, sample_rate)

@@ -20,7 +20,6 @@ import struct
 from bisect import bisect_right
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 DEFAULT_TEMPO_US = 500_000  # 120 BPM; SMF default before the first tempo event
@@ -525,9 +524,9 @@ class TempoMap:
     """Piecewise-constant tempo over ticks, built from SetTempo events.
 
     Before the first tempo event the SMF default of 500000 us/quarter (120
-    BPM) applies. ``seconds_at`` is a fast float path; ``exact_seconds_at``
-    returns an exact rational, used where sums must agree regardless of
-    grouping.
+    BPM) applies. ``seconds_at`` is the float path that rendering reads;
+    ``elapsed_at`` is exact, an integer count of 1 / ``unit`` seconds, used
+    where sums must agree regardless of grouping.
     """
 
     def __init__(self, ticks_per_quarter: int,
@@ -535,6 +534,7 @@ class TempoMap:
         if ticks_per_quarter <= 0:
             raise InvariantViolation("ticks_per_quarter must be positive")
         self.ticks_per_quarter = ticks_per_quarter
+        self.unit = ticks_per_quarter * 1_000_000  # elapsed_at counts per second
         points: dict[int, int] = {}
         for tick, us in sorted(changes or [], key=lambda c: c[0]):
             points[tick] = us  # later events at the same tick win
@@ -542,8 +542,8 @@ class TempoMap:
             points = {0: DEFAULT_TEMPO_US, **points}
         self._ticks = sorted(points)
         self._tempos = [points[t] for t in self._ticks]
-        # cumulative elapsed time at each segment start, as an integer count
-        # of microseconds x ticks_per_quarter (so n / tpq is microseconds)
+        # elapsed time at each segment start, in 1 / unit seconds (so
+        # n / tpq is microseconds)
         self._cum: list[int] = [0]
         for i in range(1, len(self._ticks)):
             dt = self._ticks[i] - self._ticks[i - 1]
@@ -559,29 +559,25 @@ class TempoMap:
         ]
         return cls(piece.ticks_per_quarter, changes)
 
-    def _segment(self, tick: int) -> int:
-        return bisect_right(self._ticks, tick) - 1
-
     def tempo_at(self, tick: int) -> int:
         """Microseconds per quarter note in effect at ``tick``."""
-        return self._tempos[self._segment(max(tick, 0))]
+        return self._tempos[bisect_right(self._ticks, max(tick, 0)) - 1]
 
     def seconds_at(self, tick: int) -> float:
         if tick <= 0:
             return 0.0
-        i = self._segment(tick)
+        i = bisect_right(self._ticks, tick) - 1
         tpq = self.ticks_per_quarter
         # rendered audio depends on the rounding of this exact expression;
         # int / int is correctly rounded, i.e. float(Fraction(n, tpq))
         us = self._cum[i] / tpq + (tick - self._ticks[i]) * self._tempos[i] / tpq
         return us / 1e6
 
-    def exact_seconds_at(self, tick: int) -> Fraction:
+    def elapsed_at(self, tick: int) -> int:
         if tick <= 0:
-            return Fraction(0)
-        i = self._segment(tick)
-        return Fraction(self._cum[i] + (tick - self._ticks[i]) * self._tempos[i],
-                        self.ticks_per_quarter * 1_000_000)
+            return 0
+        i = bisect_right(self._ticks, tick) - 1
+        return self._cum[i] + (tick - self._ticks[i]) * self._tempos[i]
 
     def changes(self) -> list[tuple[int, int]]:
         return list(zip(self._ticks, self._tempos))

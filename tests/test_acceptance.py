@@ -292,7 +292,7 @@ def test_polyphony_activity_identity(raw_corpus_files):
                 [ProgramChange(0, 0, program)] + [
                     ev for ev in track if not isinstance(ev, ProgramChange)]
                 for track, program in zip(piece.tracks, cycle(programs))])
-            intervals = instrument_intervals(piece)
+            intervals, _ = instrument_intervals(piece)
             activity = activity_time(intervals)
             histogram = polyphony_histogram(intervals)
             weighted = sum((level * seconds for level, seconds

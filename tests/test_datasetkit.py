@@ -62,30 +62,42 @@ def piece_with(spans_by_track, tempos=((0, 500000),), tpq=480,
     return MidiPiece(tpq, tracks)
 
 
+def seconds(totals, unit):
+    """Totals in a tempo map's unit, as exact seconds."""
+    return {key: Fraction(total, unit) for key, total in totals.items()}
+
+
+def activity_seconds(piece):
+    intervals, unit = instrument_intervals(piece)
+    return seconds(activity_time(intervals), unit)
+
+
 class TestActivity:
     def test_union_counts_overlaps_once(self):
         # violin [0,480) and [240,720) merge to 1.5 quarters = 0.75 s
         piece = piece_with([[(0, 480), (240, 720)], [(960, 1440)]],
                            instruments=[VIOLIN, CELLO])
-        exact = activity_time(instrument_intervals(piece))
-        assert exact == {VIOLIN: Fraction(3, 4), CELLO: Fraction(1, 2)}
-        assert all(type(s) is Fraction for s in exact.values())
+        intervals, unit = instrument_intervals(piece)
+        exact = activity_time(intervals)
+        assert seconds(exact, unit) == {VIOLIN: Fraction(3, 4),
+                                        CELLO: Fraction(1, 2)}
+        assert all(type(s) is int for s in exact.values())
 
     def test_tempo_change_inside_note(self):
         piece = piece_with([[(0, 960)]], tempos=((0, 500000), (480, 1000000)),
                            instruments=[VIOLIN])
-        exact = activity_time(instrument_intervals(piece))
+        exact = activity_seconds(piece)
         assert exact[VIOLIN] == Fraction(3, 2)  # 0.5 s + 1.0 s
 
     def test_same_instrument_on_two_tracks_merges(self):
         piece = piece_with([[(0, 480)], [(240, 960)]],
                            instruments=[VIOLIN, VIOLIN])
-        exact = activity_time(instrument_intervals(piece))
+        exact = activity_seconds(piece)
         assert exact == {VIOLIN: Fraction(1, 1)}
 
     def test_zero_length_notes_ignored(self):
         piece = piece_with([[(0, 480), (480, 480)]], instruments=[VIOLIN])
-        exact = activity_time(instrument_intervals(piece))
+        exact = activity_seconds(piece)
         assert exact[VIOLIN] == Fraction(1, 2)
 
     def test_reads_instruments_from_fixed_piece(self):
@@ -94,30 +106,37 @@ class TestActivity:
                  NoteOff(480, 2, 60, 0), EndOfTrack(480)]
         fixed, _ = fix_piece(MidiPiece(480, [track]),
                              InstrumentDictionary.default())
-        assert activity_time(instrument_intervals(fixed)) == {VIOLA: 0.5}
+        assert activity_seconds(fixed) == {VIOLA: 0.5}
 
     def test_intervals_are_merged_in_exact_seconds(self):
         piece = piece_with([[(0, 480), (240, 720), (960, 1440)]],
                            tempos=((0, 500000), (600, 1000000)),
                            instruments=[VIOLIN])
-        assert instrument_intervals(piece) == {
+        intervals, unit = instrument_intervals(piece)
+        assert unit == 480 * 1_000_000
+        assert {iid: [(Fraction(start, unit), Fraction(stop, unit))
+                      for start, stop in spans]
+                for iid, spans in intervals.items()} == {
             # 0.5 s a quarter up to tick 600 (0.625 s), then 1 s a quarter
             VIOLIN: [(Fraction(0), Fraction(7, 8)),
                      (Fraction(11, 8), Fraction(19, 8))]}
+        assert all(type(t) is int for span in intervals[VIOLIN] for t in span)
 
 
 class TestPolyphony:
     def test_levels_partition_time(self):
         piece = piece_with([[(0, 960)], [(480, 1440)]],
                            instruments=[VIOLIN, CELLO])
-        histogram = polyphony_histogram(instrument_intervals(piece))
-        assert histogram == {1: Fraction(1), 2: Fraction(1, 2)}
-        assert all(type(s) is Fraction for s in histogram.values())
+        intervals, unit = instrument_intervals(piece)
+        histogram = polyphony_histogram(intervals)
+        assert seconds(histogram, unit) == {1: Fraction(1), 2: Fraction(1, 2)}
+        assert all(type(s) is int for s in histogram.values())
 
     def test_gap_between_notes_not_counted(self):
         piece = piece_with([[(0, 480), (960, 1440)]], instruments=[VIOLIN])
-        histogram = polyphony_histogram(instrument_intervals(piece))
-        assert histogram == {1: Fraction(1)}
+        intervals, unit = instrument_intervals(piece)
+        histogram = polyphony_histogram(intervals)
+        assert seconds(histogram, unit) == {1: Fraction(1)}
 
     def test_identity_levels_vs_activity(self):
         # sum(level * time(level)) == sum of per-instrument activity, exactly
@@ -125,18 +144,19 @@ class TestPolyphony:
             [[(0, 960), (1200, 1680)], [(480, 1440)], [(240, 720), (1440, 1920)]],
             tempos=((0, 500000), (700, 437500), (1500, 923077)),
             instruments=[VIOLIN, CELLO, VIOLA])
-        intervals = instrument_intervals(piece)
+        intervals, unit = instrument_intervals(piece)
         histogram = polyphony_histogram(intervals)
         activity = activity_time(intervals)
         lhs = sum((level * span for level, span in histogram.items()),
                   Fraction(0))
         rhs = sum(activity.values(), Fraction(0))
         assert lhs == rhs
-        assert lhs.denominator > 1  # the awkward tempo makes rationals matter
+        # the awkward tempo makes exact time matter
+        assert Fraction(lhs, unit).denominator > 1
 
     def test_empty_piece(self):
         piece = piece_with([[(0, 480)]])  # no program: no instrument
-        intervals = instrument_intervals(piece)
+        intervals, _ = instrument_intervals(piece)
         assert polyphony_histogram(intervals) == {}
         assert activity_time(intervals) == {}
 

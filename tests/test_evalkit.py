@@ -130,6 +130,12 @@ class TestFrameSdr:
         # no whole frame, in a frame of more samples than an array holds
         assert frame_sdr(ref, ref, frame_len_s=1e300) == []
 
+    def test_silence_threshold_past_float_range_is_an_eval_error(self):
+        # 10 ** (10000 / 20) is past float range as an RMS amplitude
+        ref = sine(seconds=1.0)
+        with pytest.raises(EvalError, match="10000 dBFS is past float range"):
+            frame_sdr(ref, ref, silence_threshold_dbfs=10_000)
+
     def test_infinite_estimate_is_an_eval_error(self):
         # its SDR would be 10 log10(0): an EvalError, so eval skips the piece
         ref = sine(seconds=1.0)

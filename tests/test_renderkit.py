@@ -4,13 +4,20 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from scoreforge import renderkit
-from scoreforge.audio import MAX_WAV_FRAMES, AudioError, Buffer, Waveform
+from scoreforge.audio import (
+    MAX_SAMPLE_RATE,
+    MAX_WAV_FRAMES,
+    AudioError,
+    Buffer,
+    Waveform,
+)
 from scoreforge.expressive import (
     AnnotationParams,
     annotate,
@@ -565,6 +572,22 @@ class TestEnvelope:
         monkeypatch.setattr(renderkit, "_apply_envelope", reference_envelope)
         for samples, (piece, index) in zip(ramped, stems):
             assert np.array_equal(samples, synthesize(piece, [index]).samples)
+
+    def test_ramps_wait_for_a_note_that_reads_them(self):
+        # at the highest rate a WAV header holds, each 10 ms ramp would be
+        # 10.7M float64 samples; a piece of one zero-length note renders
+        # one sample and builds none
+        piece = MidiPiece(480, [conductor(0),
+                                fixed_track("violin", 0, [(0, 0, 69, 96)])])
+        tracemalloc.start()
+        try:
+            rendered = renderkit.test_synthesize(
+                piece, TempoMap.from_piece(piece), [1], MAX_SAMPLE_RATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rendered) == 1
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("attack, release", [(3, 7), (7, 3), (5, 5)])
     def test_edges_equal_whole_note(self, attack, release):

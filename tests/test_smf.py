@@ -29,6 +29,8 @@ from scoreforge.gmfix import (
     normalize,
 )
 from scoreforge.smf import (
+    DEFAULT_TEMPO_US,
+    MAX_TEMPO_US,
     MAX_VLQ_VALUE,
     ControlChange,
     EndOfTrack,
@@ -515,7 +517,8 @@ class TestTempoMap:
         tm = TempoMap(480, [(0, 1_000_000), (480, 500_000)])
         assert tm.seconds_at(480) == pytest.approx(1.0)
         assert tm.seconds_at(960) == pytest.approx(1.5)
-        assert tm.exact_seconds_at(960) == Fraction(3, 2)
+        assert Fraction(tm.elapsed_at(960), tm.unit) == Fraction(3, 2)
+        assert type(tm.elapsed_at(960)) is int
 
     def test_change_mid_piece_default_before(self):
         tm = TempoMap(480, [(480, 250_000)])
@@ -534,7 +537,30 @@ class TestTempoMap:
         for _ in range(50):
             tick = rng.randrange(0, 12000)
             assert tm.seconds_at(tick) == pytest.approx(
-                float(tm.exact_seconds_at(tick)), abs=1e-9)
+                float(Fraction(tm.elapsed_at(tick), tm.unit)), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tpq=st.integers(1, 0x7FFF),
+           changes=st.lists(st.tuples(st.integers(0, 50_000),
+                                      st.integers(1, MAX_TEMPO_US)), max_size=8),
+           tick=st.integers(-5, 60_000))
+    def test_elapsed_is_the_sum_of_segments(self, tpq, changes, tick):
+        """elapsed_at counts 1 / (tpq x 10^6) s: the exact sum, segment by
+        segment, of quarters times seconds per quarter; and dividing it by
+        the unit gives that sum's nearest float."""
+        tempo = {0: DEFAULT_TEMPO_US}
+        for start, us in sorted(changes, key=operator.itemgetter(0)):
+            tempo[start] = us  # a later change at the same tick wins
+        starts = sorted(tempo)
+        expected = sum((Fraction(min(tick, end) - start, tpq)
+                        * Fraction(tempo[start], 1_000_000)
+                        for start, end in zip(starts, starts[1:] + [tick])
+                        if tick > start), Fraction(0))
+        tm = TempoMap(tpq, changes)
+        elapsed = tm.elapsed_at(tick)
+        assert type(elapsed) is int and tm.unit == tpq * 1_000_000
+        assert Fraction(elapsed, tm.unit) == expected
+        assert elapsed / tm.unit == float(expected)
 
     def test_tick_to_seconds_uses_piece_events(self):
         piece = simple_piece()
