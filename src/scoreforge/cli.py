@@ -141,25 +141,24 @@ class PipelineConfig:
         try:
             config = from_dict(cls, raw)
             as_fractions(config.split_ratios)
-        except (TypeError, ValueError, InvalidRatios) as exc:
+            config.sdr  # the record checks its own values
+        except (TypeError, ValueError, InvalidRatios, EvalError) as exc:
             raise ConfigError(str(exc)) from exc
         if config.annotate_mode not in ("plain", "proposed"):
             raise ConfigError(f"bad annotate_mode {config.annotate_mode!r}")
-        if config.projection not in ("plain", "scalar"):
-            raise ConfigError(f"bad projection {config.projection!r}")
-        for name in ("sample_rate", "frame_len_s"):
-            if not getattr(config, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        if not config.sample_rate > 0:
+            raise ConfigError("sample_rate must be positive")
         if config.sample_rate > MAX_SAMPLE_RATE:  # what a WAV header holds
             raise ConfigError(f"sample_rate must be at most {MAX_SAMPLE_RATE}")
-        try:  # the amplitude eval compares each frame's RMS with
-            10.0 ** (config.silence_threshold_dbfs / 20.0)
-        except OverflowError:
-            raise ConfigError("silence_threshold_dbfs is past float range "
-                              "as an amplitude") from None
         if config.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         return config
+
+    @property
+    def sdr(self) -> SdrParameters:
+        """The eval protocol's record of this config's three values."""
+        return SdrParameters(self.frame_len_s, self.silence_threshold_dbfs,
+                             self.projection)
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +300,16 @@ def _chain_writer(jobs: int, steps: tuple[str, ...],
         writer.join()
 
 
-class _Failures:
-    def __init__(self, strict: bool):
-        self.strict = strict
-        self.items: list[tuple[str, str]] = []
-
-    def add(self, piece_id: str, message: str) -> None:
-        self.items.append((piece_id, message))
-        print(f"skip {piece_id}: {message}", file=sys.stderr)
-
-    def exit_code(self) -> int:
-        return 1 if (self.strict and self.items) else 0
-
-
 def _collect(results: Iterable[dict], step: str,
-             failures: _Failures) -> list[dict]:
-    """Report the results that failed at ``step``; return the rest, in order."""
+             failures: list[tuple[str, str]]) -> list[dict]:
+    """Report the results that failed at ``step``, adding each (piece id,
+    message) to ``failures``; return the rest, in order."""
     ok = []
     for result in results:
         if step in result["errors"]:
-            failures.add(result["id"], result["errors"][step])
+            failures.append((result["id"], result["errors"][step]))
+            print(f"skip {result['id']}: {result['errors'][step]}",
+                  file=sys.stderr)
         else:
             ok.append(result)
     return ok
@@ -471,7 +460,7 @@ def _clear_outputs(in_dir: Path, inputs: list[Path],
 
 
 def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
-               jobs: int, failures: _Failures) -> int:
+               jobs: int, failures: list[tuple[str, str]]) -> bool:
     """Map the chain over the files of ``in_dir`` for the steps that key
     ``out_dirs`` (a range of STEPS), after clearing what an earlier run
     left of this run's files. Each piece's result is deduped (after fix)
@@ -479,7 +468,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
     one write that ``_chain_writer`` picks for the command, its bytes then
     dropped. After the map, so after any failed write, each step in order
     reports its failures and runs its corpus reducer (fix report, stats
-    totals, split) and writes its provenance. Stops with exit code 1 when a
+    totals, split) and writes its provenance. Stops, returning True, when a
     chain step leaves no piece for the steps after it, whose directories
     then hold nothing: a piece writes to one only after passing the steps
     before it."""
@@ -507,7 +496,7 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         if step == "fix":  # always the first step, so failures are its own
             _write_json(out_dir / REDUCER_FILES[step], {
                 "kept": {r["id"]: r["instruments"] for r in ok},
-                "rejected": dict(failures.items),
+                "rejected": dict(failures),
                 "duplicates": [{"kept": d.kept_id, "dropped": d.dropped_id,
                                 "fingerprint": d.fingerprint}
                                for d in deduper.duplicates],
@@ -539,8 +528,8 @@ def _run_steps(in_dir: Path, out_dirs: dict[str, Path], config: PipelineConfig,
         _write_provenance(out_dir, step, config)
         if not alive and step != steps[-1]:
             print(f"no pieces left after {step}", file=sys.stderr)
-            return 1
-    return failures.exit_code()
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +585,7 @@ def _synth_worker(path_str: str, out_dir: str, sample_rate: int,
 
 
 def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
-                 frame_len_s: float, silence_threshold_dbfs: float,
-                 projection: str) -> dict:
+                 params: SdrParameters) -> dict:
     piece_dir = Path(piece_dir_str)
     piece_id = piece_dir.name
 
@@ -623,15 +611,14 @@ def _eval_worker(piece_dir_str: str, estimates_dir: str | None,
             if missing:
                 return failed(f"no estimate for stems: {', '.join(missing)}")
             estimates = {stem: read_wav(path) for stem, path in paths.items()}
-        frames = evaluate_piece(references, estimates, frame_len_s,
-                                silence_threshold_dbfs, projection)
+        frames = evaluate_piece(references, estimates, params)
         return {"id": piece_id, "errors": {}, "frames": frames}
     except (AudioError, EvalError, OSError) as exc:
         return failed(f"{type(exc).__name__}: {exc}")
 
 
 def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
-               jobs: int, failures: _Failures) -> int:
+               jobs: int, failures: list[tuple[str, str]]) -> None:
     files = [str(p) for p in _midi_files(in_dir)]
     out_dir.mkdir(parents=True, exist_ok=True)
     worker = partial(_synth_worker, out_dir=str(out_dir),
@@ -642,7 +629,6 @@ def _run_synth(in_dir: Path, out_dir: Path, config: PipelineConfig,
               for r in _collect(results, "synth-test", failures)}
     _write_json(out_dir / "synth_report.json", {"pieces": report})
     _write_provenance(out_dir, "synth-test", config)
-    return failures.exit_code()
 
 
 def _rendered_pieces(audio_dir: Path) -> list[Path]:
@@ -668,8 +654,8 @@ def _rendered_pieces(audio_dir: Path) -> list[Path]:
 
 
 def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
-              jobs: int, failures: _Failures,
-              estimates_dir: Path | None) -> int:
+              jobs: int, failures: list[tuple[str, str]],
+              estimates_dir: Path | None) -> None:
     if not audio_dir.is_dir():
         raise ConfigError(f"not a directory: {audio_dir}")
     if estimates_dir is not None and not estimates_dir.is_dir():
@@ -678,21 +664,17 @@ def _run_eval(audio_dir: Path, out_dir: Path, config: PipelineConfig,
     if not piece_dirs:
         raise ConfigError(f"no piece directories in {audio_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    params = config.sdr
     worker = partial(_eval_worker,
                      estimates_dir=str(estimates_dir) if estimates_dir else None,
-                     frame_len_s=config.frame_len_s,
-                     silence_threshold_dbfs=config.silence_threshold_dbfs,
-                     projection=config.projection)
+                     params=params)
     results = _map_jobs(worker, [str(p) for p in piece_dirs], jobs)
-    report = SdrReport(SdrParameters(config.frame_len_s,
-                                     config.silence_threshold_dbfs,
-                                     config.projection))
+    report = SdrReport(params)
     for result in _collect(results, "eval", failures):
         report.add_piece(result["id"], result["frames"])
     report.finalize()
     _write_json(out_dir / "eval_report.json", dataclasses.asdict(report))
     _write_provenance(out_dir, "eval", config)
-    return failures.exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -774,40 +756,43 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def run_command(argv: Sequence[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    failures: list[tuple[str, str]] = []  # (piece id, message)
+    stopped = False  # a chain step left no piece for the steps after it
     try:
         config = _config_from_args(args)
-        failures = _Failures(strict=args.strict)
         out_dir = Path(args.out)
         jobs = max(args.jobs, 1)
 
         if args.command in STEPS:
-            return _run_steps(Path(args.input), {args.command: out_dir}, config,
-                              jobs, failures)
-        if args.command == "synth-test":
-            return _run_synth(Path(args.input), out_dir, config, jobs, failures)
-        if args.command == "eval":
+            stopped = _run_steps(Path(args.input), {args.command: out_dir},
+                                 config, jobs, failures)
+        elif args.command == "synth-test":
+            _run_synth(Path(args.input), out_dir, config, jobs, failures)
+        elif args.command == "eval":
             estimates = Path(args.estimates) if args.estimates else None
-            return _run_eval(Path(args.input), out_dir, config, jobs, failures,
-                             estimates)
-        # pipeline
-        if not args.input and not config.corpus_dir:
-            raise ConfigError("no corpus directory (positional argument "
-                              "or corpus_dir in config)")
-        in_dir = Path(args.input) if args.input else Path(config.corpus_dir)
-        if not in_dir.is_dir():
-            raise ConfigError(f"corpus directory not found: {in_dir}")
-        if not args.out and not config.output_dir:
-            raise ConfigError("no output directory (--out or output_dir "
-                              "in config)")
-        root = Path(args.out) if args.out else Path(config.output_dir)
-        return _run_steps(in_dir, {step: root / STAGE_DIRS[step] for step in STEPS},
-                          config, jobs, failures)
+            _run_eval(Path(args.input), out_dir, config, jobs, failures,
+                      estimates)
+        else:  # pipeline
+            if not args.input and not config.corpus_dir:
+                raise ConfigError("no corpus directory (positional argument "
+                                  "or corpus_dir in config)")
+            in_dir = Path(args.input) if args.input else Path(config.corpus_dir)
+            if not in_dir.is_dir():
+                raise ConfigError(f"corpus directory not found: {in_dir}")
+            if not args.out and not config.output_dir:
+                raise ConfigError("no output directory (--out or output_dir "
+                                  "in config)")
+            root = Path(args.out) if args.out else Path(config.output_dir)
+            stopped = _run_steps(in_dir, {step: root / STAGE_DIRS[step]
+                                          for step in STEPS},
+                                 config, jobs, failures)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SmfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if stopped or (args.strict and failures) else 0
 
 
 def main() -> None:

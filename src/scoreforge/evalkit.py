@@ -51,15 +51,39 @@ class NonPositiveFrame(EvalError):
     pass
 
 
+@dataclass(frozen=True)
+class SdrParameters:
+    """The protocol's three values, checked as the record is made; the
+    report's ``parameters`` are its ``dataclasses.asdict``."""
+
+    frame_len_s: float = FRAME_SECONDS
+    silence_threshold_dbfs: float = SILENCE_DBFS
+    projection: str = "plain"
+
+    def __post_init__(self) -> None:
+        if self.projection not in ("plain", "scalar"):
+            raise EvalError("projection must be 'plain' or 'scalar', not "
+                            f"{self.projection!r}")
+        if not self.frame_len_s > 0:
+            raise NonPositiveFrame(
+                f"frame_len_s must be positive, not {self.frame_len_s}")
+        try:
+            self.silence_amplitude
+        except OverflowError:
+            raise EvalError(f"silence_threshold_dbfs of "
+                            f"{self.silence_threshold_dbfs} dBFS is past "
+                            "float range as an amplitude") from None
+
+    @property
+    def silence_amplitude(self) -> float:
+        """The RMS below which a reference frame is silent."""
+        return 10.0 ** (self.silence_threshold_dbfs / 20.0)
+
+
 def frame_sdr(reference: Waveform, estimate: Waveform,
-              frame_len_s: float = FRAME_SECONDS,
-              silence_threshold_dbfs: float = SILENCE_DBFS,
-              projection: str = "plain") -> list[float | None]:
+              params: SdrParameters = SdrParameters()) -> list[float | None]:
     """Per-frame SDR in dB, or None for frames whose reference is silent."""
-    if projection not in ("plain", "scalar"):
-        raise EvalError(f"unknown projection mode {projection!r}")
-    if frame_len_s <= 0:
-        raise NonPositiveFrame(f"frame length must be positive: {frame_len_s}")
+    frame_len_s, projection = params.frame_len_s, params.projection
     if reference.sample_rate != estimate.sample_rate:
         raise LengthMismatch(
             f"sample rates differ: {reference.sample_rate} vs {estimate.sample_rate}")
@@ -74,11 +98,7 @@ def frame_sdr(reference: Waveform, estimate: Waveform,
     if frame <= 0:
         raise NonPositiveFrame(
             f"frame of {frame_len_s} s is empty at {reference.sample_rate} Hz")
-    try:
-        threshold = 10.0 ** (silence_threshold_dbfs / 20.0)
-    except OverflowError:
-        raise EvalError(f"a silence threshold of {silence_threshold_dbfs} dBFS "
-                        "is past float range as an amplitude") from None
+    threshold = params.silence_amplitude
 
     # Row sums of products over a (frames, frame) view. einsum's own loop
     # keeps BLAS, whose threads split dot products, out of the result.
@@ -140,13 +160,6 @@ def piece_sdr(frames: Sequence[float | None]) -> float | None:
 
 
 @dataclass
-class SdrParameters:
-    frame_len_s: float
-    silence_threshold_dbfs: float
-    projection: str
-
-
-@dataclass
 class PieceSdr:
     frames: dict[str, list[float | None]]  # stem -> frame values (None = silent)
     medians: dict[str, float | None]  # stem -> median (None = all silent)
@@ -181,14 +194,12 @@ class SdrReport:
 
 def evaluate_piece(references: Mapping[str, Waveform],
                    estimates: Mapping[str, Waveform],
-                   frame_len_s: float = FRAME_SECONDS,
-                   silence_threshold_dbfs: float = SILENCE_DBFS,
-                   projection: str = "plain") -> dict[str, list[float | None]]:
+                   params: SdrParameters = SdrParameters(),
+                   ) -> dict[str, list[float | None]]:
     """Frame SDRs for every stem present in both mappings."""
     out: dict[str, list[float | None]] = {}
     for stem in sorted(references):
         if stem not in estimates:
             continue
-        out[stem] = frame_sdr(references[stem], estimates[stem],
-                              frame_len_s, silence_threshold_dbfs, projection)
+        out[stem] = frame_sdr(references[stem], estimates[stem], params)
     return out

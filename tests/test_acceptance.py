@@ -25,7 +25,7 @@ from scoreforge.datasetkit import (
     polyphony_histogram,
     stratified_split,
 )
-from scoreforge.evalkit import frame_sdr
+from scoreforge.evalkit import SdrParameters, frame_sdr
 from scoreforge.expressive import (
     DYNAMIC_MARKS,
     VELOCITY_RANGES,
@@ -168,10 +168,11 @@ def test_sdr_closed_form():
         for value in frame_sdr(ref, estimate(ref.samples + noise)):
             assert value == pytest.approx(20.0, abs=0.5)
 
-        base = frame_sdr(ref, estimate(ref.samples + noise), projection="scalar")
+        scalar = SdrParameters(projection="scalar")
+        base = frame_sdr(ref, estimate(ref.samples + noise), scalar)
         for beta in (1e-3, 0.25, 4.0, 1e3):
             scaled = frame_sdr(ref, estimate(beta * (ref.samples + noise)),
-                               projection="scalar")
+                               scalar)
             drift = max(abs(a - b) for a, b in zip(base, scaled))
             assert drift <= 1e-6
 

@@ -47,7 +47,7 @@ from scoreforge.gmfix import (
     normalize,
 )
 from scoreforge.audio import MAX_SAMPLE_RATE, Waveform, read_wav, write_wav
-from scoreforge.evalkit import FRAME_SECONDS
+from scoreforge.evalkit import FRAME_SECONDS, EvalError, SdrParameters
 from scoreforge.renderkit import emit_manifest
 from scoreforge.smf import (
     MAX_VLQ_VALUE,
@@ -472,8 +472,20 @@ class TestConfigErrorsExitBeforeOutput:
         self.run(tmp_path, ["eval", str(audio_tree), "--jobs", jobs],
                  {"silence_threshold_dbfs": 10000})
         assert capsys.readouterr().err == (
-            "config error: silence_threshold_dbfs is past float range as an "
-            "amplitude\n")
+            "config error: silence_threshold_dbfs of 10000 dBFS is past float "
+            "range as an amplitude\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("projection", "x"), ("frame_len_s", 0), ("frame_len_s", -1)])
+    def test_bad_sdr_value_reads_as_the_record(self, audio_tree, tmp_path,
+                                               capsys, key, value):
+        """A bad eval value has one text, the one SdrParameters raises,
+        which names the key and the value."""
+        with pytest.raises(EvalError) as raised:
+            SdrParameters(**{key: value})
+        assert key in str(raised.value) and str(value) in str(raised.value)
+        self.run(tmp_path, ["eval", str(audio_tree)], {key: value})
+        assert capsys.readouterr().err == f"config error: {raised.value}\n"
 
     def test_annotate_nan_tempo_std(self, pipeline_out, tmp_path):
         self.run(tmp_path, ["annotate", str(pipeline_out / "20_normalized")],

@@ -29,6 +29,7 @@ from scoreforge.evalkit import (
 )
 
 SR = 22050
+SCALAR = SdrParameters(projection="scalar")
 
 
 def sine(frequency=441.0, seconds=2.0, amplitude=0.5, sr=SR):
@@ -60,7 +61,7 @@ class TestFrameSdr:
         ref = sine(seconds=1.0)
         zero = Waveform(np.zeros(len(ref)), SR)
         assert frame_sdr(ref, zero) == [pytest.approx(0.0)]
-        assert frame_sdr(ref, zero, projection="scalar") == [pytest.approx(0.0)]
+        assert frame_sdr(ref, zero, SCALAR) == [pytest.approx(0.0)]
 
     def test_silent_reference_frames_marked(self):
         quiet = np.zeros(SR)
@@ -88,23 +89,23 @@ class TestFrameSdr:
 
     def test_custom_frame_length(self):
         ref = sine(seconds=2.0)
-        assert len(frame_sdr(ref, ref, frame_len_s=0.5)) == 4
+        assert len(frame_sdr(ref, ref, SdrParameters(frame_len_s=0.5))) == 4
 
     def test_scalar_mode_invariant_to_gain(self):
         ref = sine(441.0, seconds=2.0)
         est = Waveform(ref.samples + sine(660.0, seconds=2.0,
                                           amplitude=0.1).samples, SR)
-        base = frame_sdr(ref, est, projection="scalar")
+        base = frame_sdr(ref, est, SCALAR)
         for beta in (1e-3, 0.25, 4.0, 1e3):
             scaled = Waveform(est.samples * beta, SR)
-            got = frame_sdr(ref, scaled, projection="scalar")
+            got = frame_sdr(ref, scaled, SCALAR)
             for a, b in zip(base, got):
                 assert abs(a - b) <= 1e-6
 
     def test_scalar_mode_caps_scaled_copies(self):
         ref = sine(seconds=1.0)
         est = Waveform(ref.samples * 7.3, SR)
-        assert frame_sdr(ref, est, projection="scalar") == [SDR_CAP_DB]
+        assert frame_sdr(ref, est, SCALAR) == [SDR_CAP_DB]
         # plain mode, by contrast, punishes the wrong gain
         plain = frame_sdr(ref, est)[0]
         assert plain == pytest.approx(10 * math.log10(1 / 6.3 ** 2), abs=1e-9)
@@ -116,25 +117,25 @@ class TestFrameSdr:
         with pytest.raises(LengthMismatch):
             frame_sdr(ref, Waveform(ref.samples.copy(), 44100))
         with pytest.raises(NonPositiveFrame):
-            frame_sdr(ref, ref, frame_len_s=0.0)
+            frame_sdr(ref, ref, SdrParameters(frame_len_s=0.0))
         with pytest.raises(NonPositiveFrame):
-            frame_sdr(ref, ref, frame_len_s=1e-6)
+            frame_sdr(ref, ref, SdrParameters(frame_len_s=1e-6))
         with pytest.raises(EvalError):
-            frame_sdr(ref, ref, projection="mad")
+            frame_sdr(ref, ref, SdrParameters(projection="mad"))
 
     def test_frame_past_float_range_is_an_eval_error(self):
         # 1e305 s at 22,050 Hz is an infinite sample count
         ref = sine(seconds=1.0)
         with pytest.raises(EvalError, match="past float range"):
-            frame_sdr(ref, ref, frame_len_s=1e305)
+            frame_sdr(ref, ref, SdrParameters(frame_len_s=1e305))
         # no whole frame, in a frame of more samples than an array holds
-        assert frame_sdr(ref, ref, frame_len_s=1e300) == []
+        assert frame_sdr(ref, ref, SdrParameters(frame_len_s=1e300)) == []
 
     def test_silence_threshold_past_float_range_is_an_eval_error(self):
         # 10 ** (10000 / 20) is past float range as an RMS amplitude
         ref = sine(seconds=1.0)
         with pytest.raises(EvalError, match="10000 dBFS is past float range"):
-            frame_sdr(ref, ref, silence_threshold_dbfs=10_000)
+            frame_sdr(ref, ref, SdrParameters(silence_threshold_dbfs=10_000))
 
     def test_infinite_estimate_is_an_eval_error(self):
         # its SDR would be 10 log10(0): an EvalError, so eval skips the piece
@@ -156,7 +157,8 @@ class TestFrameSdr:
         signals[signal][SR + 5] = value  # in the second frame
         with pytest.raises(EvalError, match=f"{signal} holds a NaN or infinite"):
             frame_sdr(Waveform(signals["reference"], SR),
-                      Waveform(signals["estimate"], SR), projection=projection)
+                      Waveform(signals["estimate"], SR),
+                      SdrParameters(projection=projection))
 
 
 def loop_frame_sdr(reference, estimate, projection):
@@ -194,7 +196,7 @@ class TestFrameSdrArithmetic:
     @pytest.mark.parametrize("projection", ["plain", "scalar"])
     def test_agrees_with_frame_loop(self, projection):
         reference, estimate = noisy_pair()
-        got = frame_sdr(reference, estimate, projection=projection)
+        got = frame_sdr(reference, estimate, SdrParameters(projection=projection))
         want = loop_frame_sdr(reference, estimate, projection)
         assert [v is SILENT for v in got] == [v is SILENT for v in want]
         assert SILENT in got and len(got) == 6
@@ -234,10 +236,11 @@ class TestFrameSdrArithmetic:
             "import json, sys\n"
             "sys.path[:0] = sys.argv[1:]\n"
             "from test_evalkit import noisy_pair\n"
-            "from scoreforge.evalkit import frame_sdr\n"
+            "from scoreforge.evalkit import SdrParameters, frame_sdr\n"
             "ref, est = noisy_pair()\n"
             "print(json.dumps([[v if v is None else v.hex() for v in\n"
-            "    frame_sdr(ref, est, projection=p)] for p in ('plain', 'scalar')]))\n")
+            "    frame_sdr(ref, est, SdrParameters(projection=p))]\n"
+            "    for p in ('plain', 'scalar')]))\n")
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -322,6 +325,6 @@ class TestEvaluatePiece:
     def test_passes_parameters_through(self):
         ref = sine(seconds=1.0)
         est = Waveform(ref.samples * 2.0, SR)
-        out = evaluate_piece({"v": ref}, {"v": est}, frame_len_s=0.25,
-                             projection="scalar")
+        out = evaluate_piece({"v": ref}, {"v": est},
+                             SdrParameters(frame_len_s=0.25, projection="scalar"))
         assert out["v"] == [SDR_CAP_DB] * 4
